@@ -113,12 +113,9 @@ def activate_array(spec: ActivationSpec, x):
         return np.where(x >= 0.0, spec.C, spec.D) * np.abs(x) ** spec.c
     if spec.kind == TANH:
         return np.tanh(x)
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # 1/(1+e^-x) for x >= 0 and e^x/(1+e^x) below: stable on both tails
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, e) / (1.0 + e)
 
 
 def derivative_array(spec: ActivationSpec, x):

@@ -27,9 +27,15 @@ from .activations import (
     leaky_relu,
     max_slice_jump,
 )
-from .balancing import Schedule, network_deficit, run_balancing, trace_to_csv
+from .balancing import (
+    Schedule,
+    _structural_problems,
+    network_deficit,
+    run_balancing,
+    trace_to_csv,
+)
 from .manifold import apply_multipliers, solve_convex
-from .netgraph import forward, load, make_layered, save, validate
+from .netgraph import forward, load, make_layered, save
 from .regularizer import network_cost, parse_cost
 from .training import (
     BalanceMode,
@@ -82,10 +88,6 @@ def _manifest(out: Path, command: str, params: dict):
     _write_json(out / "manifest.json", {"command": command, "params": params, "version": __version__})
 
 
-def _structural(net):
-    return [p for p in validate(net) if "all-zero" not in p and "no nonzero" not in p]
-
-
 def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedule:
     if text == "stochastic" or text.startswith("stochastic:"):
         if ":" in text:
@@ -103,7 +105,7 @@ def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedul
 
 def cmd_balance(args) -> int:
     net = load(args.net)
-    problems = _structural(net)
+    problems = _structural_problems(net)
     if problems:
         raise ValueError("invalid network: " + "; ".join(problems))
     cost = parse_cost(args.cost)
@@ -137,7 +139,7 @@ def cmd_verify_uniqueness(args) -> int:
     if args.n_schedules < 2:
         raise ValueError("need at least 2 schedules to compare")
     net = load(args.net)
-    problems = _structural(net)
+    problems = _structural_problems(net)
     if problems:
         raise ValueError("invalid network: " + "; ".join(problems))
     cost = parse_cost(args.cost)
@@ -148,18 +150,15 @@ def cmd_verify_uniqueness(args) -> int:
         "tol": args.tol, "max_steps": args.max_steps, "seed": seed,
     })
 
-    base = Schedule("stochastic", seed=seed, deficit_tol=args.tol, max_steps=args.max_steps)
-    _, probe = run_balancing(net, base, cost)
-    if "nothing to balance" in probe.notes:
-        _write_json(out / "report.json", {"note": "nothing to balance", "n_schedules": 0})
-        print("nothing to balance; trivially unique")
-        return 0
-
     results = []
     for k in range(args.n_schedules):
         sched = Schedule("stochastic", seed=seed + k, deficit_tol=args.tol,
                          max_steps=args.max_steps)
         final, trace = run_balancing(net, sched, cost)
+        if k == 0 and "nothing to balance" in trace.notes:
+            _write_json(out / "report.json", {"note": "nothing to balance", "n_schedules": 0})
+            print("nothing to balance; trivially unique")
+            return 0
         if not trace.converged:
             print(f"schedule with seed {seed + k} did not converge", file=sys.stderr)
             return 2
@@ -346,7 +345,7 @@ def cmd_approx(args) -> int:
 
     n_slices = len(samples) - 1
     xs = np.linspace(0.0, 1.0, args.grid)
-    ys = np.array([float(forward(net, [x])[0]) for x in xs])
+    ys = forward(net, xs[:, None])[:, 0]
     knots_x = np.array([x for x, _ in samples])
     knots_y = np.array([y for _, y in samples])
     lin = np.interp(xs, knots_x, knots_y)

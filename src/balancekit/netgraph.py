@@ -19,7 +19,7 @@ from .activations import (
     ActivationSpec,
     IDENTITY,
     RELU,
-    activate,
+    activate_array,
     activation_from_json,
     activation_to_json,
 )
@@ -32,6 +32,10 @@ ROLES = (INPUT, OUTPUT, HIDDEN, BIAS)
 VISIBLE_ROLES = (INPUT, OUTPUT, BIAS)
 
 DOCUMENT_VERSION = 1
+
+# Rows per evaluation block of a batched ``forward``: bounds its working set,
+# so a long batch costs memory in proportion to its outputs only.
+ROW_BLOCK = 256
 
 
 class NetworkFormatError(ValueError):
@@ -73,6 +77,7 @@ class Network:
         for es in self._out.values():
             es.sort(key=lambda e: e.dst)
         self._topo = None
+        self._plan = None
 
     # -- basic queries -------------------------------------------------
 
@@ -275,53 +280,200 @@ def _find_cycle_units(net):
     return []
 
 
-def forward(net: Network, x) -> np.ndarray:
-    """Evaluate the network on one input vector.
+def _edge_ends(net: Network):
+    """Source and target unit ids of the edges, as two integer arrays."""
+    count = len(net.edges)
+    src = np.fromiter((e.src for e in net.edges), dtype=np.int64, count=count)
+    dst = np.fromiter((e.dst for e in net.edges), dtype=np.int64, count=count)
+    return src, dst
 
-    Input units are clamped to the given values (ordered by unit id), the
-    bias-source unit to 1.  Feedforward networks are evaluated in topological
+
+def _depths(net: Network, src, dst) -> np.ndarray:
+    """Longest-path depth of every unit from the units with no incoming edge.
+
+    Relaxes every edge at once until nothing changes: a DAG settles within
+    one pass per unit, a cycle never does.
+    """
+    n = len(net.units)
+    depth = np.zeros(n, dtype=np.int64)
+    for _ in range(n + 1):
+        nxt = np.zeros(n, dtype=np.int64)
+        np.maximum.at(nxt, dst, depth[src] + 1)
+        if np.array_equal(nxt, depth):
+            return depth
+        depth = nxt
+    raise ValueError("network contains a directed cycle; no topological order")
+
+
+def activation_groups(specs):
+    """(spec, column positions) per distinct activation, in order of first use.
+
+    The positions are None when one activation covers every column.
+    """
+    cols = {}
+    for k, spec in enumerate(specs):
+        cols.setdefault(spec, []).append(k)
+    if len(cols) == 1:
+        return ((specs[0], None),)
+    return tuple((spec, np.array(ks, dtype=np.int64)) for spec, ks in cols.items())
+
+
+def by_activation(groups, fn, x):
+    """Apply ``fn(spec, columns)`` to the columns of ``x`` group by group."""
+    if len(groups) == 1 and groups[0][1] is None:
+        return fn(groups[0][0], x)
+    out = np.empty_like(x)
+    for spec, cols in groups:
+        out[:, cols] = fn(spec, x[:, cols])
+    return out
+
+
+class Level:
+    """Units evaluated together: one weight block, one matmul.
+
+    ``block[r, c]`` is the weight from unit ``srcs[r]`` into unit ``units[c]``;
+    ``groups`` comes from ``activation_groups``.
+    """
+
+    __slots__ = ("units", "srcs", "groups")
+
+    def __init__(self, units: np.ndarray, srcs: np.ndarray, groups: tuple):
+        self.units = units
+        self.srcs = srcs
+        self.groups = groups
+
+
+class EvaluationPlan:
+    """A network's evaluation schedule, compiled once from its edge list.
+
+    Feedforward networks group their non-clamped units by longest-path depth
+    (the depth ``hidden_layers`` uses), so every source of a level lies in an
+    earlier level or is clamped.  Recurrent networks have one hidden level,
+    applied once per unrolled step, then the output level.  Applying a level
+    gathers its sources, multiplies by its dense weight block and makes one
+    activation call per distinct activation; since the sources are gathered
+    before the level writes, a hidden step is a synchronous update.
+    """
+
+    def __init__(self, net: Network):
+        self.n_units = len(net.units)
+        self.n_edges = len(net.edges)
+        self.inputs = np.array(net.input_ids, dtype=np.int64)
+        self.bias = np.array(net.bias_ids, dtype=np.int64)
+        self.outputs = np.array(net.output_ids, dtype=np.int64)
+        src, dst = _edge_ends(net)
+        if net.recurrent:
+            groups = [net.hidden_ids, net.output_ids]
+            steps = [net.unroll_steps, 1]
+        else:
+            clamped = set(net.input_ids) | set(net.bias_ids)
+            depth = _depths(net, src, dst)
+            by_depth = {}
+            for u in net.units:
+                if u.id not in clamped:
+                    by_depth.setdefault(int(depth[u.id]), []).append(u.id)
+            groups = [by_depth[d] for d in sorted(by_depth)]
+            steps = [1] * len(groups)
+        level_of = np.full(self.n_units, -1, dtype=np.int64)
+        col_of = np.zeros(self.n_units, dtype=np.int64)
+        levels, schedule = [], []
+        for units, repeat in zip(groups, steps):
+            if units:
+                level_of[units] = len(levels)
+                col_of[units] = np.arange(len(units))
+                schedule += [len(levels)] * repeat
+                levels.append(units)
+        # edge k lands at flat position pos[j] of the concatenated blocks, k = sel[j]
+        sel_parts, pos_parts, self.shapes, self.levels = [], [], [], []
+        offset = 0
+        for k, units in enumerate(levels):
+            sel = np.flatnonzero(level_of[dst] == k)
+            srcs = np.unique(src[sel])
+            rows = np.searchsorted(srcs, src[sel])
+            sel_parts.append(sel)
+            pos_parts.append(offset + rows * len(units) + col_of[dst[sel]])
+            self.shapes.append((offset, srcs.size, len(units)))
+            offset += srcs.size * len(units)
+            specs = [net.unit(u).activation for u in units]
+            self.levels.append(
+                Level(np.array(units, dtype=np.int64), srcs, activation_groups(specs))
+            )
+        self.schedule = tuple(schedule)
+        self.block_size = offset
+        self.sel = np.concatenate(sel_parts) if sel_parts else np.zeros(0, dtype=np.int64)
+        self.pos = np.concatenate(pos_parts) if pos_parts else np.zeros(0, dtype=np.int64)
+        self.weights = self.blocks(net.weights())
+
+    def split(self, flat):
+        """Per-level block views of one flat array laid out like ``blocks``."""
+        return [flat[o : o + r * c].reshape(r, c) for o, r, c in self.shapes]
+
+    def blocks(self, w):
+        """Dense per-level weight blocks scattered from an edge-weight vector.
+
+        Parallel edges between the same two units add up.
+        """
+        flat = np.bincount(self.pos, weights=w[self.sel], minlength=self.block_size)
+        return self.split(flat)
+
+    def edge_values(self, flat):
+        """Per-edge values gathered from a flat block layout (0 off the plan)."""
+        out = np.zeros(self.n_edges)
+        out[self.sel] = flat[self.pos]
+        return out
+
+    def run(self, blocks, X, records=None):
+        """Unit-indexed values of the rows of ``X`` (one input vector per row).
+
+        When ``records`` is a list, each level application appends
+        ``(level index, gathered sources, pre-activations)`` to it.
+        """
+        vals = np.zeros((X.shape[0], self.n_units))
+        vals[:, self.inputs] = X
+        vals[:, self.bias] = 1.0
+        for k in self.schedule:
+            level = self.levels[k]
+            S = vals[:, level.srcs]
+            pre = S @ blocks[k]
+            vals[:, level.units] = by_activation(level.groups, activate_array, pre)
+            if records is not None:
+                records.append((k, S, pre))
+        return vals
+
+
+def evaluation_plan(net: Network) -> EvaluationPlan:
+    """The network's evaluation plan, compiled on first use and cached."""
+    if net._plan is None:
+        net._plan = EvaluationPlan(net)
+    return net._plan
+
+
+def forward(net: Network, x) -> np.ndarray:
+    """Evaluate the network on one input vector or on a batch of them.
+
+    A 1-D ``x`` is one input vector and gives a 1-D output vector; a 2-D
+    ``x`` of shape (rows, n_inputs) gives (rows, n_outputs).  Input units are
+    clamped to the given values (ordered by unit id), the bias-source unit to
+    1.  Feedforward networks are evaluated level by level in dependency
     order; recurrent networks start from a zero hidden state, apply
     ``unroll_steps`` synchronous hidden updates, then compute the outputs.
-    Pre-activation sums always accumulate over incoming edges in ascending
-    source id, so repeated runs are bit-identical.
+    Each level's pre-activations are one matrix product, so results are
+    deterministic per build.  Batches are evaluated ``ROW_BLOCK`` rows at a
+    time, which keeps the memory of a long batch to its outputs.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    inputs = net.input_ids
-    if x.shape[0] != len(inputs):
-        raise ValueError(f"expected {len(inputs)} input values, got {x.shape[0]}")
-    n = len(net.units)
-    vals = np.zeros(n)
-    for i, v in zip(inputs, x):
-        vals[i] = v
-    for b in net.bias_ids:
-        vals[b] = 1.0
-
-    if not net.recurrent:
-        clamped = set(inputs) | set(net.bias_ids)
-        for u in topological_order(net):
-            if u in clamped:
-                continue
-            s = 0.0
-            for e in net._in[u]:
-                s += e.weight * vals[e.src]
-            vals[u] = activate(net.unit(u).activation, s)
-        return vals[net.output_ids].copy()
-
-    hidden = net.hidden_ids
-    for _ in range(net.unroll_steps):
-        new_vals = vals.copy()
-        for u in hidden:
-            s = 0.0
-            for e in net._in[u]:
-                s += e.weight * vals[e.src]
-            new_vals[u] = activate(net.unit(u).activation, s)
-        vals = new_vals
-    for o in net.output_ids:
-        s = 0.0
-        for e in net._in[o]:
-            s += e.weight * vals[e.src]
-        vals[o] = activate(net.unit(o).activation, s)
-    return vals[net.output_ids].copy()
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 2:
+        raise ValueError(f"expected a 1-D input vector or a 2-D batch, got {x.ndim} dimensions")
+    rows = x if x.ndim == 2 else x.reshape(1, -1)
+    n_in = len(net.input_ids)
+    if rows.shape[1] != n_in:
+        raise ValueError(f"expected {n_in} input values, got {rows.shape[1]}")
+    plan = evaluation_plan(net)
+    out = np.empty((rows.shape[0], plan.outputs.size))
+    for start in range(0, rows.shape[0], ROW_BLOCK):
+        block = rows[start : start + ROW_BLOCK]
+        out[start : start + ROW_BLOCK] = plan.run(plan.weights, block)[:, plan.outputs]
+    return out if x.ndim == 2 else out[0]
 
 
 def frobenius_norm(net: Network) -> float:
@@ -506,13 +658,8 @@ def hidden_layers(net: Network):
     """Hidden units grouped by longest-path depth from the inputs (feedforward)."""
     if net.recurrent:
         raise ValueError("layer structure is only defined for feedforward networks")
-    depth = {i: 0 for i in net.input_ids + net.bias_ids}
-    for u in topological_order(net):
-        for e in net._out[u]:
-            d = depth.get(u, 0) + 1
-            if d > depth.get(e.dst, 0):
-                depth[e.dst] = d
+    depth = _depths(net, *_edge_ends(net))
     groups = {}
     for h in net.hidden_ids:
-        groups.setdefault(depth.get(h, 0), []).append(h)
+        groups.setdefault(int(depth[h]), []).append(h)
     return [sorted(groups[d]) for d in sorted(groups)]

@@ -2,10 +2,11 @@
 datasets and instrumentation.
 
 Training works directly on the graph representation: a small compiled view
-holds the weights in one array and evaluates/backpropagates batches unit by
-unit in the same dependency order as ``netgraph.forward`` (per-unit sums
-accumulate as vector dots over the ascending-source edge lists).  Recurrent
-networks are differentiated through the unrolled synchronous updates.
+holds the weights in one array and runs batches through the network's
+``netgraph.EvaluationPlan``, the evaluator ``netgraph.forward`` uses: one
+matrix product per level forward, one with the transposed block backward.
+Recurrent networks are differentiated through the unrolled synchronous
+updates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import balancing, netgraph
-from .activations import BIPU, LOGISTIC, activate_array, derivative_array
+from .activations import BIPU, LOGISTIC, derivative_array
 from .netgraph import Network
 from .regularizer import CostSpec, l2
 from .regularizer import derivative_array as cost_derivative_array
@@ -127,78 +128,38 @@ class _Compiled:
                 raise ValueError(
                     f"unit {u.id}: bipu exponent {act.c} < 1 cannot be gradient-trained"
                 )
-        self.n = len(net.units)
-        self.src = np.array([e.src for e in net.edges], dtype=np.int64)
-        self.dst = np.array([e.dst for e in net.edges], dtype=np.int64)
-        self.w = np.array([e.weight for e in net.edges], dtype=float)
-        self.inputs = net.input_ids
+        self.plan = netgraph.evaluation_plan(net)
+        self.w = net.weights()
         self.outputs = net.output_ids
-        self.bias = net.bias_ids
-        self.hidden = net.hidden_ids
-        self.acts = {u.id: u.activation for u in net.units}
-        by_in = {u.id: [] for u in net.units}
-        by_out = {u.id: [] for u in net.units}
-        order = np.argsort(self.src, kind="stable")
-        for k in order:
-            by_in[int(self.dst[k])].append(int(k))
-        order = np.argsort(self.dst, kind="stable")
-        for k in order:
-            by_out[int(self.src[k])].append(int(k))
-        self.in_idx = {u: np.array(ks, dtype=np.int64) for u, ks in by_in.items()}
-        self.out_idx = {u: np.array(ks, dtype=np.int64) for u, ks in by_out.items()}
-        self.in_src = {u: self.src[ks] for u, ks in self.in_idx.items()}
-        self.out_dst = {u: self.dst[ks] for u, ks in self.out_idx.items()}
-        if not net.recurrent:
-            clamped = set(self.inputs) | set(self.bias)
-            self.eval_order = [u for u in netgraph.topological_order(net) if u not in clamped]
-        else:
-            self.eval_order = None
+        self.out_groups = netgraph.activation_groups(
+            [net.unit(o).activation for o in self.outputs]
+        )
+        # where the loss enters the backward pass: level -> (output columns of
+        # the level, their positions in the output list)
+        out_pos = {o: j for j, o in enumerate(self.outputs)}
+        self.loss_cols = {}
+        for k, level in enumerate(self.plan.levels):
+            cols = [c for c, u in enumerate(level.units) if u in out_pos]
+            if cols:
+                outs = [out_pos[level.units[c]] for c in cols]
+                self.loss_cols[k] = (np.array(cols), np.array(outs))
 
     def network(self) -> Network:
         return self.net.replace_weights(self.w)
 
-    def _pre(self, u, vals):
-        ks = self.in_idx[u]
-        if ks.size == 0:
-            return np.zeros(vals.shape[0])
-        return vals[:, self.in_src[u]] @ self.w[ks]
-
     def forward(self, X):
-        nb = X.shape[0]
-        if not self.net.recurrent:
-            acts = np.zeros((nb, self.n))
-            pres = np.zeros((nb, self.n))
-            acts[:, self.inputs] = X
-            for b in self.bias:
-                acts[:, b] = 1.0
-            for u in self.eval_order:
-                pre = self._pre(u, acts)
-                pres[:, u] = pre
-                acts[:, u] = activate_array(self.acts[u], pre)
-            return acts, pres, None
-        vals = np.zeros((nb, self.n))
-        vals[:, self.inputs] = X
-        for b in self.bias:
-            vals[:, b] = 1.0
-        stages = [vals]
-        pres = []
-        for _ in range(self.net.unroll_steps):
-            prev = stages[-1]
-            nxt = prev.copy()
-            pre_t = np.zeros((nb, self.n))
-            for u in self.hidden:
-                pre = self._pre(u, prev)
-                pre_t[:, u] = pre
-                nxt[:, u] = activate_array(self.acts[u], pre)
-            stages.append(nxt)
-            pres.append(pre_t)
-        final = stages[-1].copy()
-        out_pre = np.zeros((nb, self.n))
-        for o in self.outputs:
-            pre = self._pre(o, stages[-1])
-            out_pre[:, o] = pre
-            final[:, o] = activate_array(self.acts[o], pre)
-        return final, out_pre, (stages, pres)
+        """Unit-indexed activations and pre-activations of a batch.
+
+        The third value, the blocks and the per-level records, is what
+        ``gradient`` backpropagates through.
+        """
+        blocks = self.plan.blocks(self.w)
+        records = []
+        acts = self.plan.run(blocks, X, records)
+        pres = np.zeros_like(acts)
+        for k, _, pre in records:
+            pres[:, self.plan.levels[k].units] = pre
+        return acts, pres, (blocks, records)
 
     def loss_and_delta(self, loss, acts, pres, targets):
         """Mean batch loss and dL/d(pre-activation) for the output units."""
@@ -218,14 +179,12 @@ class _Compiled:
             eps = 1e-12
             Yc = np.clip(Y, eps, 1.0 - eps)
             value = -float(np.sum(targets * np.log(Yc) + (1.0 - targets) * np.log(1.0 - Yc))) / nb
-            if all(self.acts[o].kind == LOGISTIC for o in self.outputs):
+            if all(spec.kind == LOGISTIC for spec, _ in self.out_groups):
                 # the logistic derivative cancels the cross-entropy quotient
                 return value, (Y - targets) / nb
             dact = (Yc - targets) / (Yc * (1.0 - Yc)) / nb
-        delta = np.zeros_like(dact)
-        for j, o in enumerate(self.outputs):
-            delta[:, j] = dact[:, j] * derivative_array(self.acts[o], pres[:, o])
-        return value, delta
+        slopes = netgraph.by_activation(self.out_groups, derivative_array, pres[:, self.outputs])
+        return value, dact * slopes
 
     def loss_only(self, loss, X, targets):
         acts, pres, _ = self.forward(X)
@@ -234,51 +193,29 @@ class _Compiled:
 
     def gradient(self, loss, X, targets, cost: CostSpec | None):
         """Gradient of mean batch loss (+ full weight cost) per edge."""
-        acts, pres, extra = self.forward(X)
+        acts, pres, (blocks, records) = self.forward(X)
         value, out_delta = self.loss_and_delta(loss, acts, pres, targets)
-        g = np.zeros_like(self.w)
-        if not self.net.recurrent:
-            delta = np.zeros((acts.shape[0], self.n))
-            delta[:, self.outputs] = out_delta
-            out_set = set(self.outputs)
-            for u in reversed(self.eval_order):
-                if u in out_set:
-                    continue
-                ks = self.out_idx[u]
-                if ks.size == 0:
-                    continue
-                s = delta[:, self.out_dst[u]] @ self.w[ks]
-                delta[:, u] = derivative_array(self.acts[u], pres[:, u]) * s
-            g = np.einsum("se,se->e", acts[:, self.src], delta[:, self.dst])
-        else:
-            stages, step_pres = extra
-            nb = X.shape[0]
-            dfull = np.zeros((nb, self.n))
-            for j, o in enumerate(self.outputs):
-                dfull[:, o] = out_delta[:, j]
-            for o in self.outputs:
-                for k in self.in_idx[o]:
-                    g[k] += stages[-1][:, self.src[k]] @ dfull[:, o]
-            carry = np.zeros((nb, self.n))  # dL/d(hidden activation) at step t
-            for o in self.outputs:
-                for k in self.in_idx[o]:
-                    s = self.src[k]
-                    if s in set(self.hidden):
-                        carry[:, s] += self.w[k] * dfull[:, o]
-            hidden_set = set(self.hidden)
-            for t in range(self.net.unroll_steps, 0, -1):
-                delta_t = np.zeros((nb, self.n))
-                for h in self.hidden:
-                    delta_t[:, h] = (
-                        derivative_array(self.acts[h], step_pres[t - 1][:, h]) * carry[:, h]
-                    )
-                carry = np.zeros((nb, self.n))
-                for h in self.hidden:
-                    for k in self.in_idx[h]:
-                        s = self.src[k]
-                        g[k] += stages[t - 1][:, s] @ delta_t[:, h]
-                        if s in hidden_set:
-                            carry[:, s] += self.w[k] * delta_t[:, h]
+        d_vals = np.zeros_like(acts)  # dL/d(unit value) at this point of the schedule
+        g_flat = np.zeros(self.plan.block_size)
+        g_blocks = self.plan.split(g_flat)
+        for step in range(len(records) - 1, -1, -1):
+            k, S, pre = records[step]
+            level = self.plan.levels[k]
+            if step == len(records) - 1:  # nothing downstream of the last level
+                delta = np.zeros_like(pre)
+            else:
+                delta = netgraph.by_activation(level.groups, derivative_array, pre)
+                delta *= d_vals[:, level.units]
+            if k in self.loss_cols:
+                cols, outs = self.loss_cols[k]
+                delta[:, cols] += out_delta[:, outs]
+            g_blocks[k] += S.T @ delta
+            if step:
+                # the level overwrote its units; their earlier values reach
+                # the loss only through the sources it read
+                d_vals[:, level.units] = 0.0
+                d_vals[:, level.srcs] += delta @ blocks[k].T
+        g = self.plan.edge_values(g_flat)
         if cost is not None:
             g += cost_derivative_array(cost, self.w)
         return value, g
