@@ -7,26 +7,29 @@ unit's contribution to an additive weight cost; iterating balancing over the
 units drives the whole network to the unique cost-minimizing weights in its
 rescaling equivalence class.
 
-A self-loop edge (recurrent networks) is both incoming and outgoing: it picks
-up a factor lam**(1-c), which is still function-preserving and which for
-c = 1 means it never changes and drops out of every balance computation.
+Every operation applies one rule to a unit set S, either a single unit or a
+tied subset sharing one factor and one exponent c: edge e is multiplied by
+lam**([dst in S] - c [src in S]).  An edge with both ends in S, such as the
+self-loop of a recurrent unit, picks up lam**(1-c), which is still
+function-preserving and which for c = 1 means it never changes and drops out
+of every balance computation.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activations import homogeneity_exponent
-from .netgraph import HIDDEN, Edge, Network, validate
-from .regularizer import CostSpec, cost_array, network_cost
+from .netgraph import HIDDEN, Network, _edge_ends, check_structure, hidden_layers, topological_order
+from .regularizer import CostSpec, network_cost
 
 _TINY = 1e-300
-_BRACKET_LO = 1e-8
-_BRACKET_HI = 1e8
+_LOG_LIMIT = 700.0  # |log lam| beyond which lam**p overflows for any sensible p
 
 
 class DegenerateUnitError(ValueError):
@@ -47,11 +50,11 @@ class BalanceTrace:
     """Step-by-step record of a balancing run.
 
     ``r_series`` and ``deficit_series`` hold the total cost and the summed
-    balance deficit of the balanceable units after each step (for tied-layer
-    runs the deficit is the aggregate per-subset gap, the quantity those moves
-    can actually drive to zero).  ``notes`` collects skipped units and other
-    annotations; ``converged`` reports whether the stop criterion was met
-    within the step budget.
+    balance deficit of the balanced unit sets after each step (for tied-layer
+    runs the sets are the subsets, so the deficit is the aggregate per-subset
+    gap, the quantity those moves can actually drive to zero).  ``notes``
+    collects skipped units and other annotations; ``converged`` reports
+    whether the stop criterion was met within the step budget.
     """
 
     steps: list = field(default_factory=list)
@@ -87,6 +90,10 @@ class Schedule:
         kinds = ("stochastic", "sequential", "partial_pass", "layer_independent", "layer_tied")
         if self.kind not in kinds:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        if not self.deficit_tol >= 0.0:
+            raise ValueError(f"deficit_tol must be >= 0, got {self.deficit_tol!r}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps!r}")
         if self.order is not None:
             object.__setattr__(self, "order", tuple(int(u) for u in self.order))
         if self.partition is not None:
@@ -95,7 +102,159 @@ class Schedule:
             )
 
 
-# -- single-unit operations --------------------------------------------------
+# -- the rescaling rule --------------------------------------------------------
+
+
+def _set_edges(src, dst, units):
+    """Edges touching a unit set, and their side: 0 into it, 1 out of it, 2 both ends in it."""
+    if len(units) == 1:
+        into, outof = dst == units[0], src == units[0]
+    else:
+        into, outof = np.isin(dst, units), np.isin(src, units)
+    sel = np.flatnonzero(into | outof)
+    side = outof[sel].astype(np.int64) + (into[sel] & outof[sel])
+    return sel, side
+
+
+def _exponents(c):
+    """Exponent of lam per side, [dst in S] - c [src in S]: into, out of, inside the set."""
+    return (1.0, -c, 1.0 - c)
+
+
+def _factors(lam, c, side):
+    """Per-edge factors of scaling a unit set with exponent c by lam."""
+    return np.array([lam**e for e in _exponents(c)])[side]
+
+
+def _side_sums(cost, w, side):
+    """(terms, 3) array: beta * sum |w|**p into, out of and inside a unit set."""
+    a = np.abs(w)
+    return np.array(
+        [np.bincount(side, weights=beta * a**p, minlength=3) for p, beta in cost.terms]
+    )
+
+
+def _edge_costs(cost, w):
+    """Per-edge cost, and the same with term t weighted by p_t / max p.
+
+    The weighted sums are the ones that vanish at a set's optimum,
+    sum_t p_t (in_t - c out_t) = 0; for a one-term cost they equal the cost.
+    """
+    a = np.abs(w)
+    terms = [(p, beta * a**p) for p, beta in cost.terms]
+    total = sum(t for _, t in terms)
+    if len(terms) == 1:
+        return total, total
+    p_max = max(p for p, _ in terms)
+    return total, sum((p / p_max) * t for p, t in terms)
+
+
+def _lambda_star(cost, sums, c):
+    """Cost-minimizing scale factor from a set's per-term side sums (see ``_side_sums``).
+
+    The objective in lam is sum_t A_t lam**p + B_t lam**(-p c) + S_t lam**(p(1-c)).
+    A single power term without an inside contribution has the closed form
+    (c * B / A) ** (1 / (p (c + 1))); anything else is solved by bisection on
+    the strictly increasing function lam * d/dlam of the objective, bracketed
+    around the per-term closed forms and widened until it changes sign.
+    """
+    A, B, S = (float(s) for s in np.sum(sums, axis=0))
+    if A <= 0.0 or B <= 0.0:
+        raise DegenerateUnitError("unit has an all-zero incoming or outgoing side")
+    single = cost.single_term
+    if single is not None and (S == 0.0 or c == 1.0):
+        p, _ = single
+        return float((c * B / A) ** (1.0 / (p * (c + 1.0))))
+
+    ps = np.array([p for p, _ in cost.terms])
+    pe = np.outer(ps, _exponents(c))
+    nonzero = sums != 0.0
+    coef, pe_nonzero = (pe * sums)[nonzero], pe[nonzero]
+
+    def phi(t):
+        # lam * R'(lam) at lam = exp(t); strictly increasing, -inf at 0+, +inf at infinity
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(coef * np.exp(t * pe_nonzero)))
+
+    with np.errstate(divide="ignore"):
+        guesses = (math.log(c) + np.log(sums[:, 1]) - np.log(sums[:, 0])) / (ps * (c + 1.0))
+    guesses = guesses[np.isfinite(guesses)]
+    lo, hi = (float(guesses.min()), float(guesses.max())) if guesses.size else (0.0, 0.0)
+    width = 1.0
+    while phi(lo) > 0.0 and lo > -_LOG_LIMIT:
+        lo, width = lo - width, 2.0 * width
+    width = 1.0
+    while phi(hi) < 0.0 and hi < _LOG_LIMIT:
+        hi, width = hi + width, 2.0 * width
+    if not phi(lo) <= 0.0 <= phi(hi):
+        raise DegenerateUnitError("no bracketed optimum within the floating-point range")
+    for _ in range(200):
+        if hi - lo <= 1e-14:
+            break
+        mid = 0.5 * (lo + hi)
+        if phi(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
+
+
+class _Engine:
+    """Array-backed balancing state: edge weights, their costs and the unit sets in play.
+
+    ``use`` fixes the unit sets (one unit each, or tied subsets), ``step(k)``
+    balances set k and ``deficit()`` recomputes, from the current weights,
+    sum over sets of (sum_{u in set} in_u - c out_u)**2, where in_u and out_u
+    are p-weighted side costs (see ``_edge_costs``).
+    """
+
+    def __init__(self, net, cost, sets=()):
+        self.net = net
+        self.cost = cost
+        self.src, self.dst = _edge_ends(net)
+        self.w = net.weights()
+        self.ec, self.q = _edge_costs(cost, self.w)
+        self.r = self.r_init = float(np.sum(self.ec))
+        self.use(sets)
+
+    def use(self, sets):
+        """Make ``sets`` (tuples of unit ids, each with one shared exponent) the sets in play."""
+        self.sets = []
+        for units in sets:
+            c = homogeneity_exponent(self.net.unit(units[0]).activation)
+            c = 1.0 if c is None else c
+            self.sets.append((units, c) + _set_edges(self.src, self.dst, units))
+        empty = np.zeros(0, dtype=np.int64)
+        self._sel = np.concatenate([s[2] for s in self.sets] or [empty])
+        self._sign = np.concatenate(
+            [np.array(_exponents(c))[side] for _, c, _, side in self.sets] or [empty]
+        )
+        self._set_of = np.repeat(np.arange(len(self.sets)), [s[2].size for s in self.sets])
+
+    def lambda_star(self, k):
+        _, c, sel, side = self.sets[k]
+        return _lambda_star(self.cost, _side_sums(self.cost, self.w[sel], side), c)
+
+    def step(self, k):
+        """Scale set k by its optimal factor and return the report."""
+        units, c, sel, side = self.sets[k]
+        lam = self.lambda_star(k)
+        self.w[sel] *= _factors(lam, c, side)
+        self.ec[sel], self.q[sel] = _edge_costs(self.cost, self.w[sel])
+        r_before, self.r = self.r, float(np.sum(self.ec))
+        return BalanceReport(units[0], lam, r_before, self.r, r_before - self.r)
+
+    def deficit(self):
+        gaps = np.bincount(
+            self._set_of, weights=self.q[self._sel] * self._sign, minlength=len(self.sets)
+        )
+        return float(gaps @ gaps)
+
+    def to_network(self):
+        return self.net.replace_weights(self.w)
+
+
+# -- single-unit and single-set operations --------------------------------------
 
 
 def _unit_exponent(net, i, allow_nonhomogeneous):
@@ -112,129 +271,51 @@ def _unit_exponent(net, i, allow_nonhomogeneous):
     return c
 
 
+def _check_tied(units, exponents, src, dst):
+    """Reject a tied set that mixes exponents or has an edge inside it."""
+    if len(set(exponents)) != 1:
+        raise ValueError(
+            f"tied subset {sorted(units)} mixes homogeneity exponents {sorted(set(exponents))}"
+        )
+    sel, side = _set_edges(src, dst, units)
+    inside = sel[side == 2]
+    if inside.size:
+        k = inside[0]
+        raise ValueError(
+            f"edge ({src[k]}->{dst[k]}) connects two units of tied subset {sorted(units)}"
+        )
+
+
+def _balance_set(net, units, cost):
+    eng = _Engine(net, cost, [units])
+    lam = eng.step(0).lambda_star
+    new_net = eng.to_network()
+    r_before, r_after = network_cost(net, cost), network_cost(new_net, cost)
+    return new_net, BalanceReport(units[0], lam, r_before, r_after, r_before - r_after)
+
+
 def scale_neuron(net, i, lam, allow_nonhomogeneous=False) -> Network:
     """Multiply unit i's incoming weights by lam and its outgoing by lam**-c."""
     lam = float(lam)
     if not lam > 0.0:
         raise ValueError(f"scaling factor must be > 0, got {lam}")
     c = _unit_exponent(net, i, allow_nonhomogeneous)
-    edges = []
-    for e in net.edges:
-        w = e.weight
-        if e.src == i and e.dst == i:
-            w *= lam ** (1.0 - c)
-        elif e.dst == i:
-            w *= lam
-        elif e.src == i:
-            w *= lam**-c
-        edges.append(Edge(e.src, e.dst, w))
-    return Network(net.units, edges, net.recurrent, net.unroll_steps)
-
-
-def _term_sums(cost, w):
-    """Per-term sums |w|**p (beta applied) for a weight array."""
-    a = np.abs(np.asarray(w, dtype=float))
-    return np.array([beta * np.sum(a**p) for p, beta in cost.terms])
-
-
-def _lambda_star(cost, a_terms, b_terms, s_terms, c):
-    """Cost-minimizing scale factor from incoming / outgoing / self-loop sums.
-
-    The objective in lam is sum_t A_t lam**p + B_t lam**(-p c) + S_t lam**(p(1-c)).
-    A single power term without a self-loop contribution has the closed form
-    (c * B / A) ** (1 / (p (c + 1))); anything else is solved by bisection on
-    the strictly increasing function lam * d/dlam of the objective.
-    """
-    A = float(np.sum(a_terms))
-    B = float(np.sum(b_terms))
-    S = float(np.sum(s_terms))
-    if A <= 0.0 or B <= 0.0:
-        raise DegenerateUnitError("unit has an all-zero incoming or outgoing side")
-    single = cost.single_term
-    if single is not None and (S == 0.0 or c == 1.0):
-        p, _ = single
-        return float((c * B / A) ** (1.0 / (p * (c + 1.0))))
-
-    ps = np.array([p for p, _ in cost.terms])
-
-    def phi(lam):
-        # lam * R'(lam); strictly increasing, -inf at 0+, +inf at infinity
-        return float(
-            np.sum(
-                ps
-                * (
-                    a_terms * lam**ps
-                    - c * b_terms * lam ** (-ps * c)
-                    + (1.0 - c) * s_terms * lam ** (ps * (1.0 - c))
-                )
-            )
-        )
-
-    lo, hi = math.log(_BRACKET_LO), math.log(_BRACKET_HI)
-    if not (phi(math.exp(lo)) < 0.0 < phi(math.exp(hi))):
-        raise DegenerateUnitError("no bracketed optimum inside [1e-8, 1e8]")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if phi(math.exp(mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14:
-            break
-    return math.exp(0.5 * (lo + hi))
-
-
-def _side_weights(net, i):
-    w_in = [e.weight for e in net._in[i] if e.src != i]
-    w_out = [e.weight for e in net._out[i] if e.dst != i]
-    w_self = [e.weight for e in net._in[i] if e.src == i]
-    return w_in, w_out, w_self
+    sel, side = _set_edges(*_edge_ends(net), (i,))
+    w = net.weights()
+    w[sel] *= _factors(lam, c, side)
+    return net.replace_weights(w)
 
 
 def optimal_lambda(net, i, cost: CostSpec, allow_nonhomogeneous=False) -> float:
     """The unique scaling factor of unit i that minimizes the weight cost."""
-    c = _unit_exponent(net, i, allow_nonhomogeneous)
-    w_in, w_out, w_self = _side_weights(net, i)
-    return _lambda_star(
-        cost, _term_sums(cost, w_in), _term_sums(cost, w_out), _term_sums(cost, w_self), c
-    )
+    _unit_exponent(net, i, allow_nonhomogeneous)
+    return _Engine(net, cost, [(i,)]).lambda_star(0)
 
 
 def balance_neuron(net, i, cost: CostSpec, allow_nonhomogeneous=False):
     """Scale unit i by its optimal factor; returns (new network, report)."""
-    lam = optimal_lambda(net, i, cost, allow_nonhomogeneous)
-    new_net = scale_neuron(net, i, lam, allow_nonhomogeneous)
-    r_before = network_cost(net, cost)
-    r_after = network_cost(new_net, cost)
-    return new_net, BalanceReport(i, lam, r_before, r_after, r_before - r_after)
-
-
-def neuron_deficit(net, i, cost: CostSpec) -> float:
-    """Squared gap between incoming and (exponent-weighted) outgoing cost.
-
-    Zero exactly when the unit satisfies its balance equation.  Self-loop
-    edges appear in both sums, so for exponent 1 they cancel identically.
-    """
-    unit = net.unit(i)
-    if unit.role != HIDDEN:
-        raise ValueError(f"unit {i} is {unit.role}; deficit is defined for hidden units")
-    c = homogeneity_exponent(unit.activation)
-    if c is None:
-        c = 1.0
-    cin = float(np.sum(cost_array(cost, [e.weight for e in net._in[i]]))) if net._in[i] else 0.0
-    cout = float(np.sum(cost_array(cost, [e.weight for e in net._out[i]]))) if net._out[i] else 0.0
-    with np.errstate(over="ignore"):
-        gap = np.float64(cin) - np.float64(c) * np.float64(cout)
-        return float(gap * gap)
-
-
-def network_deficit(net, cost: CostSpec) -> float:
-    """Sum of deficits over all hidden units with a homogeneity exponent."""
-    total = 0.0
-    for h in net.hidden_ids:
-        if homogeneity_exponent(net.unit(h).activation) is not None:
-            total += neuron_deficit(net, h, cost)
-    return total
+    _unit_exponent(net, i, allow_nonhomogeneous)
+    return _balance_set(net, (i,), cost)
 
 
 def balance_subset_tied(net, units, cost: CostSpec, allow_nonhomogeneous=False):
@@ -245,194 +326,55 @@ def balance_subset_tied(net, units, cost: CostSpec, allow_nonhomogeneous=False):
     equalizes the aggregate incoming and outgoing cost of the set; individual
     units need not end up balanced.
     """
-    units = sorted(set(int(u) for u in units))
+    units = tuple(sorted(set(int(u) for u in units)))
     if not units:
         raise ValueError("empty unit set")
-    exps = {u: _unit_exponent(net, u, allow_nonhomogeneous) for u in units}
-    if len(set(exps.values())) != 1:
-        raise ValueError(f"tied balancing needs one homogeneity exponent, got {sorted(set(exps.values()))}")
-    c = exps[units[0]]
-    inset = set(units)
-    for e in net.edges:
-        if e.src in inset and e.dst in inset:
-            raise ValueError(f"edge ({e.src}->{e.dst}) connects two units of the tied set")
-    w_in = [e.weight for e in net.edges if e.dst in inset]
-    w_out = [e.weight for e in net.edges if e.src in inset]
-    lam = _lambda_star(cost, _term_sums(cost, w_in), _term_sums(cost, w_out), np.zeros(1), c)
-    edges = []
-    for e in net.edges:
-        w = e.weight
-        if e.dst in inset:
-            w *= lam
-        elif e.src in inset:
-            w *= lam**-c
-        edges.append(Edge(e.src, e.dst, w))
-    new_net = Network(net.units, edges, net.recurrent, net.unroll_steps)
-    r_before = network_cost(net, cost)
-    r_after = network_cost(new_net, cost)
-    return new_net, BalanceReport(units[0], lam, r_before, r_after, r_before - r_after)
+    exponents = [_unit_exponent(net, u, allow_nonhomogeneous) for u in units]
+    _check_tied(units, exponents, *_edge_ends(net))
+    return _balance_set(net, units, cost)
 
 
-# -- the run engine ----------------------------------------------------------
+def neuron_deficit(net, i, cost: CostSpec) -> float:
+    """Squared gap between incoming and (exponent-weighted) outgoing cost.
 
-
-class _Engine:
-    """Array-backed balancing state for long runs.
-
-    Keeps per-edge costs and per-unit incoming/outgoing cost sums up to date
-    incrementally, so one balancing step costs O(degree) instead of O(edges).
+    Zero exactly when the unit satisfies its balance equation.  Self-loop
+    edges appear in both sums, so for exponent 1 they cancel identically.
+    Term t of a multi-term cost is weighted by p_t / max p (see ``_edge_costs``).
     """
-
-    def __init__(self, net, cost, allow_nonhomogeneous=False):
-        self.net = net
-        self.cost = cost
-        E = len(net.edges)
-        self.src = np.array([e.src for e in net.edges], dtype=np.int64)
-        self.dst = np.array([e.dst for e in net.edges], dtype=np.int64)
-        self.w = np.array([e.weight for e in net.edges], dtype=float)
-        n = len(net.units)
-        self.cexp = np.ones(n)
-        self.notes = []
-
-        by_in = {u.id: [] for u in net.units}
-        by_out = {u.id: [] for u in net.units}
-        for k in range(E):
-            by_in[int(self.dst[k])].append(k)
-            by_out[int(self.src[k])].append(k)
-        self.in_all = {u: np.array(ks, dtype=np.int64) for u, ks in by_in.items()}
-        self.out_all = {u: np.array(ks, dtype=np.int64) for u, ks in by_out.items()}
-        self.in_ex = {}
-        self.out_ex = {}
-        self.self_edge = {}
-        for u in by_in:
-            self.in_ex[u] = np.array([k for k in by_in[u] if self.src[k] != u], dtype=np.int64)
-            self.out_ex[u] = np.array([k for k in by_out[u] if self.dst[k] != u], dtype=np.int64)
-            selfs = [k for k in by_in[u] if self.src[k] == u]
-            self.self_edge[u] = selfs[0] if selfs else -1
-
-        self.eligible = []
-        counted = []
-        for unit in net.units:
-            if unit.role != HIDDEN:
-                continue
-            u = unit.id
-            c = homogeneity_exponent(unit.activation)
-            if c is None:
-                if not allow_nonhomogeneous:
-                    continue
-                c = 1.0
-            self.cexp[u] = c
-            has_in = bool(np.any(self.w[self.in_ex[u]] != 0.0))
-            has_out = bool(np.any(self.w[self.out_ex[u]] != 0.0))
-            if not (has_in and has_out):
-                self.notes.append(f"unit {u} skipped: all-zero incoming or outgoing side")
-                continue
-            self.eligible.append(u)
-            counted.append(u)
-
-        self.counted = np.array(sorted(counted), dtype=np.int64)
-        self.ec = cost_array(cost, self.w)
-        self.incost = np.zeros(n)
-        self.outcost = np.zeros(n)
-        np.add.at(self.incost, self.dst, self.ec)
-        np.add.at(self.outcost, self.src, self.ec)
-        self.r = float(np.sum(self.ec))
-        self.r_init = self.r
-        self.unit_deficit = np.zeros(n)
-        for u in self.counted:
-            self.unit_deficit[u] = (self.incost[u] - self.cexp[u] * self.outcost[u]) ** 2
-        self.total_deficit = float(np.sum(self.unit_deficit[self.counted]))
-        self._counted_set = set(int(u) for u in self.counted)
-
-    def refresh(self):
-        """Recompute all tracked sums from the weights.
-
-        The per-step updates accumulate rounding drift of order 1e-16 per
-        touched edge, which swamps the deficit once it falls below ~1e-18;
-        a fresh pass restores full accuracy before any convergence claim.
-        """
-        self.ec = cost_array(self.cost, self.w)
-        self.incost = np.zeros_like(self.incost)
-        self.outcost = np.zeros_like(self.outcost)
-        np.add.at(self.incost, self.dst, self.ec)
-        np.add.at(self.outcost, self.src, self.ec)
-        self.r = float(np.sum(self.ec))
-        for u in self.counted:
-            self.unit_deficit[u] = float(
-                (self.incost[u] - self.cexp[u] * self.outcost[u]) ** 2
-            )
-        self.total_deficit = float(np.sum(self.unit_deficit[self.counted]))
-
-    def _apply(self, touched, factors, unit_for_report, lam):
-        old_ec = self.ec[touched]
-        self.w[touched] *= factors
-        new_ec = cost_array(self.cost, self.w[touched])
-        d = new_ec - old_ec
-        self.ec[touched] = new_ec
-        np.add.at(self.incost, self.dst[touched], d)
-        np.add.at(self.outcost, self.src[touched], d)
-        r_before = self.r
-        self.r = self.r + float(np.sum(d))
-        affected = np.unique(np.concatenate([self.src[touched], self.dst[touched]]))
-        for u in affected:
-            u = int(u)
-            if u in self._counted_set:
-                new_d = float((self.incost[u] - self.cexp[u] * self.outcost[u]) ** 2)
-                self.total_deficit += new_d - float(self.unit_deficit[u])
-                self.unit_deficit[u] = new_d
-        return BalanceReport(unit_for_report, lam, r_before, self.r, r_before - self.r)
-
-    def step(self, u):
-        ie, oe, se = self.in_ex[u], self.out_ex[u], self.self_edge[u]
-        c = self.cexp[u]
-        a = _term_sums(self.cost, self.w[ie])
-        b = _term_sums(self.cost, self.w[oe])
-        s = (
-            _term_sums(self.cost, self.w[se : se + 1])
-            if se >= 0
-            else np.zeros(len(self.cost.terms))
-        )
-        lam = _lambda_star(self.cost, a, b, s, c)
-        parts = [ie, oe]
-        factors = [np.full(len(ie), lam), np.full(len(oe), lam**-c)]
-        if se >= 0:
-            parts.append(np.array([se], dtype=np.int64))
-            factors.append(np.array([lam ** (1.0 - c)]))
-        touched = np.concatenate(parts)
-        return self._apply(touched, np.concatenate(factors), u, lam)
-
-    def step_tied(self, subset):
-        subset = sorted(set(int(u) for u in subset))
-        inset = set(subset)
-        c = self.cexp[subset[0]]
-        ie = np.concatenate([self.in_all[u] for u in subset]) if subset else np.array([], np.int64)
-        oe = np.concatenate([self.out_all[u] for u in subset]) if subset else np.array([], np.int64)
-        a = _term_sums(self.cost, self.w[ie])
-        b = _term_sums(self.cost, self.w[oe])
-        lam = _lambda_star(self.cost, a, b, np.zeros(len(self.cost.terms)), c)
-        touched = np.concatenate([ie, oe])
-        factors = np.concatenate([np.full(len(ie), lam), np.full(len(oe), lam**-c)])
-        return self._apply(touched, factors, subset[0], lam)
-
-    def to_network(self):
-        edges = [Edge(e.src, e.dst, float(w)) for e, w in zip(self.net.edges, self.w)]
-        return Network(self.net.units, edges, self.net.recurrent, self.net.unroll_steps)
+    unit = net.unit(i)
+    if unit.role != HIDDEN:
+        raise ValueError(f"unit {i} is {unit.role}; deficit is defined for hidden units")
+    return _Engine(net, cost, [(i,)]).deficit()
 
 
-def _structural_problems(net):
-    return [
-        p
-        for p in validate(net)
-        if "all-zero" not in p and "no nonzero" not in p
-    ]
+def network_deficit(net, cost: CostSpec) -> float:
+    """Sum of deficits over all hidden units with a homogeneity exponent."""
+    sets = [(h,) for h in net.hidden_ids if homogeneity_exponent(net.unit(h).activation) is not None]
+    return _Engine(net, cost, sets).deficit()
+
+
+# -- passes and runs -------------------------------------------------------------
+
+
+def _balanceable(net, allow_nonhomogeneous):
+    """Hidden units a run may balance, plus notes on those skipped for a dead side."""
+    units, notes = [], []
+    for h in net.hidden_ids:
+        if homogeneity_exponent(net.unit(h).activation) is None and not allow_nonhomogeneous:
+            continue
+        live_in = any(e.weight != 0.0 for e in net._in[h] if e.src != h)
+        live_out = any(e.weight != 0.0 for e in net._out[h] if e.dst != h)
+        if live_in and live_out:
+            units.append(h)
+        else:
+            notes.append(f"unit {h} skipped: all-zero incoming or outgoing side")
+    return units, notes
 
 
 def _default_order(net, eligible):
-    eligible = set(eligible)
     if net.recurrent:
-        return [u for u in sorted(eligible)]
-    from .netgraph import topological_order
-
+        return list(eligible)
+    eligible = set(eligible)
     return [u for u in topological_order(net) if u in eligible]
 
 
@@ -442,42 +384,18 @@ def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
     One pass lowers the total cost monotonically but generally leaves earlier
     units unbalanced again once their downstream neighbours move.
     """
-    eng = _Engine(net, cost, allow_nonhomogeneous)
-    trace = BalanceTrace(notes=list(eng.notes))
-    if order is None:
-        order = _default_order(net, eng.eligible)
-    else:
-        order = [int(u) for u in order]
-    eligible = set(eng.eligible)
-    for u in order:
-        if u not in eligible:
+    eligible, notes = _balanceable(net, allow_nonhomogeneous)
+    trace = BalanceTrace(notes=notes)
+    eng = _Engine(net, cost, [(u,) for u in eligible])
+    index = {u: k for k, u in enumerate(eligible)}
+    for u in _default_order(net, eligible) if order is None else [int(u) for u in order]:
+        if u not in index:
             trace.notes.append(f"unit {u} skipped in pass: not balanceable")
             continue
-        rep = eng.step(u)
-        trace.steps.append(rep)
+        trace.steps.append(eng.step(index[u]))
         trace.r_series.append(eng.r)
-        trace.deficit_series.append(eng.total_deficit)
+        trace.deficit_series.append(eng.deficit())
     return eng.to_network(), trace
-
-
-def _tied_partition_check(net, partition, eligible):
-    parts = []
-    eligible = set(eligible)
-    for part in partition:
-        part = [u for u in part if u in eligible]
-        if not part:
-            continue
-        exps = {homogeneity_exponent(net.unit(u).activation) or 1.0 for u in part}
-        if len(exps) != 1:
-            raise ValueError(f"tied subset {sorted(part)} mixes homogeneity exponents")
-        inset = set(part)
-        for e in net.edges:
-            if e.src in inset and e.dst in inset:
-                raise ValueError(
-                    f"edge ({e.src}->{e.dst}) connects two units of tied subset {sorted(part)}"
-                )
-        parts.append(tuple(sorted(part)))
-    return parts
 
 
 def run_balancing(net, schedule: Schedule, cost: CostSpec, allow_nonhomogeneous=False):
@@ -486,123 +404,66 @@ def run_balancing(net, schedule: Schedule, cost: CostSpec, allow_nonhomogeneous=
     Returns the rebalanced network and a BalanceTrace; a run that exhausts
     ``max_steps`` comes back with ``trace.converged`` False instead of raising.
     """
-    problems = _structural_problems(net)
-    if problems:
-        raise ValueError("invalid network: " + "; ".join(problems))
-    eng = _Engine(net, cost, allow_nonhomogeneous)
-    trace = BalanceTrace(notes=list(eng.notes))
-    tol_abs = schedule.deficit_tol * max(eng.r_init, _TINY) ** 2
-
-    if not eng.eligible:
+    check_structure(net)
+    eligible, notes = _balanceable(net, allow_nonhomogeneous)
+    trace = BalanceTrace(notes=notes)
+    if not eligible:
         trace.notes.append("nothing to balance")
         return net, trace
-    if eng.total_deficit <= tol_abs:
+    eng = _Engine(net, cost, [(u,) for u in eligible])
+    tol_abs = schedule.deficit_tol * max(eng.r_init, _TINY) ** 2
+    if eng.deficit() <= tol_abs:
         return net, trace
 
+    index = {u: k for k, u in enumerate(eligible)}
     if schedule.kind == "stochastic":
         rng = np.random.default_rng(schedule.seed)
-        units = list(eng.eligible)
-
-        def stream():
-            while True:
-                yield ("unit", units[int(rng.integers(len(units)))])
-
-    elif schedule.kind in ("sequential", "partial_pass"):
+        picks = (int(rng.integers(len(eligible))) for _ in itertools.count())
+    else:
         if schedule.kind == "sequential" and schedule.order is not None:
-            base = [u for u in schedule.order]
-            eligible = set(eng.eligible)
-            order = []
-            for u in base:
-                if u in eligible:
-                    order.append(u)
+            cycle = []
+            for u in schedule.order:
+                if u in index:
+                    cycle.append(index[u])
                 else:
                     trace.notes.append(f"unit {u} skipped in order: not balanceable")
+        elif schedule.kind in ("sequential", "partial_pass"):
+            cycle = [index[u] for u in _default_order(net, eligible)]
         else:
-            order = _default_order(net, eng.eligible)
-        if not order:
-            trace.notes.append("nothing to balance")
-            return net, trace
-
-        def stream():
-            while True:
-                for u in order:
-                    yield ("unit", u)
-
-    elif schedule.kind in ("layer_independent", "layer_tied"):
-        from .netgraph import hidden_layers
-
-        partition = schedule.partition
-        if partition is None:
-            partition = hidden_layers(net)
-        if schedule.kind == "layer_tied":
-            parts = _tied_partition_check(net, partition, eng.eligible)
-        else:
-            eligible = set(eng.eligible)
-            parts = [tuple(u for u in part if u in eligible) for part in partition]
-            parts = [p for p in parts if p]
-        if not parts:
-            trace.notes.append("nothing to balance")
-            return net, trace
-
-        tied = schedule.kind == "layer_tied"
-
-        def stream():
-            while True:
+            partition = schedule.partition
+            if partition is None:
+                partition = hidden_layers(net)
+            parts = [tuple(u for u in part if u in index) for part in partition]
+            parts = [part for part in parts if part]
+            if schedule.kind == "layer_independent":
+                cycle = [index[u] for part in parts for u in part]
+            elif parts:
+                parts = [tuple(sorted(part)) for part in parts]
                 for part in parts:
-                    if tied:
-                        yield ("tied", part)
-                    else:
-                        for u in part:
-                            yield ("unit", u)
-
-    else:  # pragma: no cover - guarded by Schedule validation
-        raise ValueError(schedule.kind)
-
-    tied_parts_idx = None
-    if schedule.kind == "layer_tied":
-        # tied moves only equalize per-subset aggregates, so the stop metric
-        # is the summed squared aggregate gap of the subsets
-        tied_parts_idx = []
-        for part in parts:
-            inset = set(part)
-            ie = np.concatenate([eng.in_all[u] for u in part])
-            oe = np.concatenate([eng.out_all[u] for u in part])
-            tied_parts_idx.append((ie, oe, eng.cexp[part[0]]))
-
-        def tied_deficit():
-            total = 0.0
-            for ie, oe, c in tied_parts_idx:
-                a = float(np.sum(cost_array(eng.cost, eng.w[ie])))
-                b = float(np.sum(cost_array(eng.cost, eng.w[oe])))
-                total += (a - c * b) ** 2
-            return total
-
-        if tied_deficit() <= tol_abs:
+                    _check_tied(part, [eng.sets[index[u]][1] for u in part], eng.src, eng.dst)
+                # tied moves only equalize per-subset aggregates, so the
+                # subsets are the sets whose deficit stops the run
+                eng.use(parts)
+                if eng.deficit() <= tol_abs:
+                    return net, trace
+                cycle = list(range(len(parts)))
+            else:
+                cycle = []
+        if not cycle:
+            trace.notes.append("nothing to balance")
             return net, trace
+        picks = itertools.cycle(cycle)
 
-    steps = 0
-    for kind, target in stream():
-        if steps >= schedule.max_steps:
+    for k in picks:
+        if len(trace.steps) >= schedule.max_steps:
             trace.converged = False
             trace.notes.append(f"stopped after max_steps={schedule.max_steps}")
             break
-        rep = eng.step(target) if kind == "unit" else eng.step_tied(target)
-        steps += 1
-        trace.steps.append(rep)
+        trace.steps.append(eng.step(k))
         trace.r_series.append(eng.r)
-        if tied_parts_idx is not None:
-            metric = tied_deficit()
-            trace.deficit_series.append(metric)
-            if metric <= tol_abs:
-                break
-        else:
-            trace.deficit_series.append(eng.total_deficit)
-            # the tracked deficit drifts; only a fresh recomputation may stop the run
-            if eng.total_deficit <= tol_abs or steps % 64 == 0:
-                eng.refresh()
-                trace.deficit_series[-1] = eng.total_deficit
-                if eng.total_deficit <= tol_abs:
-                    break
+        trace.deficit_series.append(eng.deficit())
+        if trace.deficit_series[-1] <= tol_abs:
+            break
     return eng.to_network(), trace
 
 

@@ -27,15 +27,9 @@ from .activations import (
     leaky_relu,
     max_slice_jump,
 )
-from .balancing import (
-    Schedule,
-    _structural_problems,
-    network_deficit,
-    run_balancing,
-    trace_to_csv,
-)
+from .balancing import Schedule, network_deficit, run_balancing, trace_to_csv
 from .manifold import apply_multipliers, solve_convex
-from .netgraph import forward, load, make_layered, save
+from .netgraph import check_structure, forward, load, make_layered, save
 from .regularizer import network_cost, parse_cost
 from .training import (
     BalanceMode,
@@ -105,9 +99,7 @@ def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedul
 
 def cmd_balance(args) -> int:
     net = load(args.net)
-    problems = _structural_problems(net)
-    if problems:
-        raise ValueError("invalid network: " + "; ".join(problems))
+    check_structure(net)
     cost = parse_cost(args.cost)
     seed = _env_seed(args.seed)
     schedule = _parse_schedule(args.schedule, seed, args.tol, args.max_steps)
@@ -139,9 +131,7 @@ def cmd_verify_uniqueness(args) -> int:
     if args.n_schedules < 2:
         raise ValueError("need at least 2 schedules to compare")
     net = load(args.net)
-    problems = _structural_problems(net)
-    if problems:
-        raise ValueError("invalid network: " + "; ".join(problems))
+    check_structure(net)
     cost = parse_cost(args.cost)
     seed = _env_seed(args.seed)
     out = _out_dir(args.out)

@@ -119,7 +119,7 @@ class Network:
         new_weights = np.asarray(new_weights, dtype=float)
         if new_weights.shape != (len(self.edges),):
             raise ValueError("weight vector length must match the edge list")
-        edges = [Edge(e.src, e.dst, float(w)) for e, w in zip(self.edges, new_weights)]
+        edges = [Edge(e.src, e.dst, w) for e, w in zip(self.edges, new_weights.tolist())]
         return Network(self.units, edges, self.recurrent, self.unroll_steps)
 
     def __eq__(self, other):
@@ -176,7 +176,30 @@ def topological_order(net: Network):
 
 
 def validate(net: Network) -> list:
-    """Return a list of invariant violations (empty iff the network is valid)."""
+    """Return a list of invariant violations (empty iff the network is valid).
+
+    The structural problems of ``structural_problems`` come first, then the
+    hidden units with an all-zero incoming or outgoing side, which a run can
+    skip but a valid network should not have.
+    """
+    problems = structural_problems(net)
+    for h in net.hidden_ids:
+        if not any(e.weight != 0.0 for e in net._in[h]):
+            problems.append(f"hidden unit {h} has no nonzero incoming weight")
+        if not any(e.weight != 0.0 for e in net._out[h]):
+            problems.append(f"hidden unit {h} has no nonzero outgoing weight")
+    return problems
+
+
+def check_structure(net: Network) -> None:
+    """Raise ValueError listing the network's structural problems, if it has any."""
+    problems = structural_problems(net)
+    if problems:
+        raise ValueError("invalid network: " + "; ".join(problems))
+
+
+def structural_problems(net: Network) -> list:
+    """Violations that make a network unusable: ids, roles, edges, cycles and paths."""
     problems = []
     ids = [u.id for u in net.units]
     if ids != list(range(len(ids))):
@@ -191,9 +214,11 @@ def validate(net: Network) -> list:
         problems.append(f"unroll_steps must be >= 1, got {net.unroll_steps}")
 
     seen = set()
+    dangling = False
     for e in net.edges:
         if not (net.has_unit(e.src) and net.has_unit(e.dst)):
             problems.append(f"edge ({e.src}->{e.dst}) references an unknown unit")
+            dangling = True
             continue
         if (e.src, e.dst) in seen:
             problems.append(f"duplicate edge ({e.src}->{e.dst})")
@@ -211,7 +236,8 @@ def validate(net: Network) -> list:
         if e.src == e.dst and not net.recurrent:
             problems.append(f"self-loop on unit {e.src} in a non-recurrent network")
 
-    if not net.recurrent:
+    # the graph walks below assume every edge ends at a known unit
+    if not net.recurrent and not dangling:
         try:
             topological_order(net)
         except ValueError:
@@ -223,12 +249,6 @@ def validate(net: Network) -> list:
             for h in net.hidden_ids:
                 if h not in from_input or h not in to_output:
                     problems.append(f"hidden unit {h} lies on no input->output path")
-
-    for h in net.hidden_ids:
-        if not any(e.weight != 0.0 for e in net._in[h]):
-            problems.append(f"hidden unit {h} has no nonzero incoming weight")
-        if not any(e.weight != 0.0 for e in net._out[h]):
-            problems.append(f"hidden unit {h} has no nonzero outgoing weight")
     return problems
 
 
@@ -499,7 +519,28 @@ def serialize(net: Network) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _whole_number(value, what):
+    """An integer document field; integral floats count, booleans and strings do not."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise NetworkFormatError(f"{what} must be an integer, got {value!r}")
+
+
+def _records(doc, key):
+    """The objects listed under ``key``, one (index, object) pair at a time."""
+    records = doc.get(key, [])
+    if not isinstance(records, list):
+        raise NetworkFormatError(f"{key!r} must be a list of objects")
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise NetworkFormatError(f"{key!r} must be a list of objects, item {k} is {rec!r}")
+        yield k, rec
+
+
 def deserialize(text: str) -> Network:
+    """Parse a network document; every malformed document raises NetworkFormatError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -509,34 +550,41 @@ def deserialize(text: str) -> Network:
     if not isinstance(doc, dict):
         raise NetworkFormatError("network document must be a JSON object")
     units = []
-    for rec in doc.get("units", []):
+    for _, rec in _records(doc, "units"):
         if "id" not in rec:
             raise NetworkFormatError(f"unit record without an id: {rec!r}")
-        uid = rec["id"]
+        uid = _whole_number(rec["id"], "unit id")
         if "role" not in rec:
             raise NetworkFormatError(f"unit {uid}: missing role")
+        if not isinstance(rec["role"], str):
+            raise NetworkFormatError(f"unit {uid}: role must be a string")
         if "activation" not in rec:
             raise NetworkFormatError(f"unit {uid}: missing activation")
         try:
             act = activation_from_json(rec["activation"])
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise NetworkFormatError(f"unit {uid}: {exc}") from None
-        units.append(Unit(int(uid), rec["role"], act))
+        units.append(Unit(uid, rec["role"], act))
     edges = []
-    for k, rec in enumerate(doc.get("edges", [])):
+    for k, rec in _records(doc, "edges"):
         for fieldname in ("from", "to", "weight"):
             if fieldname not in rec:
                 raise NetworkFormatError(f"edge record {k}: missing {fieldname!r}")
         w = rec["weight"]
         if not isinstance(w, (int, float)) or isinstance(w, bool):
             raise NetworkFormatError(f"edge record {k}: weight must be a number")
-        edges.append(Edge(int(rec["from"]), int(rec["to"]), float(w)))
-    return Network(
-        units,
-        edges,
-        recurrent=bool(doc.get("recurrent", False)),
-        unroll_steps=int(doc.get("unroll_steps", 3)),
-    )
+        try:
+            w = float(w)
+        except OverflowError:
+            raise NetworkFormatError(f"edge record {k}: weight out of float range") from None
+        src = _whole_number(rec["from"], f"edge record {k}: 'from'")
+        dst = _whole_number(rec["to"], f"edge record {k}: 'to'")
+        edges.append(Edge(src, dst, w))
+    recurrent = doc.get("recurrent", False)
+    if not isinstance(recurrent, bool):
+        raise NetworkFormatError(f"'recurrent' must be true or false, got {recurrent!r}")
+    unroll_steps = _whole_number(doc.get("unroll_steps", 3), "'unroll_steps'")
+    return Network(units, edges, recurrent=recurrent, unroll_steps=unroll_steps)
 
 
 def save(net: Network, path) -> None:

@@ -287,7 +287,10 @@ def sgd_train(net: Network, train: Dataset, test: Dataset, config: TrainConfig):
     full-at-start balancing) and after every epoch; the deficit column always
     measures the L2 balance deficit.  Raises TrainingDiverged, carrying the
     collected metrics, as soon as the loss or a weight stops being finite.
+    A network with structural problems (``netgraph.structural_problems``)
+    raises ValueError before any work.
     """
+    netgraph.check_structure(net)
     mode = config.balance
     bal_cost = mode.cost if mode.cost is not None else l2()
     if mode.kind in ("full_at_start", "full_each_epoch"):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import balancekit as bk
 from balancekit.balancing import trace_to_csv
@@ -507,3 +509,140 @@ def test_trace_csv_format(rng):
     assert len(lines) == len(trace.steps) + 1
     cells = lines[1].split(",")
     float(cells[2]), float(cells[3]), float(cells[4]), float(cells[5])
+
+
+# -- the unified step: rule, deficit and stop test ----------------------------
+
+MIXED = bk.parse_cost("0.015*l1+1.0*l2")
+
+
+def _criterion4_net():
+    return bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform")
+
+
+def test_schedule_rejects_bad_stop_criteria():
+    for tol in (-1e-8, float("nan")):
+        with pytest.raises(ValueError, match="deficit_tol"):
+            bk.Schedule("stochastic", deficit_tol=tol)
+    with pytest.raises(ValueError, match="max_steps"):
+        bk.Schedule("sequential", max_steps=-1)
+    assert bk.Schedule("sequential", deficit_tol=0.0, max_steps=0).max_steps == 0
+
+
+def test_mixed_cost_runs_converge():
+    # at the optimum sum_t p_t (A_t - c B_t) vanishes, sum_t (A_t - c B_t) does not,
+    # so only the p-weighted deficit can meet the tolerance
+    net = _criterion4_net()
+    for seed in range(10):
+        sched = bk.Schedule("stochastic", seed=seed, deficit_tol=1e-8, max_steps=300)
+        out, trace = bk.run_balancing(net, sched, MIXED)
+        assert trace.converged, seed
+        for h in out.hidden_ids:
+            assert abs(bk.optimal_lambda(out, h, MIXED) - 1.0) <= 1e-3
+
+
+def test_mixed_cost_lambda_at_extreme_scales():
+    # the L2 optimum is 1.19e9 and the L1 one 1.41e9: far outside [1e-8, 1e8]
+    w_in, w_out = [1e-9], [1e9, 1e9]
+    net, hid = star_neuron(w_in, w_out)
+    lam = bk.optimal_lambda(net, hid, MIXED)
+
+    def objective(lam):
+        return sum(weight_cost(MIXED, lam * w) for w in w_in) + sum(
+            weight_cost(MIXED, w / lam) for w in w_out
+        )
+
+    lam_search = golden_lambda(objective, lo=1e8, hi=1e10)
+    assert abs(lam - lam_search) <= 1e-7 * lam
+    assert 2.0**0.25 * 1e9 <= lam <= 2.0**0.5 * 1e9
+
+
+def test_mixed_cost_lambda_with_a_self_loop():
+    units = [
+        bk.Unit(0, bk.INPUT, bk.IDENTITY),
+        bk.Unit(1, bk.HIDDEN, bk.bipu(1.0, 0.5, 2.0)),
+        bk.Unit(2, bk.OUTPUT, bk.IDENTITY),
+    ]
+    edges = [bk.Edge(0, 1, 0.7), bk.Edge(1, 1, 1.3), bk.Edge(1, 2, -2.0)]
+    net = bk.Network(units, edges, recurrent=True)
+    lam = bk.optimal_lambda(net, 1, MIXED)
+
+    def objective(lam):
+        return (
+            weight_cost(MIXED, lam * 0.7)
+            + weight_cost(MIXED, lam ** (1.0 - 2.0) * 1.3)
+            + weight_cost(MIXED, lam**-2.0 * 2.0)
+        )
+
+    assert abs(lam - golden_lambda(objective)) <= 1e-7 * lam
+
+
+def test_unit_schedule_trace_ends_at_the_network_deficit(rng):
+    for kind in ("stochastic", "sequential", "partial_pass", "layer_independent"):
+        for cost in (bk.l2(), bk.lp(1.5), MIXED):
+            net = random_layered(rng)
+            sched = bk.Schedule(kind, seed=3, deficit_tol=1e-12, max_steps=20_000)
+            out, trace = bk.run_balancing(net, sched, cost)
+            assert trace.converged, (kind, cost)
+            fresh = bk.network_deficit(out, cost)
+            assert abs(trace.deficit_series[-1] - fresh) <= 1e-12 * fresh
+            assert fresh <= 1e-12 * bk.network_cost(net, cost) ** 2
+
+
+def test_layer_tied_trace_ends_at_the_aggregate_gap(rng):
+    from balancekit.netgraph import hidden_layers
+
+    for cost in (bk.l2(), MIXED):
+        net = random_layered(rng, n_layers=4)
+        sched = bk.Schedule("layer_tied", deficit_tol=1e-14, max_steps=10_000)
+        out, trace = bk.run_balancing(net, sched, cost)
+        assert trace.converged
+        p_max = max(p for p, _ in cost.terms)
+        total = 0.0
+        for part in hidden_layers(out):
+            inset = set(part)
+            gap = sum(
+                p / p_max * beta * abs(e.weight) ** p * ((e.dst in inset) - (e.src in inset))
+                for e in out.edges
+                for p, beta in cost.terms
+            )
+            total += gap * gap
+        # each gap is a difference of sums of size r, so it is known to about 1e-16 r
+        r = bk.network_cost(out, cost)
+        assert abs(math.sqrt(trace.deficit_series[-1]) - math.sqrt(total)) <= 1e-13 * r
+        assert trace.deficit_series[-1] <= 1e-14 * bk.network_cost(net, cost) ** 2
+
+
+_EXPONENTS = (0.5, 1.0, 1.5, 2.0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_hidden=st.integers(2, 5),
+    exponents=st.lists(st.sampled_from(_EXPONENTS), min_size=5, max_size=5),
+    cost=st.sampled_from([bk.l2(), bk.l1(), bk.lp(1.5), MIXED]),
+)
+def test_recurrent_self_loop_operations_preserve_function(seed, n_hidden, exponents, cost):
+    """Self-loops pick up lam**(1-c); with c != 1 that factor is not 1."""
+    rng = np.random.default_rng(seed)
+    base = bk.make_recurrent(2, n_hidden, 2, self_loops=True, seed=seed)
+    units = [
+        bk.Unit(u.id, u.role, bk.bipu(1.0, -0.5, exponents[k % 5]))
+        if u.role == bk.HIDDEN
+        else u
+        for k, u in enumerate(base.units)
+    ]
+    net = bk.Network(units, base.edges, recurrent=True, unroll_steps=base.unroll_steps)
+    current = net
+    for _ in range(6):
+        h = int(rng.choice(net.hidden_ids))
+        if rng.random() < 0.5:
+            current = bk.scale_neuron(current, h, float(np.exp(rng.uniform(-2.0, 2.0))))
+        else:
+            current, _ = bk.balance_neuron(current, h, cost)
+    assert forward_gap(net, current, rng, n_probes=5) <= 1e-9
+    sched = bk.Schedule("stochastic", seed=seed, deficit_tol=1e-12, max_steps=300)
+    balanced, trace = bk.run_balancing(net, sched, cost)
+    assert bk.network_cost(balanced, cost) <= bk.network_cost(net, cost) * (1 + 1e-12)
+    assert forward_gap(net, balanced, rng, n_probes=5) <= 1e-9

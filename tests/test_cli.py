@@ -207,3 +207,35 @@ def test_approx_rejects_uneven_knots(tmp_path):
     code = main(["approx", "--samples", str(p), "--epsilon", "0.5",
                  "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_balance_mixed_cost_of_the_readme_converges(tmp_path):
+    p = tmp_path / "c4.json"
+    bk.netgraph.save(bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform"), p)
+    out = tmp_path / "o"
+    code = main(["balance", "--net", str(p), "--cost", "0.015*l1+1.0*l2",
+                 "--max-steps", "300", "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] and summary["steps"] <= 300
+    assert summary["final_deficit"] <= 1e-8 * summary["r_before"] ** 2
+
+
+def test_balance_edge_to_unknown_unit_exits_one(tmp_path, capsys):
+    doc = json.loads(bk.serialize(chain([2.0, 1.0])))
+    doc["edges"].append({"from": 1, "to": 7, "weight": 1.0})
+    p = tmp_path / "dangling.json"
+    p.write_text(json.dumps(doc))
+    code = main(["balance", "--net", str(p), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "unknown unit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ['{"units": [1]}', '{"edges": [{"from": "x", "to": 1, "weight": 1}]}',
+                                  '{"unroll_steps": "a"}', "[]"])
+def test_balance_malformed_document_exits_one(tmp_path, capsys, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    code = main(["balance", "--net", str(p), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import balancekit as bk
 from balancekit.netgraph import hidden_layers, topological_order
@@ -168,6 +170,77 @@ def test_deserialize_reports_missing_activation():
 def test_deserialize_reports_json_position():
     with pytest.raises(bk.NetworkFormatError, match="line"):
         bk.deserialize('{"version": 1,,}')
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"units": [1]}, "list of objects"),
+        ({"units": {"id": 0}}, "list of objects"),
+        ({"units": [{"id": None, "role": "input", "activation": {"kind": "tanh"}}]}, "unit id"),
+        ({"units": [{"id": 0, "role": 3, "activation": {"kind": "tanh"}}]}, "role"),
+        ({"units": [{"id": 0, "role": "hidden", "activation": {"kind": "bilu", "a": [], "b": 1}}]},
+         "unit 0"),
+        ({"edges": [{"from": "x", "to": 1, "weight": 1.0}]}, "'from'"),
+        ({"edges": [{"from": 0, "to": 1.5, "weight": 1.0}]}, "'to'"),
+        ({"edges": [{"from": 0, "to": 1, "weight": 10**400}]}, "float range"),
+        ({"edges": [7]}, "list of objects"),
+        ({"unroll_steps": "a"}, "unroll_steps"),
+        ({"recurrent": "false"}, "recurrent"),
+    ],
+)
+def test_deserialize_rejects_malformed_fields(doc, match):
+    with pytest.raises(bk.NetworkFormatError, match=match):
+        bk.deserialize(json.dumps(doc))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=12,
+)
+_UNIT = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": _JSON | st.integers(0, 4),
+        "role": _JSON | st.sampled_from(["input", "hidden", "output", "bias-source"]),
+        "activation": _JSON
+        | st.fixed_dictionaries({"kind": st.sampled_from(["bilu", "bipu", "tanh", "logistic"])},
+                                optional={k: _JSON for k in ("a", "b", "C", "D", "c")}),
+    },
+)
+_EDGE = st.fixed_dictionaries(
+    {}, optional={"from": _JSON | st.integers(0, 4), "to": _JSON | st.integers(0, 4), "weight": _JSON}
+)
+_DOCUMENT = st.fixed_dictionaries(
+    {},
+    optional={
+        "version": _JSON,
+        "recurrent": _JSON,
+        "unroll_steps": _JSON,
+        "units": _JSON | st.lists(_UNIT | _JSON, max_size=5),
+        "edges": _JSON | st.lists(_EDGE | _JSON, max_size=5),
+    },
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_JSON | _DOCUMENT)
+def test_deserialize_gives_a_network_or_a_format_error(doc):
+    try:
+        net = bk.deserialize(json.dumps(doc))
+    except bk.NetworkFormatError:
+        return
+    assert isinstance(net, bk.Network)
+    bk.validate(net)
+
+
+def test_validate_survives_an_edge_to_an_unknown_unit():
+    net = chain([1.0, 1.0])
+    net = bk.Network(net.units, net.edges + (bk.Edge(1, 7, 1.0),))
+    problems = bk.validate(net)
+    assert any("unknown unit" in p for p in problems)
+    assert bk.netgraph.structural_problems(net) == problems
 
 
 def test_recurrent_forward_matches_hand_rolled_updates():

@@ -126,6 +126,15 @@ def test_zero_learning_rate_keeps_weights():
     assert len({r.train_loss for r in rows}) == 1
 
 
+def test_training_rejects_an_edge_to_an_unknown_unit():
+    train, test = _circles_split()
+    net = _toy_net()
+    net = bk.Network(net.units, net.edges + (bk.Edge(2, 12, 1.0),))
+    cfg = bk.TrainConfig(0.1, 16, 1, "binary_cross_entropy", seed=0)
+    with pytest.raises(ValueError, match="unknown unit"):
+        bk.sgd_train(net, train, test, cfg)
+
+
 def test_zero_epochs_emits_single_row():
     train, test = _circles_split()
     cfg = bk.TrainConfig(0.1, 16, 0, "binary_cross_entropy", seed=0)
