@@ -3,9 +3,12 @@
 
 Trains the toy 2-5-1 classifier under several balancing regimes over a seed
 sweep and writes per-epoch mean/std test accuracy per arm, plot-ready.
+
+    python scripts/circles_training.py --seeds 0,1,2,3,4,5,6,7 --out out/circles_training
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +26,7 @@ def run_arm(arm, seed, train, test, epochs, lr):
     return rows
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", default="0,1,2,3,4,5,6,7")
     ap.add_argument("--epochs", type=int, default=1000)
@@ -32,7 +35,7 @@ def main():
     ap.add_argument("--noise", type=float, default=0.05)
     ap.add_argument("--arms", default="none,full_at_start,partial_each_epoch")
     ap.add_argument("--out", default="out/circles_training")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -57,7 +60,8 @@ def main():
     (out / "curves.csv").write_text("\n".join(lines) + "\n")
     for arm, acc in finals.items():
         print(f"{arm}: final mean test accuracy {acc:.4f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -27,7 +27,7 @@ from .activations import (
     leaky_relu,
     max_slice_jump,
 )
-from .balancing import Schedule, network_deficit, run_balancing, trace_to_csv
+from .balancing import Schedule, network_deficit, run_balancing, run_balancing_many, trace_to_csv
 from .manifold import apply_multipliers, solve_convex
 from .netgraph import check_structure, forward, load, make_layered, save
 from .regularizer import network_cost, parse_cost
@@ -131,30 +131,29 @@ def cmd_verify_uniqueness(args) -> int:
     if args.n_schedules < 2:
         raise ValueError("need at least 2 schedules to compare")
     net = load(args.net)
-    check_structure(net)
     cost = parse_cost(args.cost)
     seed = _env_seed(args.seed)
+    schedules = [
+        Schedule("stochastic", seed=seed + k, deficit_tol=args.tol, max_steps=args.max_steps)
+        for k in range(args.n_schedules)
+    ]
+    runs = run_balancing_many(net, schedules, cost)  # checks the structure first
     out = _out_dir(args.out)
     _manifest(out, "verify-uniqueness", {
         "net": str(args.net), "cost": args.cost, "n_schedules": args.n_schedules,
         "tol": args.tol, "max_steps": args.max_steps, "seed": seed,
     })
 
-    results = []
-    for k in range(args.n_schedules):
-        sched = Schedule("stochastic", seed=seed + k, deficit_tol=args.tol,
-                         max_steps=args.max_steps)
-        final, trace = run_balancing(net, sched, cost)
-        if k == 0 and "nothing to balance" in trace.notes:
-            _write_json(out / "report.json", {"note": "nothing to balance", "n_schedules": 0})
-            print("nothing to balance; trivially unique")
-            return 0
+    if "nothing to balance" in runs[0][1].notes:
+        _write_json(out / "report.json", {"note": "nothing to balance", "n_schedules": 0})
+        print("nothing to balance; trivially unique")
+        return 0
+    for k, (_, trace) in enumerate(runs):
         if not trace.converged:
             print(f"schedule with seed {seed + k} did not converge", file=sys.stderr)
             return 2
-        results.append(final.weights())
-    stack = np.stack(results)
-    max_pairwise = float(np.max(stack.max(axis=0) - stack.min(axis=0))) if len(results) else 0.0
+    stack = np.stack([final.weights() for final, _ in runs])
+    max_pairwise = float(np.max(stack.max(axis=0) - stack.min(axis=0)))
 
     solution = solve_convex(net, cost)
     oracle = apply_multipliers(net, solution.multipliers).weights()

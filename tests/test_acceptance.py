@@ -138,11 +138,13 @@ def test_criterion_3_schedule_independence(rng):
 def test_criterion_4_thousand_schedule_replication():
     net = bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform")
     r0 = bk.network_cost(net, bk.l2())
+    schedules = [
+        bk.Schedule("stochastic", seed=seed, deficit_tol=1e-18, max_steps=300_000)
+        for seed in range(1000)
+    ]
     finals = []
     r_finals = []
-    for seed in range(1000):
-        sched = bk.Schedule("stochastic", seed=seed, deficit_tol=1e-18, max_steps=300_000)
-        out, trace = bk.run_balancing(net, sched, bk.l2())
+    for out, trace in bk.run_balancing_many(net, schedules, bk.l2()):
         assert trace.converged
         finals.append(out.weights())
         r_finals.append(trace.r_series[-1])

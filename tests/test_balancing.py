@@ -1,11 +1,13 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import balancekit as bk
+from balancekit import balancing
 from balancekit.balancing import trace_to_csv
 from balancekit.regularizer import CostSpec, weight_cost
 from conftest import chain, forward_gap, golden_lambda, random_layered, star_neuron
@@ -646,3 +648,117 @@ def test_recurrent_self_loop_operations_preserve_function(seed, n_hidden, expone
     balanced, trace = bk.run_balancing(net, sched, cost)
     assert bk.network_cost(balanced, cost) <= bk.network_cost(net, cost) * (1 + 1e-12)
     assert forward_gap(net, balanced, rng, n_probes=5) <= 1e-9
+
+
+# -- the batched engine --------------------------------------------------------
+
+_KINDS = ("stochastic", "sequential", "partial_pass", "layer_independent", "layer_tied")
+
+
+def _net_with_dead_unit(seed, recurrent):
+    """A random layered net, or a recurrent one with self-loops and BiPU units,
+    with the outgoing side of one hidden unit zeroed so every run skips it."""
+    rng = np.random.default_rng(seed)
+    if recurrent:
+        base = bk.make_recurrent(2, int(rng.integers(3, 6)), 2, self_loops=True, seed=seed)
+        units = [
+            bk.Unit(u.id, u.role, bk.bipu(1.0, -0.5, float(rng.choice(_EXPONENTS))))
+            if u.role == bk.HIDDEN
+            else u
+            for u in base.units
+        ]
+        net = bk.Network(units, base.edges, recurrent=True, unroll_steps=base.unroll_steps)
+    else:
+        net = random_layered(rng)
+    dead = int(rng.choice(net.hidden_ids))
+    w = net.weights()
+    w[[k for k, e in enumerate(net.edges) if e.src == dead and e.dst != dead]] = 0.0
+    return net.replace_weights(w), dead
+
+
+def _batch(net, dead, recurrent, kinds, seed):
+    """Schedules of the given kinds; the first starts converged, the second stops
+    at max_steps and the third names the dead unit and an input in its order."""
+    hidden = list(net.hidden_ids)
+    schedules = []
+    for k, kind in enumerate(kinds):
+        partition = None
+        if recurrent and kind.startswith("layer"):
+            # recurrent nets have no layers, and their self-loops rule out tied subsets
+            kind, partition = "layer_independent", (tuple(hidden[::2]), tuple(hidden[1::2]))
+        tol, max_steps, order = 1e-16, 80, None
+        if k == 0:
+            tol = 1e3
+        elif k == 1:
+            tol, max_steps = 0.0, 3
+        elif k == 2:
+            kind, order = "sequential", tuple(reversed(hidden)) + (dead, net.input_ids[0])
+        schedules.append(bk.Schedule(kind, seed=seed + k, order=order, partition=partition,
+                                     deficit_tol=tol, max_steps=max_steps))
+    return schedules
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    recurrent=st.booleans(),
+    cost=st.sampled_from([bk.l2(), bk.lp(1.5), MIXED]),
+    size=st.sampled_from([1, 2, 13]),
+    kinds=st.lists(st.sampled_from(_KINDS), min_size=13, max_size=13),
+)
+@example(seed=3, recurrent=False, cost=MIXED, size=13, kinds=["stochastic"] * 13)
+@example(seed=4, recurrent=True, cost=bk.lp(1.5), size=13, kinds=["stochastic"] * 13)
+def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size, kinds):
+    net, dead = _net_with_dead_unit(seed, recurrent)
+    schedules = _batch(net, dead, recurrent, kinds[:size], seed)
+    many = bk.run_balancing_many(net, schedules, cost)
+    assert len(many) == size
+    for schedule, (out, trace) in zip(schedules, many):
+        ref, ref_trace = bk.run_balancing(net, schedule, cost)
+        assert out.weights().tobytes() == ref.weights().tobytes()
+        assert _bits(list(map(astuple, trace.steps))) == _bits(list(map(astuple, ref_trace.steps)))
+        assert _bits(trace.r_series) == _bits(ref_trace.r_series)
+        assert _bits(trace.deficit_series) == _bits(ref_trace.deficit_series)
+        assert trace.notes == ref_trace.notes
+        assert trace.converged == ref_trace.converged
+        # each step starts from the cost the previous one left
+        r_after = [rep.r_after for rep in trace.steps]
+        assert r_after == trace.r_series
+        assert [rep.r_before for rep in trace.steps[1:]] == r_after[:-1]
+        assert all(rep.delta_r == rep.r_before - rep.r_after for rep in trace.steps)
+        if trace.steps:
+            assert trace.steps[0].r_before == pytest.approx(bk.network_cost(net, cost), rel=1e-12)
+        assert f"unit {dead} skipped: all-zero incoming or outgoing side" in trace.notes
+    if size > 1:
+        assert many[0][1].steps == [] and many[0][1].converged
+        assert len(many[1][1].steps) == 3 and not many[1][1].converged
+    if size > 2:
+        assert f"unit {dead} skipped in order: not balanceable" in many[2][1].notes
+
+
+def test_stochastic_draws_continue_the_one_at_a_time_stream():
+    net = _criterion4_net()
+    sched = bk.Schedule("stochastic", seed=5, deficit_tol=1e-18, max_steps=300_000)
+    _, trace = bk.run_balancing(net, sched, bk.l2())
+    assert trace.converged and len(trace.steps) > balancing._DRAW_CHUNK
+    rng = np.random.default_rng(5)
+    hidden = net.hidden_ids
+    drawn = [hidden[int(rng.integers(len(hidden)))] for _ in trace.steps]
+    assert [r.unit for r in trace.steps] == drawn
+
+
+def test_criterion4_schedules_in_one_batch_keep_their_step_counts():
+    net = _criterion4_net()
+    schedules = [
+        bk.Schedule("stochastic", seed=seed, deficit_tol=1e-18, max_steps=300_000)
+        for seed in range(12)
+    ]
+    runs = bk.run_balancing_many(net, schedules, bk.l2())
+    assert all(trace.converged for _, trace in runs)
+    assert [len(trace.steps) for _, trace in runs] == [
+        393, 361, 339, 362, 350, 423, 384, 368, 421, 462, 452, 393,
+    ]

@@ -91,6 +91,27 @@ def test_verify_uniqueness_visible_only_net(tmp_path):
     assert "note" in report
 
 
+def test_verify_uniqueness_names_the_lowest_nonconverging_seed(tmp_path, layered_net_path, capsys):
+    out = tmp_path / "u"
+    code = main(["verify-uniqueness", "--net", str(layered_net_path), "--n-schedules", "3",
+                 "--seed", "7", "--tol", "1e-20", "--max-steps", "5", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == "schedule with seed 7 did not converge"
+    assert not (out / "report.json").exists()
+
+
+def test_verify_uniqueness_invalid_net_exits_one_before_writing(tmp_path, capsys):
+    doc = json.loads(bk.serialize(chain([2.0, 1.0])))
+    doc["edges"].append({"from": 1, "to": 7, "weight": 1.0})
+    p = tmp_path / "dangling.json"
+    p.write_text(json.dumps(doc))
+    out = tmp_path / "u"
+    code = main(["verify-uniqueness", "--net", str(p), "--out", str(out)])
+    assert code == 1
+    assert "unknown unit" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _train_config(tmp_path, epochs=2, arms=None, cost="0.01*l2"):
     cfg = {
         "net": {"layers": [2, 4, 1], "hidden_activation": "relu",
