@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activations import homogeneity_exponent
-from .netgraph import HIDDEN, Network, _edge_ends, check_structure, hidden_layers, topological_order
+from .netgraph import HIDDEN, Network, check_structure, hidden_layers, topological_order
 from .regularizer import CostSpec, network_cost
 
 _TINY = 1e-300
@@ -130,11 +130,6 @@ def _factors(lam, c, side):
     return np.array([lam**e for e in _exponents(c)])[side]
 
 
-def _set_exponent(net, unit):
-    c = homogeneity_exponent(net.unit(unit).activation)
-    return 1.0 if c is None else c
-
-
 def _edge_costs(cost, w):
     """Per-edge cost, and the same with term t weighted by p_t / max p.
 
@@ -210,16 +205,16 @@ class _Engine:
     def __init__(self, net, cost, sets):
         self.net = net
         self.cost = cost
-        self.src, self.dst = _edge_ends(net)
+        self.src, self.dst = net.structure.src, net.structure.dst
         n_edges = self.src.size
         self._w = np.zeros((1, n_edges + 1))
-        self._w[0, :n_edges] = net.weights()
+        self._w[0, :n_edges] = net.w
         self._ec, self._q = _edge_costs(cost, self._w)
         self.r = self.r_init = self._ec[:, :n_edges].sum(axis=1)
 
         tables = [_set_edges(self.src, self.dst, units) for units in sets]
-        self.c = np.array([_set_exponent(net, units[0]) for units in sets], dtype=float)
         self.unit = np.array([units[0] for units in sets], dtype=np.int64)
+        self.c = net.structure.exponent[self.unit]
         width = max((sel.size for sel, _ in tables), default=0)
         self._edge = np.full((len(sets), width), n_edges, dtype=np.int64)
         self._side = np.full((len(sets), width), _PAD, dtype=np.int64)
@@ -386,7 +381,7 @@ def scale_neuron(net, i, lam, allow_nonhomogeneous=False) -> Network:
     if not lam > 0.0:
         raise ValueError(f"scaling factor must be > 0, got {lam}")
     c = _unit_exponent(net, i, allow_nonhomogeneous)
-    sel, side = _set_edges(*_edge_ends(net), (i,))
+    sel, side = _set_edges(net.structure.src, net.structure.dst, (i,))
     w = net.weights()
     w[sel] *= _factors(lam, c, side)
     return net.replace_weights(w)
@@ -416,7 +411,7 @@ def balance_subset_tied(net, units, cost: CostSpec, allow_nonhomogeneous=False):
     if not units:
         raise ValueError("empty unit set")
     exponents = [_unit_exponent(net, u, allow_nonhomogeneous) for u in units]
-    _check_tied(units, exponents, *_edge_ends(net))
+    _check_tied(units, exponents, net.structure.src, net.structure.dst)
     return _balance_set(net, units, cost)
 
 
@@ -435,7 +430,8 @@ def neuron_deficit(net, i, cost: CostSpec) -> float:
 
 def network_deficit(net, cost: CostSpec) -> float:
     """Sum of deficits over all hidden units with a homogeneity exponent."""
-    sets = [(h,) for h in net.hidden_ids if homogeneity_exponent(net.unit(h).activation) is not None]
+    net.structure.check()
+    sets = [(h,) for h in np.flatnonzero(net.structure.free).tolist()]
     return float(_Engine(net, cost, sets).deficit()[0])
 
 
@@ -446,13 +442,16 @@ _DRAW_CHUNK = 256  # picks drawn (stochastic) or tiled (cyclic) per replica at a
 
 def _balanceable(net, allow_nonhomogeneous):
     """Hidden units a run may balance, plus notes on those skipped for a dead side."""
+    s = net.structure
+    n = len(s.units)
+    # self-loops count on neither side
+    live = (net.w != 0.0) & (s.src != s.dst)
+    has_in, has_out = (np.bincount(end[live], minlength=n) > 0 for end in (s.dst, s.src))
     units, notes = [], []
     for h in net.hidden_ids:
-        if homogeneity_exponent(net.unit(h).activation) is None and not allow_nonhomogeneous:
+        if not (s.free[h] or allow_nonhomogeneous):
             continue
-        live_in = any(e.weight != 0.0 for e in net._in[h] if e.src != h)
-        live_out = any(e.weight != 0.0 for e in net._out[h] if e.dst != h)
-        if live_in and live_out:
+        if has_in[h] and has_out[h]:
             units.append(h)
         else:
             notes.append(f"unit {h} skipped: all-zero incoming or outgoing side")
@@ -472,6 +471,7 @@ def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
     One pass lowers the total cost monotonically but generally leaves earlier
     units unbalanced again once their downstream neighbours move.
     """
+    net.structure.check()
     eligible, notes = _balanceable(net, allow_nonhomogeneous)
     trace = BalanceTrace(notes=notes)
     eng = _Engine(net, cost, [(u,) for u in eligible])

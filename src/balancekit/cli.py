@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 from pathlib import Path
 
@@ -78,8 +79,13 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+_VERSIONS = {"numpy": np.__version__, "python": platform.python_version()}
+
+
 def _manifest(out: Path, command: str, params: dict):
-    _write_json(out / "manifest.json", {"command": command, "params": params, "version": __version__})
+    _write_json(out / "manifest.json", {
+        "command": command, "params": params, "version": __version__, **_VERSIONS,
+    })
 
 
 def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedule:
@@ -279,7 +285,7 @@ def cmd_train(args) -> int:
             save(final, run_dir / "network.json")
             _write_json(run_dir / "manifest.json", {
                 "arm": arm, "seed": seed, "epochs_completed": rows[-1].epoch if rows else 0,
-                "note": note,
+                "note": note, **_VERSIONS,
             })
             per_arm_rows.setdefault(arm, []).append(rows)
 

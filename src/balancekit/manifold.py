@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activations import homogeneity_exponent
-from .netgraph import BIAS, HIDDEN, INPUT, OUTPUT, Edge, Network
-from .regularizer import CostSpec
+from .netgraph import BIAS, INPUT, OUTPUT, Network, neighbours, reachable
+from .regularizer import CostSpec, weight_cost
 
 
 class UnidentifiableUnitError(ValueError):
@@ -58,18 +57,6 @@ class SelfConsistentConfig:
 
 
 @dataclass
-class ManifoldProblem:
-    """Data of the convex program: edge cost coefficients, exponents, constraints."""
-
-    p: float
-    beta: float
-    edge_coeffs: dict
-    exponents: dict
-    pinned: frozenset
-    constraints: tuple
-
-
-@dataclass
 class ConvexSolution:
     config: SelfConsistentConfig
     multipliers: MultiplierAssignment
@@ -77,24 +64,6 @@ class ConvexSolution:
     grad_norm: float
     iterations: int
     constraint_residuals: list
-
-
-def _exponent_or_one(net, u):
-    c = homogeneity_exponent(net.unit(u).activation)
-    return 1.0 if c is None else float(c)
-
-
-def _nonzero_adj(net):
-    fwd = {u.id: [] for u in net.units}
-    bwd = {u.id: [] for u in net.units}
-    for e in net.edges:
-        if e.weight != 0.0:
-            fwd[e.src].append(e.dst)
-            bwd[e.dst].append(e.src)
-    for a in (fwd, bwd):
-        for u in a:
-            a[u] = sorted(set(a[u]))
-    return fwd, bwd
 
 
 def _bfs_path(adj, start, goal_test):
@@ -128,8 +97,9 @@ def enumerate_constraints(net: Network):
     for recurrent networks additionally one directed cycle per independent
     cycle of each strongly connected component.
     """
-    fwd, bwd = _nonzero_adj(net)
-    roles = {u.id: u.role for u in net.units}
+    net.structure.check()
+    fwd, bwd = neighbours(net, forward=True), neighbours(net, forward=False)
+    roles = [u.role for u in net.units]
     paths = []
     seen = set()
     for h in sorted(net.hidden_ids):
@@ -144,7 +114,7 @@ def enumerate_constraints(net: Network):
 
     cycles = []
     if net.recurrent:
-        for scc in _strongly_connected(fwd):
+        for scc in _strongly_connected(net):
             inside = set(scc)
             sub = {u: [v for v in fwd[u] if v in inside] for u in scc}
             has_self = any(u in fwd[u] for u in scc)
@@ -182,12 +152,13 @@ def _path_coefficients(net, units):
     the exponents of the interior units they pass through, so edge k carries
     the product of exponents of units k..n-1.
     """
+    c = net.structure.exponent.tolist()
     n = len(units) - 1
     coeffs = []
     for k in range(1, n + 1):
         acc = 1.0
         for m in range(k, n):
-            acc *= _exponent_or_one(net, units[m])
+            acc *= c[units[m]]
         coeffs.append(acc)
     return coeffs
 
@@ -203,10 +174,11 @@ def constraint_residual(net, constraint: Constraint, config: SelfConsistentConfi
             total += coeffs[k - 1] * L[(units[k - 1], units[k])]
         return total
     # cycle: propagate around once and compare with the starting value 0
+    c = net.structure.exponent.tolist()
     l = 0.0
     for k in range(1, len(units)):
         src, dst = units[k - 1], units[k]
-        l = L[(src, dst)] + _exponent_or_one(net, src) * l
+        l = L[(src, dst)] + c[src] * l
     return l
 
 
@@ -219,16 +191,15 @@ def is_self_consistent(config: SelfConsistentConfig, net: Network, tol: float = 
     first conflicting unit).
     """
     L = config.l_per_edge
-    for e in net.edges:
-        if e.weight != 0.0 and (e.src, e.dst) not in L:
-            raise ValueError(f"config missing an entry for nonzero edge ({e.src}->{e.dst})")
+    s = net.structure
+    c = s.exponent.tolist()
+    live = net.w != 0.0
+    nonzero = list(zip(s.src[live].tolist(), s.dst[live].tolist()))
+    for a, b in nonzero:
+        if (a, b) not in L:
+            raise ValueError(f"config missing an entry for nonzero edge ({a}->{b})")
 
-    pinned = {
-        u.id
-        for u in net.units
-        if u.role != HIDDEN or homogeneity_exponent(u.activation) is None
-    }
-    loglam = {u: 0.0 for u in pinned}
+    loglam = {u: 0.0 for u in np.flatnonzero(~s.free).tolist()}
     constraints = enumerate_constraints(net)
     for con in constraints:
         units = con.units
@@ -237,7 +208,7 @@ def is_self_consistent(config: SelfConsistentConfig, net: Network, tol: float = 
         l = loglam[units[0]]
         for k in range(1, len(units)):
             src, dst = units[k - 1], units[k]
-            l = L[(src, dst)] + _exponent_or_one(net, src) * l
+            l = L[(src, dst)] + c[src] * l
             if dst in loglam:
                 if abs(l - loglam[dst]) > tol:
                     return False, (
@@ -246,15 +217,13 @@ def is_self_consistent(config: SelfConsistentConfig, net: Network, tol: float = 
                     )
             else:
                 loglam[dst] = l
-    for e in net.edges:
-        if e.weight == 0.0:
-            continue
-        if e.src not in loglam or e.dst not in loglam:
-            return False, f"unit {e.dst if e.dst not in loglam else e.src}: multiplier not determined"
-        want = loglam[e.dst] - _exponent_or_one(net, e.src) * loglam[e.src]
-        if abs(L[(e.src, e.dst)] - want) > tol:
+    for a, b in nonzero:
+        if a not in loglam or b not in loglam:
+            return False, f"unit {b if b not in loglam else a}: multiplier not determined"
+        want = loglam[b] - c[a] * loglam[a]
+        if abs(L[(a, b)] - want) > tol:
             return False, (
-                f"unit {e.dst}: edge ({e.src}->{e.dst}) log factor {L[(e.src, e.dst)]!r} "
+                f"unit {b}: edge ({a}->{b}) log factor {L[(a, b)]!r} "
                 f"does not match the recovered multipliers ({want!r})"
             )
     lam = {u.id: math.exp(loglam[u.id]) if u.id in loglam else 1.0 for u in net.units}
@@ -263,47 +232,21 @@ def is_self_consistent(config: SelfConsistentConfig, net: Network, tol: float = 
 
 def project_balancing_run(final_net: Network, initial_net: Network) -> SelfConsistentConfig:
     """Per-edge log weight ratios of a balancing run's end state vs its start."""
-    if [(e.src, e.dst) for e in final_net.edges] != [(e.src, e.dst) for e in initial_net.edges]:
+    s0, s1 = initial_net.structure, final_net.structure
+    if not (np.array_equal(s0.src, s1.src) and np.array_equal(s0.dst, s1.dst)):
         raise ValueError("networks do not share the same edge list")
     L = {}
-    for e0, e1 in zip(initial_net.edges, final_net.edges):
-        if e0.weight == 0.0:
-            if e1.weight != 0.0:
-                raise ValueError(
-                    f"edge ({e0.src}->{e0.dst}) went from zero to nonzero; not a rescaling"
-                )
+    weights = zip(initial_net.w.tolist(), final_net.w.tolist())
+    for a, b, (w0, w1) in zip(s0.src.tolist(), s0.dst.tolist(), weights):
+        if w0 == 0.0:
+            if w1 != 0.0:
+                raise ValueError(f"edge ({a}->{b}) went from zero to nonzero; not a rescaling")
             continue
-        ratio = e1.weight / e0.weight
+        ratio = w1 / w0
         if ratio <= 0.0:
-            raise ValueError(
-                f"edge ({e0.src}->{e0.dst}) flipped sign or vanished; not a rescaling"
-            )
-        L[(e0.src, e0.dst)] = math.log(ratio)
+            raise ValueError(f"edge ({a}->{b}) flipped sign or vanished; not a rescaling")
+        L[(a, b)] = math.log(ratio)
     return SelfConsistentConfig(L)
-
-
-def build_manifold_problem(net: Network, cost: CostSpec) -> ManifoldProblem:
-    single = cost.single_term
-    if single is None:
-        raise ValueError("the convex program is defined for a single power term")
-    p, beta = single
-    constraints = enumerate_constraints(net)
-    covered = set()
-    for con in constraints:
-        covered.update(con.units)
-    for h in net.hidden_ids:
-        if h not in covered:
-            raise ValueError(f"hidden unit {h} appears in no constraint")
-    coeffs = {
-        (e.src, e.dst): beta * abs(e.weight) ** p for e in net.edges if e.weight != 0.0
-    }
-    pinned = frozenset(
-        u.id
-        for u in net.units
-        if u.role != HIDDEN or homogeneity_exponent(u.activation) is None
-    )
-    exponents = {u.id: _exponent_or_one(net, u.id) for u in net.units}
-    return ManifoldProblem(p, beta, coeffs, exponents, pinned, tuple(constraints))
 
 
 def solve_convex(
@@ -322,56 +265,45 @@ def solve_convex(
     (an absolute tolerance would sit under the floating-point floor for
     large-cost problems).
     """
-    free = sorted(
-        u.id
-        for u in net.units
-        if u.role == HIDDEN and homogeneity_exponent(u.activation) is not None
-    )
-    col = {u: k for k, u in enumerate(free)}
+    structure = net.structure
+    structure.check()
+    free = np.flatnonzero(structure.free).tolist()
     nfree = len(free)
 
     # identifiability: every free unit must reach a pinned unit through
     # nonzero edges (ignoring direction), otherwise its multiplier is free to
     # drift and the program has no minimum.
-    pinned_units = {
-        u.id
-        for u in net.units
-        if u.role != HIDDEN or homogeneity_exponent(u.activation) is None
-    }
-    neigh = {u.id: set() for u in net.units}
-    for e in net.edges:
-        if e.weight != 0.0:
-            neigh[e.src].add(e.dst)
-            neigh[e.dst].add(e.src)
-    anchored = set(pinned_units)
-    frontier = list(anchored)
-    while frontier:
-        u = frontier.pop()
-        for v in neigh[u]:
-            if v not in anchored:
-                anchored.add(v)
-                frontier.append(v)
-    lost = [u for u in free if u not in anchored]
+    live = net.w != 0.0
+    a, b = structure.src[live], structure.dst[live]
+    pinned = np.flatnonzero(~structure.free)
+    anchored = reachable(len(structure.units), np.r_[a, b], np.r_[b, a], pinned)
+    lost = [u for u in free if not anchored[u]]
     if lost:
         raise UnidentifiableUnitError(
             f"units {lost} are not connected to any visible unit by nonzero edges"
         )
 
-    problem = build_manifold_problem(net, cost)
-    p = problem.p
+    single = cost.single_term
+    if single is None:
+        raise ValueError("the convex program is defined for a single power term")
+    p = single[0]
+    constraints = enumerate_constraints(net)
 
-    edges = sorted(problem.edge_coeffs)
-    coeff = np.array([problem.edge_coeffs[e] for e in edges])
+    # the nonzero edges, ordered by (src, dst)
+    nz = np.flatnonzero(live)
+    nz = nz[np.lexsort((structure.dst[nz], structure.src[nz]))]
+    src, dst = structure.src[nz], structure.dst[nz]
+    edges = list(zip(src.tolist(), dst.tolist()))
+    coeff = np.array([weight_cost(cost, w) for w in net.w[nz].tolist()])
     scale = float(np.sum(coeff)) if len(coeff) else 1.0
     if scale > 0.0:
         coeff = coeff / scale
     else:
         scale = 1.0
-    src = np.array([e[0] for e in edges], dtype=np.int64)
-    dst = np.array([e[1] for e in edges], dtype=np.int64)
-    csrc = np.array([problem.exponents[e[0]] for e in edges])
-    dst_col = np.array([col.get(int(d), -1) for d in dst], dtype=np.int64)
-    src_col = np.array([col.get(int(s), -1) for s in src], dtype=np.int64)
+    csrc = structure.exponent[src]
+    col_of = np.full(len(structure.units), -1, dtype=np.int64)
+    col_of[free] = np.arange(nfree)
+    dst_col, src_col = col_of[dst], col_of[src]
 
     def z_of(l):
         ld = np.where(dst_col >= 0, l[np.maximum(dst_col, 0)], 0.0)
@@ -387,7 +319,7 @@ def solve_convex(
         r = objective(l) * scale
         config = SelfConsistentConfig({e: 0.0 for e in edges})
         lam = {u.id: 1.0 for u in net.units}
-        residuals = [constraint_residual(net, c, config) for c in problem.constraints]
+        residuals = [constraint_residual(net, c, config) for c in constraints]
         return ConvexSolution(config, MultiplierAssignment(lam), r, 0.0, 0, residuals)
 
     grad_norm = math.inf
@@ -449,8 +381,8 @@ def solve_convex(
     config = SelfConsistentConfig({e: float(zz) for e, zz in zip(edges, z)})
     lam = {}
     for u in net.units:
-        lam[u.id] = float(math.exp(l[col[u.id]])) if u.id in col else 1.0
-    residuals = [constraint_residual(net, c, config) for c in problem.constraints]
+        lam[u.id] = float(math.exp(l[col_of[u.id]])) if col_of[u.id] >= 0 else 1.0
+    residuals = [constraint_residual(net, c, config) for c in constraints]
     return ConvexSolution(
         config,
         MultiplierAssignment(lam),
@@ -463,12 +395,11 @@ def solve_convex(
 
 def apply_multipliers(net: Network, assignment: MultiplierAssignment) -> Network:
     """Rescale every edge by Lambda_dst / Lambda_src**c_src."""
-    lam = assignment.lambda_per_unit
-    edges = []
-    for e in net.edges:
-        f = lam.get(e.dst, 1.0) / lam.get(e.src, 1.0) ** _exponent_or_one(net, e.src)
-        edges.append(Edge(e.src, e.dst, e.weight * f))
-    return Network(net.units, edges, net.recurrent, net.unroll_steps)
+    s = net.structure
+    lam = [assignment.lambda_per_unit.get(u.id, 1.0) for u in s.units]
+    # per unit, so each power is the Python float one, whatever the edge count
+    out_scale = np.array([x**c for x, c in zip(lam, s.exponent.tolist())])
+    return net.replace_weights(net.w * (np.array(lam)[s.dst] / out_scale[s.src]))
 
 
 def tied_layer_closed_form(layer_norms) -> list:
@@ -490,49 +421,16 @@ def tied_layer_closed_form(layer_norms) -> list:
     return [math.exp(0.5 * (mean - l)) for l in logs]
 
 
-def _strongly_connected(adj):
-    """Iterative Tarjan SCC over an adjacency dict; returns sorted components."""
-    index = {}
-    low = {}
-    onstack = set()
-    stack = []
-    result = []
-    counter = [0]
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
-                if v not in index:
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    onstack.add(v)
-                    work.append((v, iter(adj[v])))
-                    advanced = True
-                    break
-                if v in onstack:
-                    low[u] = min(low[u], index[v])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pu = work[-1][0]
-                low[pu] = min(low[pu], low[u])
-            if low[u] == index[u]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    onstack.discard(v)
-                    comp.append(v)
-                    if v == u:
-                        break
-                result.append(sorted(comp))
-    return sorted(result)
+def _strongly_connected(net):
+    """Strongly connected components over the nonzero edges, each sorted, ordered by least unit."""
+    structure = net.structure
+    live = net.w != 0.0
+    src, dst = structure.src[live], structure.dst[live]
+    n = len(structure.units)
+    components, done = [], np.zeros(n, dtype=bool)
+    for u in range(n):
+        if not done[u]:
+            component = reachable(n, src, dst, [u]) & reachable(n, dst, src, [u])
+            done |= component
+            components.append(np.flatnonzero(component).tolist())
+    return components

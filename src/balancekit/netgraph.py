@@ -3,15 +3,22 @@
 A network is a list of units (input / output / hidden / bias-source) plus a
 list of weighted edges, at most one per ordered pair.  Biases are ordinary
 edges leaving a single bias-source unit clamped to one, so they take part in
-every scaling operation with no special casing.  Networks are treated as
-immutable: all operations build new ones.
+every scaling operation with no special casing.
+
+A ``Network`` is an immutable ``Structure`` (the units and the edge ends,
+with everything that depends on them alone) plus a read-only float64 weight
+array.  Scaling and balancing change weights, never the graph, so every
+operation returns new weights on the shared structure, and the structural
+check, the topological order and the evaluation plan run once per structure.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from .activations import (
     activate_array,
     activation_from_json,
     activation_to_json,
+    homogeneity_exponent,
 )
 
 INPUT = "input"
@@ -56,42 +64,257 @@ class Edge:
     weight: float
 
 
-class Network:
-    """Units + edges with cached adjacency; do not mutate after construction."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    def __init__(self, units, edges, recurrent: bool = False, unroll_steps: int = 3):
+
+def reachable(n_units: int, src, dst, start) -> np.ndarray:
+    """Mask of the units reachable from the units ``start`` along the edges src[k] -> dst[k]."""
+    seen = np.zeros(n_units, dtype=bool)
+    seen[np.asarray(start, dtype=np.int64)] = True
+    frontier = seen.copy()
+    while frontier.any():
+        step = np.zeros(n_units, dtype=bool)
+        step[dst[frontier[src]]] = True
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
+def _grouped(keys, values, n_units):
+    """Per unit 0..n_units-1, the ``values`` whose key is that unit, ascending."""
+    order = np.lexsort((values, keys))
+    ptr = np.searchsorted(keys[order], np.arange(n_units + 1)).tolist()
+    values = values[order].tolist()
+    return [values[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
+
+
+class Structure:
+    """A network's units and edge ends, and everything that depends on them alone.
+
+    ``units`` are sorted by id; ``src`` and ``dst`` hold the edge ends in
+    edge-list order.  Per-unit arrays are indexed by position in ``units``,
+    which is the unit id whenever the ids are dense, as the structural check
+    requires.  Everything derived is computed on first use and kept, so each
+    structure is checked and compiled at most once however many weight
+    vectors share it.
+    """
+
+    def __init__(self, units, src, dst, recurrent: bool = False, unroll_steps: int = 3):
         self.units = tuple(sorted(units, key=lambda u: u.id))
-        self.edges = tuple(edges)
+        self.src = _frozen(np.array(src, dtype=np.int64))
+        self.dst = _frozen(np.array(dst, dtype=np.int64))
         self.recurrent = bool(recurrent)
         self.unroll_steps = int(unroll_steps)
-        self._by_id = {u.id: u for u in self.units}
-        self._in = {u.id: [] for u in self.units}
-        self._out = {u.id: [] for u in self.units}
-        for e in self.edges:
-            if e.src in self._out:
-                self._out[e.src].append(e)
-            if e.dst in self._in:
-                self._in[e.dst].append(e)
-        for es in self._in.values():
-            es.sort(key=lambda e: e.src)
-        for es in self._out.values():
-            es.sort(key=lambda e: e.dst)
-        self._topo = None
-        self._plan = None
+        self.by_id = {u.id: u for u in self.units}
+        self.role_ids = {role: [] for role in ROLES}
+        for u in self.units:
+            self.role_ids.setdefault(u.role, []).append(u.id)
+
+    @cached_property
+    def exponent(self) -> np.ndarray:
+        """Per unit: the homogeneity exponent of its activation, 1.0 where it has none."""
+        cs = [homogeneity_exponent(u.activation) for u in self.units]
+        return _frozen(np.array([1.0 if c is None else c for c in cs], dtype=float))
+
+    @cached_property
+    def free(self) -> np.ndarray:
+        """Per unit: whether rescaling moves it (a hidden unit with a homogeneity exponent)."""
+        flags = [u.role == HIDDEN and homogeneity_exponent(u.activation) is not None
+                 for u in self.units]
+        return _frozen(np.array(flags, dtype=bool))
+
+    @cached_property
+    def _findings(self) -> list:
+        """(fatal, message) per structural problem, in report order.
+
+        A fatal problem (ids that are not dense, an edge to an unknown unit, a
+        duplicate edge, a cycle in a feedforward network) leaves the graph
+        with no well-defined walk; the others make it unusable for balancing
+        and training only.
+        """
+        ids = [u.id for u in self.units]
+        n = len(ids)
+        if ids != list(range(n)):
+            return [(True, f"unit ids must be dense 0..{n - 1}, got {ids}")]
+        found = [(False, f"unit {u.id}: unknown role {u.role!r}")
+                 for u in self.units if u.role not in ROLES]
+        if len(self.role_ids[BIAS]) > 1:
+            found.append((False, f"more than one bias-source unit: {self.role_ids[BIAS]}"))
+        if self.unroll_steps < 1:
+            found.append((False, f"unroll_steps must be >= 1, got {self.unroll_steps}"))
+
+        src, dst = self.src, self.dst
+        known = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+        s, d = np.where(known, src, 0), np.where(known, dst, 0)
+        duplicate = known.copy()
+        kept = np.flatnonzero(known)
+        duplicate[kept[np.unique(s[kept] * n + d[kept], return_index=True)[1]]] = False
+        # one spare slot, so the stand-in end 0 of an unknown end exists even with no units
+        roles = [u.role for u in self.units] + [None]
+        clamped = known & np.array([r in (INPUT, BIAS) for r in roles], dtype=bool)[d]
+        leaves = known & np.array([r == OUTPUT for r in roles], dtype=bool)[s] & self.recurrent
+        loop = known & (src == dst) & (not self.recurrent)
+        for k in np.flatnonzero(~known | duplicate | clamped | leaves | loop).tolist():
+            edge = f"edge ({src[k]}->{dst[k]})"
+            if not known[k]:
+                found.append((True, f"{edge} references an unknown unit"))
+                continue
+            if duplicate[k]:
+                found.append((True, f"duplicate {edge}"))
+            if clamped[k]:
+                found.append((False, f"{edge} feeds a clamped {self.units[dst[k]].role} unit"))
+            if leaves[k]:
+                found.append((False, f"{edge} leaves an output unit of a recurrent network"))
+            if loop[k]:
+                found.append((True, f"self-loop on unit {src[k]} in a non-recurrent network"))
+
+        # the graph walks below assume every edge ends at a known unit
+        if not self.recurrent and known.all():
+            if cyc := self._cycle_units():
+                found.append((True, f"non-recurrent network contains a cycle through units {cyc}"))
+            else:
+                from_input = reachable(n, src, dst, self.role_ids[INPUT])
+                to_output = reachable(n, dst, src, self.role_ids[OUTPUT])
+                found += [
+                    (False, f"hidden unit {h} lies on no input->output path")
+                    for h in self.role_ids[HIDDEN]
+                    if not (from_input[h] and to_output[h])
+                ]
+        return found
+
+    def check(self) -> None:
+        """Raise ValueError listing the fatal structural problems, if there are any.
+
+        Every graph walk (evaluation, layers, order, constraints, deficits)
+        runs this first.
+        """
+        fatal = [message for is_fatal, message in self._findings if is_fatal]
+        if fatal:
+            raise ValueError("invalid network: " + "; ".join(fatal))
+
+    def _cycle_units(self):
+        """Units left after peeling off, round by round, those with no edge in or no edge out.
+
+        What is left is every unit on a cycle, and any unit between two cycles.
+        """
+        n = len(self.units)
+        alive = np.ones(n, dtype=bool)
+        while True:
+            live = alive[self.src] & alive[self.dst]
+            keep = np.bincount(self.dst[live], minlength=n) > 0
+            keep &= np.bincount(self.src[live], minlength=n) > 0
+            if np.array_equal(keep, alive):
+                return np.flatnonzero(alive).tolist()
+            alive = keep
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Longest-path depth of every unit from the units with no incoming edge.
+
+        Relaxes every edge at once until nothing changes: a DAG settles within
+        one pass per unit, a cycle never does.
+        """
+        n = len(self.units)
+        depth = np.zeros(n, dtype=np.int64)
+        for _ in range(n + 1):
+            nxt = np.zeros(n, dtype=np.int64)
+            np.maximum.at(nxt, self.dst, depth[self.src] + 1)
+            if np.array_equal(nxt, depth):
+                return _frozen(depth)
+            depth = nxt
+        raise ValueError("network contains a directed cycle; no topological order")
+
+    @cached_property
+    def order(self) -> tuple:
+        """Unit ids in dependency order (Kahn, ascending-id tie-break)."""
+        n = len(self.units)
+        indeg = np.bincount(self.dst, minlength=n).tolist()
+        succ = _grouped(self.src, self.dst, n)
+        ready = [u for u in range(n) if indeg[u] == 0]  # ascending, so already a heap
+        order = []
+        while ready:
+            u = heapq.heappop(ready)
+            order.append(u)
+            for v in succ[u]:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heapq.heappush(ready, v)
+        if len(order) != n:
+            raise ValueError("network contains a directed cycle; no topological order")
+        return tuple(order)
+
+    @cached_property
+    def plan(self) -> "EvaluationPlan":
+        return EvaluationPlan(self)
+
+
+class Network:
+    """A ``Structure`` plus a read-only float64 weight array ``w``, one weight per edge.
+
+    ``edges`` and the per-unit edge lists ``_in``/``_out`` are views built on
+    first read.  Do not mutate a network; ``replace_weights`` makes a new one
+    on the same structure.
+    """
+
+    def __init__(self, units, edges, recurrent: bool = False, unroll_steps: int = 3):
+        edges = tuple(edges)
+        self.structure = Structure(
+            units, [e.src for e in edges], [e.dst for e in edges], recurrent, unroll_steps
+        )
+        self.w = _frozen(np.array([e.weight for e in edges], dtype=float))
+
+    @classmethod
+    def _on(cls, structure: Structure, w: np.ndarray) -> "Network":
+        """The network with weight array ``w`` (taken over, not copied) on ``structure``."""
+        net = cls.__new__(cls)
+        net.structure = structure
+        net.w = _frozen(w)
+        return net
+
+    @property
+    def units(self):
+        return self.structure.units
+
+    @property
+    def recurrent(self) -> bool:
+        return self.structure.recurrent
+
+    @property
+    def unroll_steps(self) -> int:
+        return self.structure.unroll_steps
+
+    @cached_property
+    def edges(self):
+        s = self.structure
+        return tuple(map(Edge, s.src.tolist(), s.dst.tolist(), self.w.tolist()))
+
+    def _edges_by(self, end, order):
+        groups = {u.id: [] for u in self.units}
+        for e in sorted(self.edges, key=order):
+            if end(e) in groups:
+                groups[end(e)].append(e)
+        return groups
+
+    @cached_property
+    def _in(self):
+        return self._edges_by(lambda e: e.dst, lambda e: e.src)
+
+    @cached_property
+    def _out(self):
+        return self._edges_by(lambda e: e.src, lambda e: e.dst)
 
     # -- basic queries -------------------------------------------------
 
     def unit(self, i: int) -> Unit:
         try:
-            return self._by_id[i]
+            return self.structure.by_id[i]
         except KeyError:
             raise KeyError(f"unknown unit {i}") from None
 
-    def has_unit(self, i: int) -> bool:
-        return i in self._by_id
-
     def ids_with_role(self, role: str):
-        return [u.id for u in self.units if u.role == role]
+        return list(self.structure.role_ids.get(role, ()))
 
     @property
     def input_ids(self):
@@ -113,28 +336,29 @@ class Network:
         return self.unit(i).role in VISIBLE_ROLES
 
     def weights(self) -> np.ndarray:
-        return np.array([e.weight for e in self.edges], dtype=float)
+        return self.w.copy()
 
     def replace_weights(self, new_weights) -> "Network":
-        new_weights = np.asarray(new_weights, dtype=float)
-        if new_weights.shape != (len(self.edges),):
+        """A network with a copy of ``new_weights`` on this network's structure."""
+        w = np.array(new_weights, dtype=float)
+        if w.shape != self.w.shape:
             raise ValueError("weight vector length must match the edge list")
-        edges = [Edge(e.src, e.dst, w) for e, w in zip(self.edges, new_weights.tolist())]
-        return Network(self.units, edges, self.recurrent, self.unroll_steps)
+        return Network._on(self.structure, w)
 
     def __eq__(self, other):
         if not isinstance(other, Network):
             return NotImplemented
-        return (
-            self.units == other.units
-            and self.edges == other.edges
-            and self.recurrent == other.recurrent
-            and self.unroll_steps == other.unroll_steps
+        a, b = self.structure, other.structure
+        same = a is b or (
+            (a.units, a.recurrent, a.unroll_steps) == (b.units, b.recurrent, b.unroll_steps)
+            and np.array_equal(a.src, b.src)
+            and np.array_equal(a.dst, b.dst)
         )
+        return same and np.array_equal(self.w, other.w)
 
     def __repr__(self):
         kind = "recurrent" if self.recurrent else "feedforward"
-        return f"Network({len(self.units)} units, {len(self.edges)} edges, {kind})"
+        return f"Network({len(self.units)} units, {self.w.size} edges, {kind})"
 
 
 def in_edges(net: Network, i: int):
@@ -151,28 +375,8 @@ def out_edges(net: Network, i: int):
 
 def topological_order(net: Network):
     """Unit ids in dependency order (Kahn, ascending-id tie-break)."""
-    if net._topo is not None:
-        return net._topo
-    indeg = {u.id: 0 for u in net.units}
-    for e in net.edges:
-        indeg[e.dst] += 1
-    ready = sorted(i for i, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        u = ready.pop(0)
-        order.append(u)
-        inserted = False
-        for e in net._out[u]:
-            indeg[e.dst] -= 1
-            if indeg[e.dst] == 0:
-                ready.append(e.dst)
-                inserted = True
-        if inserted:
-            ready.sort()
-    if len(order) != len(net.units):
-        raise ValueError("network contains a directed cycle; no topological order")
-    net._topo = order
-    return order
+    net.structure.check()
+    return list(net.structure.order)
 
 
 def validate(net: Network) -> list:
@@ -199,130 +403,24 @@ def check_structure(net: Network) -> None:
 
 
 def structural_problems(net: Network) -> list:
-    """Violations that make a network unusable: ids, roles, edges, cycles and paths."""
-    problems = []
-    ids = [u.id for u in net.units]
-    if ids != list(range(len(ids))):
-        problems.append(f"unit ids must be dense 0..{len(ids) - 1}, got {ids}")
-        return problems
-    for u in net.units:
-        if u.role not in ROLES:
-            problems.append(f"unit {u.id}: unknown role {u.role!r}")
-    if len(net.bias_ids) > 1:
-        problems.append(f"more than one bias-source unit: {net.bias_ids}")
-    if net.unroll_steps < 1:
-        problems.append(f"unroll_steps must be >= 1, got {net.unroll_steps}")
+    """Violations that make a network unusable: ids, roles, edges, cycles, paths and weights.
 
-    seen = set()
-    dangling = False
-    for e in net.edges:
-        if not (net.has_unit(e.src) and net.has_unit(e.dst)):
-            problems.append(f"edge ({e.src}->{e.dst}) references an unknown unit")
-            dangling = True
-            continue
-        if (e.src, e.dst) in seen:
-            problems.append(f"duplicate edge ({e.src}->{e.dst})")
-        seen.add((e.src, e.dst))
-        if not math.isfinite(e.weight):
-            problems.append(f"edge ({e.src}->{e.dst}): non-finite weight {e.weight!r}")
-        if net.unit(e.dst).role in (INPUT, BIAS):
-            problems.append(
-                f"edge ({e.src}->{e.dst}) feeds a clamped {net.unit(e.dst).role} unit"
-            )
-        if net.recurrent and net.unit(e.src).role == OUTPUT:
-            problems.append(
-                f"edge ({e.src}->{e.dst}) leaves an output unit of a recurrent network"
-            )
-        if e.src == e.dst and not net.recurrent:
-            problems.append(f"self-loop on unit {e.src} in a non-recurrent network")
-
-    # the graph walks below assume every edge ends at a known unit
-    if not net.recurrent and not dangling:
-        try:
-            topological_order(net)
-        except ValueError:
-            cyc = _find_cycle_units(net)
-            problems.append(f"non-recurrent network contains a cycle through units {cyc}")
-        else:
-            from_input = _reachable(net, net.input_ids, forward=True)
-            to_output = _reachable(net, net.output_ids, forward=False)
-            for h in net.hidden_ids:
-                if h not in from_input or h not in to_output:
-                    problems.append(f"hidden unit {h} lies on no input->output path")
-    return problems
-
-
-def _reachable(net, start_ids, forward=True):
-    seen = set(start_ids)
-    frontier = list(start_ids)
-    adj = net._out if forward else net._in
-    while frontier:
-        u = frontier.pop()
-        for e in adj[u]:
-            v = e.dst if forward else e.src
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
-
-
-def _find_cycle_units(net):
-    # iterative DFS with colors; returns some cycle's unit ids for diagnostics
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {u.id: WHITE for u in net.units}
-    parent = {}
-    for root in color:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(net._out[root]))]
-        color[root] = GREY
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for e in it:
-                v = e.dst
-                if color[v] == WHITE:
-                    color[v] = GREY
-                    parent[v] = u
-                    stack.append((v, iter(net._out[v])))
-                    advanced = True
-                    break
-                if color[v] == GREY:
-                    cyc = [v, u]
-                    w = u
-                    while w != v and w in parent:
-                        w = parent[w]
-                        cyc.append(w)
-                    return sorted(set(cyc))
-            if not advanced:
-                color[u] = BLACK
-                stack.pop()
-    return []
-
-
-def _edge_ends(net: Network):
-    """Source and target unit ids of the edges, as two integer arrays."""
-    count = len(net.edges)
-    src = np.fromiter((e.src for e in net.edges), dtype=np.int64, count=count)
-    dst = np.fromiter((e.dst for e in net.edges), dtype=np.int64, count=count)
-    return src, dst
-
-
-def _depths(net: Network, src, dst) -> np.ndarray:
-    """Longest-path depth of every unit from the units with no incoming edge.
-
-    Relaxes every edge at once until nothing changes: a DAG settles within
-    one pass per unit, a cycle never does.
+    The structure's problems come first, then one entry per non-finite weight.
     """
-    n = len(net.units)
-    depth = np.zeros(n, dtype=np.int64)
-    for _ in range(n + 1):
-        nxt = np.zeros(n, dtype=np.int64)
-        np.maximum.at(nxt, dst, depth[src] + 1)
-        if np.array_equal(nxt, depth):
-            return depth
-        depth = nxt
-    raise ValueError("network contains a directed cycle; no topological order")
+    s = net.structure
+    bad = np.flatnonzero(~np.isfinite(net.w))
+    return [message for _, message in s._findings] + [
+        f"edge ({s.src[k]}->{s.dst[k]}): non-finite weight {w!r}"
+        for k, w in zip(bad.tolist(), net.w[bad].tolist())
+    ]
+
+
+def neighbours(net: Network, forward: bool = True):
+    """Per unit, the ascending ids one nonzero edge away: its targets, or its sources."""
+    s = net.structure
+    live = net.w != 0.0
+    ends = (s.src[live], s.dst[live]) if forward else (s.dst[live], s.src[live])
+    return _grouped(*ends, len(s.units))
 
 
 def activation_groups(specs):
@@ -364,7 +462,7 @@ class Level:
 
 
 class EvaluationPlan:
-    """A network's evaluation schedule, compiled once from its edge list.
+    """A structure's evaluation schedule, compiled once from its edge list.
 
     Feedforward networks group their non-clamped units by longest-path depth
     (the depth ``hidden_layers`` uses), so every source of a level lies in an
@@ -375,24 +473,21 @@ class EvaluationPlan:
     before the level writes, a hidden step is a synchronous update.
     """
 
-    def __init__(self, net: Network):
-        self.n_units = len(net.units)
-        self.n_edges = len(net.edges)
-        self.inputs = np.array(net.input_ids, dtype=np.int64)
-        self.bias = np.array(net.bias_ids, dtype=np.int64)
-        self.outputs = np.array(net.output_ids, dtype=np.int64)
-        src, dst = _edge_ends(net)
-        if net.recurrent:
-            groups = [net.hidden_ids, net.output_ids]
-            steps = [net.unroll_steps, 1]
+    def __init__(self, structure: Structure):
+        ids = structure.role_ids
+        self.n_units = len(structure.units)
+        self.n_edges = structure.src.size
+        self.inputs = np.array(ids[INPUT], dtype=np.int64)
+        self.bias = np.array(ids[BIAS], dtype=np.int64)
+        self.outputs = np.array(ids[OUTPUT], dtype=np.int64)
+        src, dst = structure.src, structure.dst
+        if structure.recurrent:
+            groups = [ids[HIDDEN], ids[OUTPUT]]
+            steps = [structure.unroll_steps, 1]
         else:
-            clamped = set(net.input_ids) | set(net.bias_ids)
-            depth = _depths(net, src, dst)
-            by_depth = {}
-            for u in net.units:
-                if u.id not in clamped:
-                    by_depth.setdefault(int(depth[u.id]), []).append(u.id)
-            groups = [by_depth[d] for d in sorted(by_depth)]
+            units = np.setdiff1d(np.arange(self.n_units), np.concatenate([self.inputs, self.bias]))
+            depth = structure.depth[units]
+            groups = [units[depth == d].tolist() for d in np.unique(depth)]
             steps = [1] * len(groups)
         level_of = np.full(self.n_units, -1, dtype=np.int64)
         col_of = np.zeros(self.n_units, dtype=np.int64)
@@ -414,7 +509,7 @@ class EvaluationPlan:
             pos_parts.append(offset + rows * len(units) + col_of[dst[sel]])
             self.shapes.append((offset, srcs.size, len(units)))
             offset += srcs.size * len(units)
-            specs = [net.unit(u).activation for u in units]
+            specs = [structure.by_id[u].activation for u in units]
             self.levels.append(
                 Level(np.array(units, dtype=np.int64), srcs, activation_groups(specs))
             )
@@ -422,7 +517,6 @@ class EvaluationPlan:
         self.block_size = offset
         self.sel = np.concatenate(sel_parts) if sel_parts else np.zeros(0, dtype=np.int64)
         self.pos = np.concatenate(pos_parts) if pos_parts else np.zeros(0, dtype=np.int64)
-        self.weights = self.blocks(net.weights())
 
     def split(self, flat):
         """Per-level block views of one flat array laid out like ``blocks``."""
@@ -462,10 +556,12 @@ class EvaluationPlan:
 
 
 def evaluation_plan(net: Network) -> EvaluationPlan:
-    """The network's evaluation plan, compiled on first use and cached."""
-    if net._plan is None:
-        net._plan = EvaluationPlan(net)
-    return net._plan
+    """The plan of the network's structure, compiled on first use and shared.
+
+    Raises ValueError on a fatal structural problem (see ``Structure.check``).
+    """
+    net.structure.check()
+    return net.structure.plan
 
 
 def forward(net: Network, x) -> np.ndarray:
@@ -489,16 +585,17 @@ def forward(net: Network, x) -> np.ndarray:
     if rows.shape[1] != n_in:
         raise ValueError(f"expected {n_in} input values, got {rows.shape[1]}")
     plan = evaluation_plan(net)
+    blocks = plan.blocks(net.w)
     out = np.empty((rows.shape[0], plan.outputs.size))
     for start in range(0, rows.shape[0], ROW_BLOCK):
         block = rows[start : start + ROW_BLOCK]
-        out[start : start + ROW_BLOCK] = plan.run(plan.weights, block)[:, plan.outputs]
+        out[start : start + ROW_BLOCK] = plan.run(blocks, block)[:, plan.outputs]
     return out if x.ndim == 2 else out[0]
 
 
 def frobenius_norm(net: Network) -> float:
     with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(net.weights() ** 2)))
+        return float(np.sqrt(np.sum(net.w**2)))
 
 
 # -- document format -------------------------------------------------------
@@ -506,6 +603,8 @@ def frobenius_norm(net: Network) -> float:
 
 def serialize(net: Network) -> str:
     """Render the network as a JSON document; weights keep full binary64 precision."""
+    s = net.structure
+    ends = zip(s.src.tolist(), s.dst.tolist(), net.w.tolist())
     doc = {
         "version": DOCUMENT_VERSION,
         "recurrent": net.recurrent,
@@ -514,18 +613,18 @@ def serialize(net: Network) -> str:
             {"id": u.id, "role": u.role, "activation": activation_to_json(u.activation)}
             for u in net.units
         ],
-        "edges": [{"from": e.src, "to": e.dst, "weight": e.weight} for e in net.edges],
+        "edges": [{"from": a, "to": b, "weight": w} for a, b, w in ends],
     }
     return json.dumps(doc, indent=2)
 
 
 def _whole_number(value, what):
-    """An integer document field; integral floats count, booleans and strings do not."""
-    if type(value) is int:
-        return value
+    """A 64-bit integer document field; integral floats count, booleans and strings do not."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise NetworkFormatError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if type(value) is int and -(2**63) <= value < 2**63:
+        return value
+    raise NetworkFormatError(f"{what} must be a 64-bit integer, got {value!r}")
 
 
 def _records(doc, key):
@@ -619,8 +718,7 @@ def make_layered(
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("need at least two layers with positive sizes")
     rng = np.random.default_rng(seed)
-    layers = []
-    next_id = 0
+    units, layers = [], []
     for li, size in enumerate(sizes):
         role = INPUT if li == 0 else OUTPUT if li == len(sizes) - 1 else HIDDEN
         act = (
@@ -630,32 +728,29 @@ def make_layered(
             if role == OUTPUT
             else hidden_activation
         )
-        layer = [Unit(next_id + k, role, act) for k in range(size)]
-        next_id += size
-        layers.append(layer)
-    units = [u for layer in layers for u in layer]
-    bias_unit = None
+        layers.append(np.arange(len(units), len(units) + size))
+        units += [Unit(int(i), role, act) for i in layers[-1]]
+    bias_id = len(units)
     if bias:
-        bias_unit = Unit(next_id, BIAS, IDENTITY)
-        units.append(bias_unit)
+        units.append(Unit(bias_id, BIAS, IDENTITY))
 
-    edges = []
+    src, dst, w = [], [], []
     for lower, upper in zip(layers[:-1], layers[1:]):
         r = math.sqrt(6.0 / (len(lower) + len(upper)))
-        w = rng.uniform(-r, r, size=(len(lower), len(upper)))
-        for i, u in enumerate(lower):
-            for j, v in enumerate(upper):
-                edges.append(Edge(u.id, v.id, float(w[i, j])))
+        w.append(rng.uniform(-r, r, size=(len(lower), len(upper))).ravel())
+        src.append(np.repeat(lower, len(upper)))
+        dst.append(np.tile(upper, len(lower)))
     if bias:
         for layer in layers[1:]:
             if bias_init == "uniform":
                 r = math.sqrt(6.0 / (1 + len(layer)))
-                bw = rng.uniform(-r, r, size=len(layer))
+                w.append(rng.uniform(-r, r, size=len(layer)))
             else:
-                bw = np.zeros(len(layer))
-            for v, w in zip(layer, bw):
-                edges.append(Edge(bias_unit.id, v.id, float(w)))
-    return Network(units, edges)
+                w.append(np.zeros(len(layer)))
+            src.append(np.full(len(layer), bias_id))
+            dst.append(layer)
+    structure = Structure(units, np.concatenate(src), np.concatenate(dst))
+    return Network._on(structure, np.concatenate(w))
 
 
 def make_recurrent(
@@ -671,43 +766,40 @@ def make_recurrent(
 ) -> Network:
     """Fully connected recurrent block: inputs -> hidden <-> hidden -> outputs."""
     rng = np.random.default_rng(seed)
-    units = []
-    inputs = list(range(n_inputs))
-    hidden = list(range(n_inputs, n_inputs + n_hidden))
-    outputs = list(range(n_inputs + n_hidden, n_inputs + n_hidden + n_outputs))
-    units += [Unit(i, INPUT, IDENTITY) for i in inputs]
-    units += [Unit(i, HIDDEN, hidden_activation) for i in hidden]
-    units += [Unit(i, OUTPUT, output_activation) for i in outputs]
-    bias_id = None
-    if bias:
-        bias_id = n_inputs + n_hidden + n_outputs
-        units.append(Unit(bias_id, BIAS, IDENTITY))
-
-    edges = []
+    inputs = np.arange(n_inputs)
+    hidden = np.arange(n_inputs, n_inputs + n_hidden)
+    outputs = np.arange(n_inputs + n_hidden, n_inputs + n_hidden + n_outputs)
+    units = [Unit(int(i), INPUT, IDENTITY) for i in inputs]
+    units += [Unit(int(i), HIDDEN, hidden_activation) for i in hidden]
+    units += [Unit(int(i), OUTPUT, output_activation) for i in outputs]
+    src, dst, w = [], [], []
 
     def block(srcs, dsts, allow_self):
         r = math.sqrt(6.0 / (len(srcs) + len(dsts)))
-        for s in srcs:
-            for d in dsts:
-                if s == d and not allow_self:
-                    continue
-                edges.append(Edge(s, d, float(rng.uniform(-r, r))))
+        s, d = np.repeat(srcs, len(dsts)), np.tile(dsts, len(srcs))
+        keep = (s != d) | allow_self
+        src.append(s[keep])
+        dst.append(d[keep])
+        w.append(rng.uniform(-r, r, size=int(keep.sum())))
 
     block(inputs, hidden, False)
     block(hidden, hidden, self_loops)
     block(hidden, outputs, False)
     if bias:
-        for d in hidden + outputs:
-            edges.append(Edge(bias_id, d, 0.0))
-    return Network(units, edges, recurrent=True, unroll_steps=unroll_steps)
+        bias_id = len(units)
+        units.append(Unit(bias_id, BIAS, IDENTITY))
+        src.append(np.full(n_hidden + n_outputs, bias_id))
+        dst.append(np.concatenate([hidden, outputs]))
+        w.append(np.zeros(n_hidden + n_outputs))
+    structure = Structure(units, np.concatenate(src), np.concatenate(dst), True, unroll_steps)
+    return Network._on(structure, np.concatenate(w))
 
 
 def hidden_layers(net: Network):
     """Hidden units grouped by longest-path depth from the inputs (feedforward)."""
     if net.recurrent:
         raise ValueError("layer structure is only defined for feedforward networks")
-    depth = _depths(net, *_edge_ends(net))
-    groups = {}
-    for h in net.hidden_ids:
-        groups.setdefault(int(depth[h]), []).append(h)
-    return [sorted(groups[d]) for d in sorted(groups)]
+    net.structure.check()
+    hidden = np.array(net.hidden_ids, dtype=np.int64)
+    depth = net.structure.depth[hidden]
+    return [hidden[depth == d].tolist() for d in np.unique(depth)]

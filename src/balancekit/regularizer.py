@@ -61,11 +61,14 @@ def cost_array(spec: CostSpec, w) -> np.ndarray:
 
 
 def network_cost(net, spec: CostSpec) -> float:
-    """Sum of weight costs over all edges, accumulated in edge-list order."""
-    total = 0.0
-    for e in net.edges:
-        total += weight_cost(spec, e.weight)
-    return total
+    """Sum of weight costs over all edges, accumulated in edge-list order.
+
+    Each edge's cost is ``weight_cost``'s bit for bit: the powers are taken on
+    Python floats (an object array), as NumPy's own power can differ in the last bit.
+    """
+    a = np.abs(net.w).astype(object)
+    costs = sum((beta * a**p for p, beta in spec.terms), 0)
+    return float(np.cumsum(costs.astype(float))[-1]) if a.size else 0.0
 
 
 def cost_derivative(spec: CostSpec, w: float) -> float:

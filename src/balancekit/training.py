@@ -258,7 +258,8 @@ def gradients(net: Network, batch, loss: str, cost: CostSpec | None = None) -> d
     comp = _Compiled(net)
     t = _prepare_targets(loss, targets, len(comp.outputs))
     _, g = comp.gradient(loss, X, t, cost)
-    return {(e.src, e.dst): float(gk) for e, gk in zip(net.edges, g)}
+    s = net.structure
+    return {(a, b): gk for a, b, gk in zip(s.src.tolist(), s.dst.tolist(), g.tolist())}
 
 
 def _accuracy(comp, loss, X, targets_raw):

@@ -8,6 +8,7 @@ import pytest
 
 import balancekit as bk
 from balancekit.activations import activate
+from balancekit.regularizer import weight_cost
 
 
 def golden_min(f, lo, hi, iters=140):
@@ -54,6 +55,14 @@ def reference_forward(net, x):
         return vals[u]
 
     return np.array([value(o) for o in net.output_ids])
+
+
+def reference_network_cost(net, spec):
+    """Sum of ``weight_cost`` over ``net.edges``, one edge at a time in edge-list order."""
+    total = 0.0
+    for e in net.edges:
+        total += weight_cost(spec, e.weight)
+    return total
 
 
 def min_norm_hull_point(G):

@@ -260,3 +260,28 @@ def test_balance_malformed_document_exits_one(tmp_path, capsys, text):
     code = main(["balance", "--net", str(p), "--out", str(tmp_path / "o")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_every_manifest_records_the_python_and_numpy_versions(tmp_path, chain_net_path, layered_net_path):
+    import platform
+
+    import numpy as np
+
+    samples = tmp_path / "line.csv"
+    _write_samples(samples, lambda x: x, 2)
+    commands = {
+        "balance": ["--net", str(chain_net_path)],
+        "verify-uniqueness": ["--net", str(layered_net_path), "--n-schedules", "2"],
+        "train": ["--config", str(_train_config(tmp_path, epochs=1))],
+        "approx": ["--samples", str(samples), "--epsilon", "0.5", "--grid", "11"],
+    }
+    versions = {"python": platform.python_version(), "numpy": np.__version__}
+    for command, args in commands.items():
+        out = tmp_path / command
+        assert main([command, *args, "--out", str(out)]) == 0
+        manifests = [out / "manifest.json"]
+        if command == "train":
+            manifests += [out / "none" / f"seed_{s}" / "manifest.json" for s in (1, 2)]
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            assert {k: manifest.get(k) for k in versions} == versions, (command, path)

@@ -153,7 +153,7 @@ def test_mixed_level_is_one_block_per_activation_group():
     plan = evaluation_plan(net)
     assert [list(level.units) for level in plan.levels] == [list(range(2, out)), [out]]
     assert len(plan.levels[0].groups) == len(ACTIVATIONS)
-    assert plan.weights[0].shape == (2, len(ACTIVATIONS))
+    assert plan.blocks(net.w)[0].shape == (2, len(ACTIVATIONS))
     X = np.linspace(-2.0, 2.0, 41)[:, None]
     Y = bk.forward(net, X)
     for x, y in zip(X, Y):

@@ -31,14 +31,11 @@ def _diamond():
 
 def _induced_config(net, loglam):
     """Per-edge logs induced by per-unit log multipliers (source exponent applied)."""
-    from balancekit.manifold import _exponent_or_one
-
+    c = net.structure.exponent
     L = {}
     for e in net.edges:
         if e.weight != 0.0:
-            L[(e.src, e.dst)] = loglam.get(e.dst, 0.0) - _exponent_or_one(net, e.src) * loglam.get(
-                e.src, 0.0
-            )
+            L[(e.src, e.dst)] = loglam.get(e.dst, 0.0) - c[e.src] * loglam.get(e.src, 0.0)
     return SelfConsistentConfig(L)
 
 

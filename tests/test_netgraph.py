@@ -7,7 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import balancekit as bk
-from balancekit.netgraph import hidden_layers, topological_order
+from balancekit.netgraph import evaluation_plan, hidden_layers, topological_order
+from balancekit.training import _Compiled
 from conftest import chain, forward_gap, random_layered, reference_forward
 
 
@@ -277,3 +278,153 @@ def test_topological_order_and_layers():
     net = bk.make_layered([2, 3, 4, 1], seed=0)
     layers = hidden_layers(net)
     assert [len(l) for l in layers] == [3, 4]
+
+
+# -- malformed networks: every graph walk raises the documented ValueError ----
+
+
+def _malformed(case):
+    """A small net with one structural defect that leaves the graph with no well-defined walk."""
+    inp, out = bk.Unit(0, bk.INPUT, bk.IDENTITY), bk.Unit(3, bk.OUTPUT, bk.IDENTITY)
+    hidden = [bk.Unit(1, bk.HIDDEN, bk.RELU), bk.Unit(2, bk.HIDDEN, bk.RELU)]
+    edges = [bk.Edge(0, 1, 1.5), bk.Edge(1, 2, -0.5), bk.Edge(2, 3, 2.0)]
+    if case == "dangling edge":
+        edges.append(bk.Edge(2, 7, 1.0))
+    elif case == "non-dense ids":
+        out = bk.Unit(5, bk.OUTPUT, bk.IDENTITY)
+        edges[-1] = bk.Edge(2, 5, 2.0)
+    elif case == "duplicate edge":
+        edges.append(bk.Edge(1, 2, 0.25))
+    else:  # feed-forward cycle
+        edges.append(bk.Edge(2, 1, 0.75))
+    return bk.Network([inp, *hidden, out], edges)
+
+
+_ENTRY_POINTS = {
+    "forward": lambda net: bk.forward(net, [0.5]),
+    "hidden_layers": hidden_layers,
+    "gradients": lambda net: bk.gradients(net, (np.ones((1, 1)), np.ones((1, 1))), "squared_error"),
+    "topological_order": topological_order,
+    "solve_convex": lambda net: bk.solve_convex(net, bk.l2()),
+    "enumerate_constraints": bk.enumerate_constraints,
+    "partial_balance_pass": lambda net: bk.partial_balance_pass(net, bk.l2()),
+    "network_deficit": lambda net: bk.network_deficit(net, bk.l2()),
+}
+
+
+@pytest.mark.parametrize("case", ["dangling edge", "non-dense ids", "duplicate edge", "feed-forward cycle"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_graph_walks_reject_malformed_networks_with_value_error(entry, case):
+    net = _malformed(case)
+    structural = bk.netgraph.structural_problems(net)
+    assert structural and bk.validate(net)[: len(structural)] == structural
+    with pytest.raises(ValueError, match="invalid network"):
+        _ENTRY_POINTS[entry](net)
+
+
+# -- the array-backed network against the old edge-list definitions ----------
+
+
+def _old_serialize(units, edges, recurrent, unroll_steps):
+    doc = {
+        "version": 1,
+        "recurrent": recurrent,
+        "unroll_steps": unroll_steps,
+        "units": [
+            {"id": u.id, "role": u.role, "activation": bk.activations.activation_to_json(u.activation)}
+            for u in sorted(units, key=lambda u: u.id)
+        ],
+        "edges": [{"from": e.src, "to": e.dst, "weight": e.weight} for e in edges],
+    }
+    return json.dumps(doc, indent=2)
+
+
+_WEIGHTS = st.floats(allow_nan=False, width=64)
+
+
+@st.composite
+def _nets(draw):
+    """(units, edges, recurrent): a DAG with skip edges, a recurrent net with
+    self-loops, or a malformed net (ids not dense, unknown ends, duplicates, cycles)."""
+    kind = draw(st.sampled_from(["dag", "recurrent", "malformed"]))
+    n = draw(st.integers(1, 7))
+    if kind == "malformed":
+        ids = sorted(draw(st.sets(st.integers(-2, 9), min_size=1, max_size=7)))
+    else:
+        ids = list(range(n))
+    roles = [draw(st.sampled_from(bk.netgraph.ROLES)) for _ in ids]
+    units = [bk.Unit(i, r, bk.IDENTITY if r in (bk.INPUT, bk.BIAS) else bk.RELU) for i, r in zip(ids, roles)]
+    if kind == "dag":
+        pairs = [(a, b) for a in ids for b in ids if a < b]
+    elif kind == "recurrent":
+        pairs = [(a, b) for a in ids for b in ids]
+    else:
+        ends = ids + [-3, 11]
+        pairs = [(a, b) for a in ends for b in ends]
+    if not pairs:
+        return units, [], False
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=14, unique=kind != "malformed"))
+    edges = [bk.Edge(a, b, draw(_WEIGHTS)) for a, b in picked]
+    return units, edges, kind == "recurrent"
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=_nets(), data=st.data())
+def test_views_match_the_edge_list_definitions(spec, data):
+    units, edges, recurrent = spec
+    net = bk.Network(units, edges, recurrent)
+    assert net.edges == tuple(edges)
+    assert [e.weight for e in net.edges] == [float(e.weight) for e in edges]
+    for u in units:
+        into = sorted((e for e in edges if e.dst == u.id), key=lambda e: e.src)
+        out_of = sorted((e for e in edges if e.src == u.id), key=lambda e: e.dst)
+        assert bk.in_edges(net, u.id) == into
+        assert bk.out_edges(net, u.id) == out_of
+    text = bk.serialize(net)
+    assert text == _old_serialize(units, edges, recurrent, 3)
+
+    copies = [
+        bk.Network(units, edges, recurrent),
+        bk.deserialize(text),
+        net.replace_weights(net.weights()),
+    ]
+    for other in copies:
+        assert other == net
+        assert bk.serialize(other) == text
+
+    # == against the old field-by-field comparison, on variants of the net
+    variants = [bk.Network(units, edges, not recurrent), bk.Network(units, edges[::-1], recurrent)]
+    if edges:
+        k = data.draw(st.integers(0, len(edges) - 1))
+        w = net.weights()
+        w[k] = data.draw(_WEIGHTS)
+        variants.append(net.replace_weights(w))
+    for other in variants:
+        old = (
+            net.units == other.units
+            and tuple(edges) == other.edges
+            and net.recurrent == other.recurrent
+            and net.unroll_steps == other.unroll_steps
+        )
+        assert (net == other) == old
+
+
+def test_results_share_the_input_structure_and_plan():
+    net = bk.make_layered([3, 5, 4, 2], seed=4, bias_init="uniform")
+    plan = evaluation_plan(net)
+    h = net.hidden_ids[0]
+    schedules = [bk.Schedule("stochastic", seed=s, deficit_tol=1e-10) for s in range(2)]
+    comp = _Compiled(net)
+    comp.w *= 1.5
+    results = [
+        net.replace_weights(net.weights() * 2.0),
+        bk.scale_neuron(net, h, 3.0),
+        bk.balance_neuron(net, h, bk.l2())[0],
+        *(out for out, _ in bk.run_balancing_many(net, schedules, bk.l2())),
+        bk.apply_multipliers(net, bk.solve_convex(net, bk.l2()).multipliers),
+        comp.network(),
+    ]
+    for result in results:
+        assert result.structure is net.structure
+        assert evaluation_plan(result) is plan
+        assert not result.w.flags.writeable

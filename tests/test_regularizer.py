@@ -1,4 +1,5 @@
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from balancekit.regularizer import (
     parse_cost,
     weight_cost,
 )
-from conftest import chain
+from conftest import chain, reference_network_cost
 
 
 def test_weight_cost_values():
@@ -37,6 +38,18 @@ def test_network_cost_matches_sorted_accumulation(rng):
     for m in mags:
         want += m**1.5
     assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("text", ["l1", "l2", "lp:3", "lp:0.5", "0.015*l1+1.0*l2"])
+def test_network_cost_is_the_edge_by_edge_sum_bit_for_bit(rng, text):
+    spec = parse_cost(text)
+    nets = [bk.make_layered([5, 10, 10, 4], seed=1, bias_init="uniform"), chain([0.0, -0.0, 3.0])]
+    for _ in range(5):
+        net = bk.make_layered([4, 9, 3], seed=int(rng.integers(2**31)), bias_init="uniform")
+        scale = np.exp(rng.uniform(-30.0, 30.0, size=net.w.size))
+        nets.append(net.replace_weights(net.w * scale))
+    for net in nets:
+        assert bk.network_cost(net, spec).hex() == reference_network_cost(net, spec).hex()
 
 
 def test_cost_derivative_values():
