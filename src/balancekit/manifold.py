@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .netgraph import BIAS, INPUT, OUTPUT, Network, neighbours, reachable
-from .regularizer import CostSpec, weight_cost
+from .regularizer import CostSpec
 
 
 class UnidentifiableUnitError(ValueError):
@@ -145,40 +145,23 @@ def enumerate_constraints(net: Network):
     return paths + cycles
 
 
-def _path_coefficients(net, units):
-    """Weight of each edge's L in the path's zero-sum constraint.
-
-    Propagating log Lambda along the path multiplies earlier contributions by
-    the exponents of the interior units they pass through, so edge k carries
-    the product of exponents of units k..n-1.
-    """
-    c = net.structure.exponent.tolist()
-    n = len(units) - 1
-    coeffs = []
-    for k in range(1, n + 1):
-        acc = 1.0
-        for m in range(k, n):
-            acc *= c[units[m]]
-        coeffs.append(acc)
-    return coeffs
+def _propagate(L, c, units, l=0.0):
+    """Walk a log multiplier along ``units``: l <- L[(src, dst)] + c_src * l, yielding (dst, l)."""
+    for src, dst in zip(units, units[1:]):
+        l = L[(src, dst)] + c[src] * l
+        yield dst, l
 
 
 def constraint_residual(net, constraint: Constraint, config: SelfConsistentConfig) -> float:
-    """Signed violation of one constraint by a per-edge log configuration."""
-    units = constraint.units
-    L = config.l_per_edge
-    if constraint.kind == "path":
-        coeffs = _path_coefficients(net, units)
-        total = 0.0
-        for k in range(1, len(units)):
-            total += coeffs[k - 1] * L[(units[k - 1], units[k])]
-        return total
-    # cycle: propagate around once and compare with the starting value 0
-    c = net.structure.exponent.tolist()
+    """Signed violation of one constraint by a per-edge log configuration.
+
+    Both kinds start at log multiplier 0 (an input, or the cycle's own start)
+    and propagate along the units; the residual is the value at the end, which
+    a path's output and a closed cycle both require to be 0.
+    """
     l = 0.0
-    for k in range(1, len(units)):
-        src, dst = units[k - 1], units[k]
-        l = L[(src, dst)] + c[src] * l
+    for _, l in _propagate(config.l_per_edge, net.structure.exponent.tolist(), constraint.units):
+        pass
     return l
 
 
@@ -205,10 +188,7 @@ def is_self_consistent(config: SelfConsistentConfig, net: Network, tol: float = 
         units = con.units
         if units[0] not in loglam:
             continue  # cycles are re-walked once path propagation anchors them
-        l = loglam[units[0]]
-        for k in range(1, len(units)):
-            src, dst = units[k - 1], units[k]
-            l = L[(src, dst)] + c[src] * l
+        for dst, l in _propagate(L, c, units, loglam[units[0]]):
             if dst in loglam:
                 if abs(l - loglam[dst]) > tol:
                     return False, (
@@ -257,139 +237,98 @@ def solve_convex(
 ) -> ConvexSolution:
     """Minimize the total weight cost over the rescaling manifold.
 
-    Variables are the log multipliers of the hidden homogeneous units; each
-    nonzero edge contributes coeff * exp(p * (l_dst - c_src * l_src)).  The
-    objective is smooth and strictly convex, so a damped Newton iteration
-    converges in a handful of steps; it stops when the gradient sup-norm of
-    the objective normalized by its initial value falls below ``grad_tol``
-    (an absolute tolerance would sit under the floating-point floor for
-    large-cost problems).
+    Variables are the log multipliers l of the hidden homogeneous units (every
+    other unit stays at 0).  Nonzero edge e and cost term (p_t, beta_t)
+    contribute c_te * exp(p_t * z_e) with z_e = l_dst - c_src * l_src and
+    c_te = beta_t * |w_e|**p_t, normalized in log domain to sum to 1, so the
+    objective starts at 1 at any weight scale.  The objective is smooth and
+    strictly convex, so a damped Newton iteration converges in a handful of
+    steps; it stops when the gradient sup-norm of the normalized objective
+    falls below ``grad_tol`` (an absolute tolerance would sit under the
+    floating-point floor for large-cost problems).
     """
     structure = net.structure
     structure.check()
-    free = np.flatnonzero(structure.free).tolist()
-    nfree = len(free)
+    free = np.flatnonzero(structure.free)
+    n = len(structure.units)
 
     # identifiability: every free unit must reach a pinned unit through
     # nonzero edges (ignoring direction), otherwise its multiplier is free to
     # drift and the program has no minimum.
     live = net.w != 0.0
-    a, b = structure.src[live], structure.dst[live]
-    pinned = np.flatnonzero(~structure.free)
-    anchored = reachable(len(structure.units), np.r_[a, b], np.r_[b, a], pinned)
-    lost = [u for u in free if not anchored[u]]
+    src, dst = structure.src[live], structure.dst[live]
+    anchored = reachable(n, np.r_[src, dst], np.r_[dst, src], np.flatnonzero(~structure.free))
+    lost = np.flatnonzero(structure.free & ~anchored).tolist()
     if lost:
         raise UnidentifiableUnitError(
             f"units {lost} are not connected to any visible unit by nonzero edges"
         )
-
-    single = cost.single_term
-    if single is None:
-        raise ValueError("the convex program is defined for a single power term")
-    p = single[0]
     constraints = enumerate_constraints(net)
 
-    # the nonzero edges, ordered by (src, dst)
-    nz = np.flatnonzero(live)
-    nz = nz[np.lexsort((structure.dst[nz], structure.src[nz]))]
-    src, dst = structure.src[nz], structure.dst[nz]
-    edges = list(zip(src.tolist(), dst.tolist()))
-    coeff = np.array([weight_cost(cost, w) for w in net.w[nz].tolist()])
-    scale = float(np.sum(coeff)) if len(coeff) else 1.0
-    if scale > 0.0:
-        coeff = coeff / scale
-    else:
-        scale = 1.0
+    # log c_te, one row per term, shifted by its logsumexp
+    p = np.array([[pt] for pt, _ in cost.terms])
+    logc = np.log([[beta] for _, beta in cost.terms]) + p * np.log(np.abs(net.w[live]))
+    top = np.max(logc, initial=-np.inf)
+    with np.errstate(divide="ignore"):
+        log_scale = top + np.log(np.sum(np.exp(logc - top)))
+    coeff = np.exp(logc - log_scale)
     csrc = structure.exponent[src]
-    col_of = np.full(len(structure.units), -1, dtype=np.int64)
-    col_of[free] = np.arange(nfree)
-    dst_col, src_col = col_of[dst], col_of[src]
+    # Hessian entries of edge e: (dst, dst) += h, (src, src) += c^2 h,
+    # (dst, src) and (src, dst) -= c h, on the flattened n x n matrix
+    h_at = np.r_[dst * n + dst, src * n + src, dst * n + src, src * n + dst]
+    h_by = np.r_[np.ones_like(csrc), csrc * csrc, -csrc, -csrc]
 
-    def z_of(l):
-        ld = np.where(dst_col >= 0, l[np.maximum(dst_col, 0)], 0.0)
-        ls = np.where(src_col >= 0, l[np.maximum(src_col, 0)], 0.0)
-        return ld - csrc * ls
-
-    def objective(l):
+    def terms(l):
         with np.errstate(over="ignore"):
-            return float(np.sum(coeff * np.exp(p * z_of(l))))
+            return coeff * np.exp(p * (l[dst] - csrc * l[src]))
 
-    l = np.zeros(nfree)
-    if nfree == 0:
-        r = objective(l) * scale
-        config = SelfConsistentConfig({e: 0.0 for e in edges})
-        lam = {u.id: 1.0 for u in net.units}
-        residuals = [constraint_residual(net, c, config) for c in constraints]
-        return ConvexSolution(config, MultiplierAssignment(lam), r, 0.0, 0, residuals)
-
-    grad_norm = math.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        t = coeff * np.exp(p * z_of(l))
-        g = np.zeros(nfree)
-        np.add.at(g, dst_col[dst_col >= 0], p * t[dst_col >= 0])
-        sel = src_col >= 0
-        np.add.at(g, src_col[sel], -p * csrc[sel] * t[sel])
+    l = np.zeros(n)
+    grad_norm, iterations = 0.0, 0
+    while free.size:  # with no free unit there is nothing to solve: 0 iterations
+        iterations += 1
+        t = terms(l)
+        dz = np.sum(p * t, axis=0)
+        g = (np.bincount(dst, dz, n) - np.bincount(src, csrc * dz, n))[free]
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm <= grad_tol:
             break
-        H = np.zeros((nfree, nfree))
-        for k in range(len(edges)):
-            tk = p * p * t[k]
-            a = dst_col[k]
-            b = src_col[k]
-            if a >= 0:
-                H[a, a] += tk
-            if b >= 0:
-                H[b, b] += tk * csrc[k] * csrc[k]
-            if a >= 0 and b >= 0:
-                H[a, b] -= tk * csrc[k]
-                H[b, a] -= tk * csrc[k]
+        if iterations >= max_iter:
+            raise ConvexSolverError(
+                f"no convergence after {max_iter} Newton iterations (grad={grad_norm:.3e})"
+            )
+        hz = np.sum(p * p * t, axis=0)
+        H = np.bincount(h_at, np.tile(hz, 4) * h_by, n * n).reshape(n, n)[np.ix_(free, free)]
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
-            step = np.linalg.solve(H + 1e-12 * np.trace(H) * np.eye(nfree), -g)
+            step = np.linalg.solve(H + 1e-12 * np.trace(H) * np.eye(free.size), -g)
+        # backtrack while the Armijo test fails and the predicted decrease is
+        # above the objective's resolution; below it, a step that does not
+        # raise the objective is as good as the rounding can tell
         r0 = float(np.sum(t))
         slope = float(g @ step)
         s = 1.0
-        accepted = False
-        for _ in range(80):
-            trial = l + s * step
-            if np.array_equal(trial, l):
-                break  # damping stopped moving the iterate; fall through
-            if objective(trial) <= r0 + 1e-4 * s * slope:
-                accepted = True
-                break
+        trial = l.copy()
+        trial[free] += step
+        r = float(np.sum(terms(trial)))
+        while r > r0 + 1e-4 * s * slope and -s * slope > 1e-12 * r0:
             s *= 0.5
-        if not accepted:
-            # near the optimum the certifiable decrease falls below the
-            # floating-point resolution of the objective; the undamped Newton
-            # step still contracts the gradient, so take it if it is safe
-            if objective(l + step) <= r0 * (1.0 + 1e-12):
-                s = 1.0
-            else:
-                raise ConvexSolverError(
-                    "line search failed; weights are too ill-conditioned for the oracle"
-                )
-        l = l + s * step
-    else:
-        raise ConvexSolverError(
-            f"no convergence after {max_iter} Newton iterations (grad={grad_norm:.3e})"
-        )
+            trial[free] = l[free] + s * step
+            r = float(np.sum(terms(trial)))
+        if not r <= r0 * (1.0 + 1e-12):
+            raise ConvexSolverError(
+                "line search failed; weights are too ill-conditioned for the oracle"
+            )
+        l = trial
 
-    z = z_of(l)
-    config = SelfConsistentConfig({e: float(zz) for e, zz in zip(edges, z)})
-    lam = {}
-    for u in net.units:
-        lam[u.id] = float(math.exp(l[col_of[u.id]])) if col_of[u.id] >= 0 else 1.0
+    z = l[dst] - csrc * l[src]
+    config = SelfConsistentConfig(dict(zip(zip(src.tolist(), dst.tolist()), z.tolist())))
+    lam = dict(enumerate(np.exp(l).tolist()))
     residuals = [constraint_residual(net, c, config) for c in constraints]
+    with np.errstate(over="ignore", divide="ignore"):
+        r_star = float(np.exp(log_scale + np.log(np.sum(terms(l)))))
     return ConvexSolution(
-        config,
-        MultiplierAssignment(lam),
-        objective(l) * scale,
-        grad_norm,
-        iterations,
-        residuals,
+        config, MultiplierAssignment(lam), r_star, grad_norm, iterations, residuals
     )
 
 

@@ -125,6 +125,19 @@ def random_layered(rng, n_layers=None, widths=(2, 5), activation=None, bias=True
     return net.replace_weights(w)
 
 
+def recurrent_bipu(seed, n_hidden, exponents):
+    """A 2-n_hidden-2 recurrent net with self-loops whose hidden unit with
+    position k in the unit list gets a BiPU of exponent exponents[k % len]."""
+    base = bk.make_recurrent(2, n_hidden, 2, self_loops=True, seed=seed)
+    units = [
+        bk.Unit(u.id, u.role, bk.bipu(1.0, -0.5, exponents[k % len(exponents)]))
+        if u.role == bk.HIDDEN
+        else u
+        for k, u in enumerate(base.units)
+    ]
+    return bk.Network(units, base.edges, recurrent=True, unroll_steps=base.unroll_steps)
+
+
 def forward_gap(net_a, net_b, rng, n_probes=10):
     """Largest relative output discrepancy over random probe inputs."""
     worst = 0.0

@@ -10,7 +10,14 @@ import balancekit as bk
 from balancekit import balancing
 from balancekit.balancing import trace_to_csv
 from balancekit.regularizer import CostSpec, weight_cost
-from conftest import chain, forward_gap, golden_lambda, random_layered, star_neuron
+from conftest import (
+    chain,
+    forward_gap,
+    golden_lambda,
+    random_layered,
+    recurrent_bipu,
+    star_neuron,
+)
 
 
 def _unit_objective(net, i, cost, c=1.0):
@@ -628,14 +635,7 @@ _EXPONENTS = (0.5, 1.0, 1.5, 2.0)
 def test_recurrent_self_loop_operations_preserve_function(seed, n_hidden, exponents, cost):
     """Self-loops pick up lam**(1-c); with c != 1 that factor is not 1."""
     rng = np.random.default_rng(seed)
-    base = bk.make_recurrent(2, n_hidden, 2, self_loops=True, seed=seed)
-    units = [
-        bk.Unit(u.id, u.role, bk.bipu(1.0, -0.5, exponents[k % 5]))
-        if u.role == bk.HIDDEN
-        else u
-        for k, u in enumerate(base.units)
-    ]
-    net = bk.Network(units, base.edges, recurrent=True, unroll_steps=base.unroll_steps)
+    net = recurrent_bipu(seed, n_hidden, exponents)
     current = net
     for _ in range(6):
         h = int(rng.choice(net.hidden_ids))

@@ -242,6 +242,19 @@ def test_balance_mixed_cost_of_the_readme_converges(tmp_path):
     assert summary["final_deficit"] <= 1e-8 * summary["r_before"] ** 2
 
 
+def test_verify_uniqueness_mixed_cost_of_the_readme(tmp_path):
+    p = tmp_path / "c4.json"
+    bk.netgraph.save(bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform"), p)
+    out = tmp_path / "u"
+    code = main(["verify-uniqueness", "--net", str(p), "--cost", "0.015*l1+1.0*l2",
+                 "--n-schedules", "12", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["max_pairwise"] < 1e-6 and report["max_vs_oracle"] < 1e-6
+    oracle = json.loads((out / "oracle.json").read_text())
+    assert oracle["r_star"] == report["r_star"] and oracle["grad_norm"] <= 1e-10
+
+
 def test_balance_edge_to_unknown_unit_exits_one(tmp_path, capsys):
     doc = json.loads(bk.serialize(chain([2.0, 1.0])))
     doc["edges"].append({"from": 1, "to": 7, "weight": 1.0})

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import balancekit as bk
 from balancekit.manifold import (
@@ -10,7 +13,8 @@ from balancekit.manifold import (
     UnidentifiableUnitError,
     constraint_residual,
 )
-from conftest import chain, golden_lambda, random_layered, star_neuron
+from balancekit.regularizer import CostSpec
+from conftest import chain, golden_lambda, random_layered, recurrent_bipu, star_neuron
 
 
 def _diamond():
@@ -324,12 +328,71 @@ def test_oracle_requires_anchoring():
         bk.solve_convex(net, bk.l2())
 
 
-def test_oracle_rejects_mixed_costs():
-    net = chain([1.0, 2.0])
-    from balancekit.regularizer import CostSpec
+_COST_TERMS = st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.01, 10.0))
 
-    with pytest.raises(ValueError, match="single"):
-        bk.solve_convex(net, CostSpec(((1.0, 1.0), (2.0, 1.0))))
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    recurrent=st.booleans(),
+    n_hidden=st.integers(2, 5),
+    exponents=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0]), min_size=5, max_size=5),
+    terms=st.lists(_COST_TERMS, min_size=1, max_size=2),
+)
+def test_oracle_agrees_with_the_engine_on_every_cost(seed, recurrent, n_hidden, exponents, terms):
+    if recurrent:
+        net = recurrent_bipu(seed, n_hidden, exponents)
+    else:
+        net = random_layered(np.random.default_rng(seed))
+    cost = CostSpec(tuple(terms))
+    sol = bk.solve_convex(net, cost)
+    sched = bk.Schedule("stochastic", seed=seed, deficit_tol=1e-18, max_steps=300_000)
+    out, trace = bk.run_balancing(net, sched, cost)
+    assert trace.converged
+    oracle = bk.apply_multipliers(net, sol.multipliers).weights()
+    assert np.max(np.abs(out.weights() - oracle)) <= 1e-6 * np.max(np.abs(net.weights()))
+    assert sol.r_star <= bk.network_cost(out, cost) * (1 + 1e-12)
+
+
+def test_newton_takes_few_iterations_on_random_nets():
+    # near the optimum the full step's decrease is below the objective's
+    # rounding; the line search must take it rather than creep by ulp steps
+    worst = 0
+    for seed in range(300):
+        net = bk.make_layered([3, 5, 4, 2], seed=seed, bias_init="uniform")
+        for cost in ("l1", "l2", "lp:3", "lp:0.5"):
+            sol = bk.solve_convex(net, bk.parse_cost(cost))
+            worst = max(worst, sol.iterations)
+    assert worst <= 12
+
+
+_LOG_MAX, _LOG_TINY = math.log(sys.float_info.max), math.log(sys.float_info.min)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(-500, 500),
+    p=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+@example(seed=0, k=500, p=3.0)
+@example(seed=0, k=-500, p=3.0)
+def test_oracle_is_scale_free(seed, k, p):
+    """Scaling every weight by s = 2**k leaves the multipliers and scales r* by s**p."""
+    net = random_layered(np.random.default_rng(seed))
+    cost = bk.lp(p)
+    ref = bk.solve_convex(net, cost)
+    sol = bk.solve_convex(net.replace_weights(net.weights() * 2.0**k), cost)
+    for u, lam in ref.multipliers.lambda_per_unit.items():
+        assert abs(sol.multipliers.lambda_per_unit[u] - lam) <= 1e-10 * lam
+    assert not math.isnan(sol.r_star)
+    log_r = p * k * math.log(2.0) + math.log(ref.r_star)
+    if _LOG_TINY + 1e-9 < log_r < _LOG_MAX - 1e-9:
+        assert abs(sol.r_star - math.exp(log_r)) <= 1e-12 * math.exp(log_r)
+    elif log_r > _LOG_MAX:
+        assert sol.r_star == math.inf
+    elif log_r < _LOG_TINY:
+        assert 0.0 <= sol.r_star < sys.float_info.min
 
 
 # -- tied layers ------------------------------------------------------------------
