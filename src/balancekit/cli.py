@@ -1,6 +1,7 @@
 """Command-line driver: balancing runs, uniqueness checks, training, approximation.
 
-Exit codes: 0 success, 1 usage or I/O failure, 2 non-convergence or divergence.
+Exit codes: 0 success, 1 usage, I/O or arithmetic failure (weights beyond the
+float range, say), 2 non-convergence or divergence.
 All randomness flows from one per-run seed recorded in the manifest; the
 environment variable BALANCEKIT_SEED overrides it.
 """
@@ -407,7 +408,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

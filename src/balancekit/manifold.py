@@ -67,7 +67,7 @@ class ConvexSolution:
 
 
 def _bfs_path(adj, start, goal_test):
-    """Shortest path from start to any goal unit, exploring ids in order."""
+    """Shortest path from start to any unit u with ``goal_test(u)``, exploring ids in order."""
     if goal_test(start):
         return [start]
     parent = {start: None}
@@ -99,12 +99,13 @@ def enumerate_constraints(net: Network):
     """
     net.structure.check()
     fwd, bwd = neighbours(net, forward=True), neighbours(net, forward=False)
-    roles = [u.role for u in net.units]
+    is_source = [u.role in (INPUT, BIAS) for u in net.units].__getitem__
+    is_output = [u.role == OUTPUT for u in net.units].__getitem__
     paths = []
     seen = set()
     for h in sorted(net.hidden_ids):
-        back = _bfs_path(bwd, h, lambda u: roles[u] in (INPUT, BIAS))
-        fore = _bfs_path(fwd, h, lambda u: roles[u] == OUTPUT)
+        back = _bfs_path(bwd, h, is_source)
+        fore = _bfs_path(fwd, h, is_output)
         if back is None or fore is None:
             raise ValueError(f"hidden unit {h} lies on no input->output path of nonzero edges")
         path = tuple(reversed(back)) + tuple(fore[1:])
@@ -140,7 +141,7 @@ def enumerate_constraints(net: Network):
                     if u == v:
                         cycles.append(Constraint("cycle", (u, u)))
                         continue
-                    back = _bfs_path(sub, v, lambda x: x == u)
+                    back = _bfs_path(sub, v, u.__eq__)
                     cycles.append(Constraint("cycle", (u,) + tuple(back)))
     return paths + cycles
 

@@ -601,10 +601,19 @@ def frobenius_norm(net: Network) -> float:
 # -- document format -------------------------------------------------------
 
 
+# One edge record as ``json.dumps(doc, indent=2)`` lays it out inside the document.
+_EDGE_RECORD = '    {\n      "from": %s,\n      "to": %s,\n      "weight": %s\n    }'
+
+
 def serialize(net: Network) -> str:
-    """Render the network as a JSON document; weights keep full binary64 precision."""
+    """Render the network as a JSON document; weights keep full binary64 precision.
+
+    The text is exactly ``json.dumps(doc, indent=2)`` of the document.  The
+    edge records, nearly all of a large document, are rendered from the edge
+    arrays with one fixed template rather than by ``json``'s pure-Python
+    indenting encoder.
+    """
     s = net.structure
-    ends = zip(s.src.tolist(), s.dst.tolist(), net.w.tolist())
     doc = {
         "version": DOCUMENT_VERSION,
         "recurrent": net.recurrent,
@@ -613,9 +622,19 @@ def serialize(net: Network) -> str:
             {"id": u.id, "role": u.role, "activation": activation_to_json(u.activation)}
             for u in net.units
         ],
-        "edges": [{"from": a, "to": b, "weight": w} for a, b, w in ends],
+        "edges": [],
     }
-    return json.dumps(doc, indent=2)
+    text = json.dumps(doc, indent=2)
+    if not s.src.size:
+        return text
+    # str(float) is float.__repr__, json's spelling of a finite float; json.dumps
+    # spells the rest NaN, Infinity and -Infinity
+    weights = net.w.tolist()
+    if not np.isfinite(net.w).all():
+        weights = list(map(json.dumps, weights))
+    records = ",\n".join(map(_EDGE_RECORD.__mod__, zip(s.src.tolist(), s.dst.tolist(), weights)))
+    # "edges" is the last key, so the text ends in its empty list: '[]\n}'
+    return text[:-4] + "[\n" + records + "\n  ]\n}"
 
 
 def _whole_number(value, what):
@@ -638,8 +657,52 @@ def _records(doc, key):
         yield k, rec
 
 
+def _check_edge_records(doc) -> None:
+    """Raise NetworkFormatError naming the first malformed edge record, if there is one."""
+    for k, rec in _records(doc, "edges"):
+        for fieldname in ("from", "to", "weight"):
+            if fieldname not in rec:
+                raise NetworkFormatError(f"edge record {k}: missing {fieldname!r}")
+        w = rec["weight"]
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise NetworkFormatError(f"edge record {k}: weight must be a number")
+        try:
+            float(w)
+        except OverflowError:
+            raise NetworkFormatError(f"edge record {k}: weight out of float range") from None
+        _whole_number(rec["from"], f"edge record {k}: 'from'")
+        _whole_number(rec["to"], f"edge record {k}: 'to'")
+
+
+def _edge_arrays(doc):
+    """The document's edge ends (int64) and weights (float64), checked in bulk.
+
+    Every end must be an int and every weight an int or a float, and each
+    field converts with one ``np.array`` call.  Only when that fails does
+    ``_check_edge_records`` walk the records, to report the first bad one;
+    if it finds none, some ends are integral floats, which convert exactly.
+    """
+    records = doc.get("edges", [])
+    try:
+        if isinstance(records, list):
+            src = [r["from"] for r in records]
+            dst = [r["to"] for r in records]
+            w = [r["weight"] for r in records]
+            ends = set(map(type, src)) | set(map(type, dst))
+            if ends <= {int} and set(map(type, w)) <= {int, float}:
+                return np.array(src, np.int64), np.array(dst, np.int64), np.array(w, np.float64)
+    except (TypeError, KeyError, OverflowError):
+        pass
+    _check_edge_records(doc)
+    # every record passed, so the bulk check failed on integral-float ends alone
+    return np.array(src, np.int64), np.array(dst, np.int64), np.array(w, np.float64)
+
+
 def deserialize(text: str) -> Network:
-    """Parse a network document; every malformed document raises NetworkFormatError."""
+    """Parse a network document; every malformed document raises NetworkFormatError.
+
+    Any JSON layout and key order is accepted.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -664,26 +727,12 @@ def deserialize(text: str) -> Network:
         except (TypeError, ValueError, OverflowError) as exc:
             raise NetworkFormatError(f"unit {uid}: {exc}") from None
         units.append(Unit(uid, rec["role"], act))
-    edges = []
-    for k, rec in _records(doc, "edges"):
-        for fieldname in ("from", "to", "weight"):
-            if fieldname not in rec:
-                raise NetworkFormatError(f"edge record {k}: missing {fieldname!r}")
-        w = rec["weight"]
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise NetworkFormatError(f"edge record {k}: weight must be a number")
-        try:
-            w = float(w)
-        except OverflowError:
-            raise NetworkFormatError(f"edge record {k}: weight out of float range") from None
-        src = _whole_number(rec["from"], f"edge record {k}: 'from'")
-        dst = _whole_number(rec["to"], f"edge record {k}: 'to'")
-        edges.append(Edge(src, dst, w))
+    src, dst, w = _edge_arrays(doc)
     recurrent = doc.get("recurrent", False)
     if not isinstance(recurrent, bool):
         raise NetworkFormatError(f"'recurrent' must be true or false, got {recurrent!r}")
     unroll_steps = _whole_number(doc.get("unroll_steps", 3), "'unroll_steps'")
-    return Network(units, edges, recurrent=recurrent, unroll_steps=unroll_steps)
+    return Network._on(Structure(units, src, dst, recurrent, unroll_steps), w)
 
 
 def save(net: Network, path) -> None:

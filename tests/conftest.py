@@ -1,13 +1,15 @@
 """Shared test helpers: independent oracles kept deliberately separate from
 the library code paths they check."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 import balancekit as bk
-from balancekit.activations import activate
+from balancekit.activations import activate, activation_from_json, activation_to_json
+from balancekit.netgraph import NetworkFormatError
 from balancekit.regularizer import weight_cost
 
 
@@ -63,6 +65,94 @@ def reference_network_cost(net, spec):
     for e in net.edges:
         total += weight_cost(spec, e.weight)
     return total
+
+
+def reference_serialize(net):
+    """The network document through ``json.dumps(doc, indent=2)``, edge records included."""
+    doc = {
+        "version": 1,
+        "recurrent": net.recurrent,
+        "unroll_steps": net.unroll_steps,
+        "units": [
+            {"id": u.id, "role": u.role, "activation": activation_to_json(u.activation)}
+            for u in net.units
+        ],
+        "edges": [{"from": e.src, "to": e.dst, "weight": e.weight} for e in net.edges],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def _reference_whole_number(value, what):
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is int and -(2**63) <= value < 2**63:
+        return value
+    raise NetworkFormatError(f"{what} must be a 64-bit integer, got {value!r}")
+
+
+def _reference_records(doc, key):
+    records = doc.get(key, [])
+    if not isinstance(records, list):
+        raise NetworkFormatError(f"{key!r} must be a list of objects")
+    for k, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise NetworkFormatError(f"{key!r} must be a list of objects, item {k} is {rec!r}")
+        yield k, rec
+
+
+def reference_deserialize(text):
+    """Parse a network document one record at a time, building one ``Edge`` per edge record."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise NetworkFormatError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    if not isinstance(doc, dict):
+        raise NetworkFormatError("network document must be a JSON object")
+    units = []
+    for _, rec in _reference_records(doc, "units"):
+        if "id" not in rec:
+            raise NetworkFormatError(f"unit record without an id: {rec!r}")
+        uid = _reference_whole_number(rec["id"], "unit id")
+        if "role" not in rec:
+            raise NetworkFormatError(f"unit {uid}: missing role")
+        if not isinstance(rec["role"], str):
+            raise NetworkFormatError(f"unit {uid}: role must be a string")
+        if "activation" not in rec:
+            raise NetworkFormatError(f"unit {uid}: missing activation")
+        try:
+            act = activation_from_json(rec["activation"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise NetworkFormatError(f"unit {uid}: {exc}") from None
+        units.append(bk.Unit(uid, rec["role"], act))
+    edges = []
+    for k, rec in _reference_records(doc, "edges"):
+        for fieldname in ("from", "to", "weight"):
+            if fieldname not in rec:
+                raise NetworkFormatError(f"edge record {k}: missing {fieldname!r}")
+        w = rec["weight"]
+        if not isinstance(w, (int, float)) or isinstance(w, bool):
+            raise NetworkFormatError(f"edge record {k}: weight must be a number")
+        try:
+            w = float(w)
+        except OverflowError:
+            raise NetworkFormatError(f"edge record {k}: weight out of float range") from None
+        src = _reference_whole_number(rec["from"], f"edge record {k}: 'from'")
+        dst = _reference_whole_number(rec["to"], f"edge record {k}: 'to'")
+        edges.append(bk.Edge(src, dst, w))
+    recurrent = doc.get("recurrent", False)
+    if not isinstance(recurrent, bool):
+        raise NetworkFormatError(f"'recurrent' must be true or false, got {recurrent!r}")
+    unroll_steps = _reference_whole_number(doc.get("unroll_steps", 3), "'unroll_steps'")
+    return bk.Network(units, edges, recurrent=recurrent, unroll_steps=unroll_steps)
+
+
+def same_network(a, b):
+    """``a == b`` with the weights compared bit for bit, except that any NaN matches any NaN."""
+    blank = a.replace_weights(np.zeros_like(a.w)), b.replace_weights(np.zeros_like(b.w))
+    bits = [np.where(np.isnan(n.w), np.nan, n.w).tobytes() for n in (a, b)]
+    return blank[0] == blank[1] and bits[0] == bits[1]
 
 
 def min_norm_hull_point(G):

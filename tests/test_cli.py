@@ -298,3 +298,16 @@ def test_every_manifest_records_the_python_and_numpy_versions(tmp_path, chain_ne
         for path in manifests:
             manifest = json.loads(path.read_text())
             assert {k: manifest.get(k) for k in versions} == versions, (command, path)
+
+
+def test_balance_huge_weights_exit_without_a_traceback(tmp_path, capsys):
+    # a cost of about 1e200 overflows the squared-cost tolerance of the engine
+    net = bk.make_layered([3, 6, 6, 2], seed=0)
+    p = tmp_path / "huge.json"
+    bk.netgraph.save(net.replace_weights(net.weights() * 1e100), p)
+    code = main(["balance", "--net", str(p), "--out", str(tmp_path / "o")])
+    assert code in (0, 1, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error: ")

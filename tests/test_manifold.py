@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -81,6 +82,24 @@ def test_recurrent_cycle_constraint():
     cyc = cycles[0].units
     assert cyc[0] == cyc[-1]
     assert set(cyc) == {1, 2, 3}
+
+
+def test_constraints_of_the_benchmark_nets_are_pinned():
+    # layered: the lowest-id input, or else the bias unit (listed after every
+    # hidden unit of the first layer), then the lowest-id unit of each later layer
+    for sizes, seed in (([32, 64, 64, 10], 0), ([3, 6, 6, 2], 424242)):
+        net = bk.make_layered(sizes, seed=seed, bias_init="uniform")
+        first, second = bk.netgraph.hidden_layers(net)
+        bias, out = net.bias_ids[0], net.output_ids[0]
+        want = [Constraint("path", (0, h, second[0], out)) for h in first]
+        want += [Constraint("path", (bias, h, out)) for h in second]
+        assert bk.enumerate_constraints(net) == want
+    # recurrent, with self-loops: 6 paths and 31 cycles, pinned by a digest
+    net = bk.make_recurrent(2, 6, 1, output_activation=bk.LOGISTIC_UNIT, self_loops=True, seed=0)
+    tuples = [(c.kind, c.units) for c in bk.enumerate_constraints(net)]
+    assert len(tuples) == 37
+    digest = hashlib.sha256(repr(tuples).encode()).hexdigest()
+    assert digest == "301625d45de5eac48a46e592795388d6523dcbaa4d37c976f01996e2bc339440"
 
 
 def test_uncovered_hidden_unit_is_rejected():

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 import balancekit as bk
 from balancekit.netgraph import evaluation_plan, hidden_layers, topological_order
 from balancekit.training import _Compiled
-from conftest import chain, forward_gap, random_layered, reference_forward
+from conftest import (
+    chain,
+    forward_gap,
+    random_layered,
+    reference_deserialize,
+    reference_forward,
+    reference_serialize,
+    same_network,
+)
 
 
 def test_identity_chain_passes_value_through():
@@ -173,6 +182,9 @@ def test_deserialize_reports_json_position():
         bk.deserialize('{"version": 1,,}')
 
 
+_GOOD_EDGE = {"from": 0, "to": 1, "weight": 0.5}
+
+
 @pytest.mark.parametrize(
     "doc, match",
     [
@@ -186,6 +198,15 @@ def test_deserialize_reports_json_position():
         ({"edges": [{"from": 0, "to": 1.5, "weight": 1.0}]}, "'to'"),
         ({"edges": [{"from": 0, "to": 1, "weight": 10**400}]}, "float range"),
         ({"edges": [7]}, "list of objects"),
+        # a bad record after good ones: the message names its index
+        ({"edges": [_GOOD_EDGE, {"from": 0, "to": 1, "weight": True}]},
+         "edge record 1: weight must be a number"),
+        ({"edges": [_GOOD_EDGE, _GOOD_EDGE, {"from": 2**63, "to": 1, "weight": 1.0}]},
+         "edge record 2: 'from' must be a 64-bit integer, got 9223372036854775808"),
+        ({"edges": [_GOOD_EDGE, {"from": 0, "to": 1, "weight": 10**400}]},
+         "edge record 1: weight out of float range"),
+        ({"edges": [_GOOD_EDGE, _GOOD_EDGE, _GOOD_EDGE, {"from": 0, "weight": 1.0}]},
+         "edge record 3: missing 'to'"),
         ({"unroll_steps": "a"}, "unroll_steps"),
         ({"recurrent": "false"}, "recurrent"),
     ],
@@ -234,6 +255,122 @@ def test_deserialize_gives_a_network_or_a_format_error(doc):
         return
     assert isinstance(net, bk.Network)
     bk.validate(net)
+
+
+# -- the document codec against the record-by-record reference ----------------
+
+_ACTIVATIONS = st.sampled_from([
+    bk.IDENTITY, bk.RELU, bk.leaky_relu(0.3), bk.bilu(-0.5, 2.0),
+    bk.bipu(1.0, -0.5, 2.0), bk.bipu(0.25, 3.0, 0.5), bk.TANH_UNIT, bk.LOGISTIC_UNIT,
+])
+_SPECIAL_WEIGHTS = st.sampled_from([
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1.7976931348623157e308,
+    -1.7976931348623157e308, 3.0, -2.0, 1e16, 1e22, 1e-5, 0.1,
+])
+
+
+@st.composite
+def _document_nets(draw):
+    """A layered net with skip edges, a recurrent net with self-loops, or a net with no edges."""
+    kind = draw(st.sampled_from(["layered", "recurrent", "no edges"]))
+    n = draw(st.integers(1, 8))
+    units = [
+        bk.Unit(i, draw(st.sampled_from(bk.netgraph.ROLES)), draw(_ACTIVATIONS)) for i in range(n)
+    ]
+    pairs = [(a, b) for a in range(n) for b in range(n) if a < b or kind == "recurrent"]
+    if kind == "no edges" or not pairs:
+        return bk.Network(units, [], kind == "recurrent")
+    picked = draw(st.lists(st.sampled_from(pairs), unique=True))
+    edges = [bk.Edge(a, b, draw(st.floats(width=64) | _SPECIAL_WEIGHTS)) for a, b in picked]
+    return bk.Network(units, edges, kind == "recurrent", draw(st.integers(1, 5)))
+
+
+def _reordered(value):
+    """``value`` with the keys of every object in it in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(value)}
+    if isinstance(value, list):
+        return [_reordered(v) for v in value]
+    return value
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(net=_document_nets())
+def test_serialize_is_byte_identical_to_the_json_encoder(net):
+    text = bk.serialize(net)
+    assert text == reference_serialize(net)
+    assert same_network(bk.deserialize(text), net)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(net=_document_nets())
+def test_deserialize_accepts_any_layout_and_key_order(net):
+    doc = json.loads(reference_serialize(net))
+    float_ends = dict(doc, edges=[
+        dict(rec, to=float(rec["to"])) if k % 2 else dict(rec, **{"from": float(rec["from"])})
+        for k, rec in enumerate(doc["edges"])
+    ])
+    for text in (
+        json.dumps(doc),
+        json.dumps(_reordered(doc), indent=4),
+        json.dumps(float_ends, indent=2),
+    ):
+        got = bk.deserialize(text)
+        assert same_network(got, net)
+        assert same_network(got, reference_deserialize(text))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_ODD_ENDS = st.floats() | st.sampled_from(
+    [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, -(2.0**63), 2.0**63, 0.5, 3.0, True, False, None, "1"]
+)
+_ODD_WEIGHTS = st.integers() | st.sampled_from(
+    [10**400, -(10**400), 2**64, -0.0, math.nan, True, False, None, "1", [1.0]]
+)
+
+
+@st.composite
+def _edge_lists(draw):
+    """Well-formed edge records, and one to three inserted anywhere that each differ in one field."""
+    good = st.fixed_dictionaries(
+        {"from": st.integers(0, 4), "to": st.integers(0, 4), "weight": st.floats()}
+    )
+    records = draw(st.lists(good, max_size=6))
+    for _ in range(draw(st.integers(1, 3))):
+        rec = draw(good)
+        key = draw(st.sampled_from(["from", "to", "weight"]))
+        if draw(st.integers(0, 9)) == 0:
+            del rec[key]
+        else:
+            rec[key] = draw(_ODD_WEIGHTS if key == "weight" else _ODD_ENDS)
+        records.insert(draw(st.integers(0, len(records))), rec)
+    return records
+
+
+def _same_outcome(text):
+    got, want = _outcome(bk.deserialize, text), _outcome(reference_deserialize, text)
+    if isinstance(want, bk.Network):
+        assert isinstance(got, bk.Network) and same_network(got, want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_JSON | _DOCUMENT)
+def test_deserialize_matches_the_record_by_record_parser(doc):
+    _same_outcome(json.dumps(doc))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edges=_edge_lists())
+def test_deserialize_reports_the_first_odd_edge_record_as_the_record_by_record_parser(edges):
+    _same_outcome(json.dumps({"edges": edges}))
 
 
 def test_validate_survives_an_edge_to_an_unknown_unit():
