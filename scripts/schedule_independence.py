@@ -45,7 +45,7 @@ def main(argv=None):
     rows = ["seed,steps,r_final,converged"]
     for seed, (_, trace) in enumerate(runs):
         r_final = trace.r_series[-1] if trace.r_series else r0
-        rows.append(f"{seed},{len(trace.steps)},{r_final!r},{int(trace.converged)}")
+        rows.append(f"{seed},{len(trace.units)},{r_final!r},{int(trace.converged)}")
     (out / "runs.csv").write_text("\n".join(rows) + "\n")
 
     stack = np.stack([final.weights() for final, _ in runs])

@@ -20,14 +20,13 @@ engine (``run_balancing_many``); a single run is the batch of one.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .activations import homogeneity_exponent
-from .netgraph import HIDDEN, Network, check_structure, hidden_layers, topological_order
+from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers, topological_order
 from .regularizer import CostSpec, network_cost
 
 _TINY = 1e-300
@@ -49,21 +48,38 @@ class BalanceReport:
 
 @dataclass
 class BalanceTrace:
-    """Step-by-step record of a balancing run.
+    """Step-by-step record of a balancing run, kept as one column per quantity.
 
-    ``r_series`` and ``deficit_series`` hold the total cost and the summed
-    balance deficit of the balanced unit sets after each step (for tied-layer
-    runs the sets are the subsets, so the deficit is the aggregate per-subset
-    gap, the quantity those moves can actually drive to zero).  ``notes``
-    collects skipped units and other annotations; ``converged`` reports
-    whether the stop criterion was met within the step budget.
+    Step k balanced ``units[k]`` (for tied-layer runs, the smallest unit of the
+    subset) by ``lambdas[k]``; ``r_series[k]`` and ``deficit_series[k]`` hold
+    the total cost and the summed balance deficit of the balanced unit sets
+    after it (for tied-layer runs the sets are the subsets, so the deficit is
+    the aggregate per-subset gap, the quantity those moves can actually drive
+    to zero).  ``r_initial`` is the cost before the first step.  The costs are
+    the engine's (NumPy powers, pairwise row sums; see ``_edge_costs``), so
+    ``network_cost`` of the result can differ from ``r_series[-1]`` in the
+    last bits.  ``steps`` builds one ``BalanceReport`` per step from the
+    columns on every read.  ``notes`` collects skipped units and other
+    annotations; ``converged`` reports whether the stop criterion was met
+    within the step budget.
     """
 
-    steps: list = field(default_factory=list)
+    units: list = field(default_factory=list)
+    lambdas: list = field(default_factory=list)
     r_series: list = field(default_factory=list)
     deficit_series: list = field(default_factory=list)
+    r_initial: float = 0.0
     notes: list = field(default_factory=list)
     converged: bool = True
+
+    def _rows(self):
+        """Per step: unit, lambda*, cost before, cost after, deficit after."""
+        r_before = [self.r_initial] + self.r_series[:-1]
+        return zip(self.units, self.lambdas, r_before, self.r_series, self.deficit_series)
+
+    @property
+    def steps(self):
+        return [BalanceReport(u, lam, r0, r, r0 - r) for u, lam, r0, r, _ in self._rows()]
 
 
 @dataclass(frozen=True)
@@ -442,51 +458,39 @@ _DRAW_CHUNK = 256  # picks drawn (stochastic) or tiled (cyclic) per replica at a
 
 def _balanceable(net, allow_nonhomogeneous):
     """Hidden units a run may balance, plus notes on those skipped for a dead side."""
-    s = net.structure
-    n = len(s.units)
-    # self-loops count on neither side
-    live = (net.w != 0.0) & (s.src != s.dst)
-    has_in, has_out = (np.bincount(end[live], minlength=n) > 0 for end in (s.dst, s.src))
-    units, notes = [], []
-    for h in net.hidden_ids:
-        if not (s.free[h] or allow_nonhomogeneous):
-            continue
-        if has_in[h] and has_out[h]:
-            units.append(h)
-        else:
-            notes.append(f"unit {h} skipped: all-zero incoming or outgoing side")
-    return units, notes
+    hidden = [h for h in net.hidden_ids if net.structure.free[h] or allow_nonhomogeneous]
+    dead = np.logical_or(*_dead_sides(net, hidden)).tolist()
+    notes = [f"unit {h} skipped: all-zero incoming or outgoing side" for h, d in zip(hidden, dead) if d]
+    return [h for h, d in zip(hidden, dead) if not d], notes
 
 
-def _default_order(net, eligible):
-    if net.recurrent:
-        return list(eligible)
-    eligible = set(eligible)
-    return [u for u in topological_order(net) if u in eligible]
+def _default_cycle(net, index):
+    """Set indices of the balanceable units from the inputs toward the outputs (recurrent: by id)."""
+    return [index[u] for u in (index if net.recurrent else topological_order(net)) if u in index]
+
+
+def _order_cycle(order, index, notes):
+    """Set indices of an explicit unit order; notes each unit in it that a run cannot balance."""
+    order = [int(u) for u in order]
+    notes.extend(f"unit {u} skipped in order: not balanceable" for u in order if u not in index)
+    return [index[u] for u in order if u in index]
 
 
 def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
     """Balance each unit exactly once, by default from the inputs toward the outputs.
 
     One pass lowers the total cost monotonically but generally leaves earlier
-    units unbalanced again once their downstream neighbours move.
+    units unbalanced again once their downstream neighbours move.  It is a
+    cyclic run capped at one step per listed unit that never stops early.
     """
-    net.structure.check()
+    check_structure(net)
     eligible, notes = _balanceable(net, allow_nonhomogeneous)
-    trace = BalanceTrace(notes=notes)
     eng = _Engine(net, cost, [(u,) for u in eligible])
+    trace = BalanceTrace(r_initial=float(eng.r_init[0]), notes=notes)
     index = {u: k for k, u in enumerate(eligible)}
-    for u in _default_order(net, eligible) if order is None else [int(u) for u in order]:
-        if u not in index:
-            trace.notes.append(f"unit {u} skipped in pass: not balanceable")
-            continue
-        r_before = float(eng.r[0])
-        lam = float(eng.step(np.array([index[u]]))[0])
-        r_after = float(eng.r[0])
-        trace.steps.append(BalanceReport(u, lam, r_before, r_after, r_before - r_after))
-        trace.r_series.append(r_after)
-        trace.deficit_series.append(float(eng.deficit()[0]))
-    return eng.to_network(), trace
+    cycle = _default_cycle(net, index) if order is None else _order_cycle(order, index, notes)
+    (w,), _ = _run_batch(eng, [(_cyclic_picks(cycle), -math.inf, len(cycle), trace)])
+    return net.replace_weights(w), trace
 
 
 def _stochastic_picks(seed, n):
@@ -504,14 +508,16 @@ def _run_batch(eng, runs):
     """Step every replica of ``eng`` until it meets its tolerance or its step cap.
 
     ``runs[i]`` is (picks, tol_abs, max_steps, trace) for engine row i: picks(t, k)
-    returns the set indices of steps t .. t + k - 1.  Fills in each trace and
-    returns the final weights of each run.
+    returns the set indices of steps t .. t + k - 1.  Fills in the step columns
+    of each trace; returns the final weights of each run, and whether each run
+    met its tolerance.
     """
     picks_of = [run[0] for run in runs]
     tol = np.array([run[1] for run in runs])
     cap = np.array([run[2] for run in runs])
     ids = np.arange(len(runs))  # run of each engine row
     finals = [None] * len(runs)
+    met = np.zeros(len(runs), dtype=bool)
     log, steps = [], []  # per step, then per chunk: (ids, unit, lam, r after, deficit after)
     done = np.zeros(len(runs), dtype=bool)
     stop = cap <= 0
@@ -520,10 +526,7 @@ def _run_batch(eng, runs):
         if stop.any():
             for row in np.flatnonzero(stop):
                 finals[ids[row]] = eng.w[row].copy()
-                if not done[row]:
-                    trace = runs[ids[row]][3]
-                    trace.converged = False
-                    trace.notes.append(f"stopped after max_steps={runs[ids[row]][2]}")
+            met[ids[stop]] = done[stop]
             go = ~stop
             eng.select(go)
             ids, tol, cap = ids[go], tol[go], cap[go]
@@ -546,27 +549,19 @@ def _run_batch(eng, runs):
 
     if log:
         steps.append([np.concatenate(col) for col in zip(*log)])
-    if not steps:
-        return finals
-    ids, units, lam, r_after, deficit = (np.concatenate(col) for col in zip(*steps))
-    order = np.argsort(ids, kind="stable")
-    units, lam, r_after, deficit = units[order], lam[order], r_after[order], deficit[order]
-    counts = np.bincount(ids, minlength=len(runs))
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    r_before = np.empty_like(r_after)
-    r_before[1:] = r_after[:-1]
-    r_before[starts[counts > 0]] = eng.r_init[0]
-    delta = r_before - r_after
-    r_init = float(eng.r_init[0])
-    for (_, _, _, trace), s, e in zip(runs, starts.tolist(), ends.tolist()):
-        trace.r_series = r_after[s:e].tolist()
-        trace.deficit_series = deficit[s:e].tolist()
-        trace.steps = list(
-            map(BalanceReport, units[s:e].tolist(), lam[s:e].tolist(),
-                [r_init] + trace.r_series[:-1], trace.r_series, delta[s:e].tolist())
-        )
-    return finals
+    if steps:
+        # drop the chunks once sorted: kept, they would add to the peak while the lists are built
+        ids, *columns = zip(*steps)
+        del steps
+        ids = np.concatenate(ids)
+        order = np.argsort(ids, kind="stable")
+        units, lam, r_after, deficit = (np.concatenate(col)[order] for col in columns)
+        del columns
+        ends = np.cumsum(np.bincount(ids, minlength=len(runs))).tolist()
+        for (*_, trace), s, e in zip(runs, [0] + ends[:-1], ends):
+            trace.units, trace.lambdas = units[s:e].tolist(), lam[s:e].tolist()
+            trace.r_series, trace.deficit_series = r_after[s:e].tolist(), deficit[s:e].tolist()
+    return finals, met.tolist()
 
 
 def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=False):
@@ -580,16 +575,16 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     schedules = list(schedules)
     check_structure(net)
     eligible, notes = _balanceable(net, allow_nonhomogeneous)
-    traces = [BalanceTrace(notes=list(notes)) for _ in schedules]
+    eng = _Engine(net, cost, [(u,) for u in eligible])
+    r_init = float(eng.r_init[0])
+    traces = [BalanceTrace(r_initial=r_init, notes=list(notes)) for _ in schedules]
     results = [(net, trace) for trace in traces]  # what a run that takes no step returns
     if not eligible:
         for trace in traces:
             trace.notes.append("nothing to balance")
         return results
-    eng = _Engine(net, cost, [(u,) for u in eligible])
-    r_init, start = float(eng.r_init[0]), float(eng.deficit()[0])
+    start = float(eng.deficit()[0])
     index = {u: k for k, u in enumerate(eligible)}
-    default_cycle = None
     unit_runs, tied_runs = [], {}  # (schedule index, picks, tol_abs); partition -> (index, tol_abs)
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
         tol_abs = schedule.deficit_tol * max(r_init, _TINY) ** 2
@@ -599,16 +594,9 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
             unit_runs.append((i, _stochastic_picks(schedule.seed, len(eligible)), tol_abs))
             continue
         if schedule.kind == "sequential" and schedule.order is not None:
-            cycle = []
-            for u in schedule.order:
-                if u in index:
-                    cycle.append(index[u])
-                else:
-                    trace.notes.append(f"unit {u} skipped in order: not balanceable")
+            cycle = _order_cycle(schedule.order, index, trace.notes)
         elif schedule.kind in ("sequential", "partial_pass"):
-            if default_cycle is None:
-                default_cycle = [index[u] for u in _default_order(net, eligible)]
-            cycle = default_cycle
+            cycle = _default_cycle(net, index)
         else:
             partition = schedule.partition
             if partition is None:
@@ -633,9 +621,12 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     def run(batch, runs):
         batch.select(np.zeros(len(runs), dtype=np.int64))
         specs = [(picks, tol_abs, schedules[i].max_steps, traces[i]) for i, picks, tol_abs in runs]
-        finals = _run_batch(batch, specs)
-        for (i, _, _), w in zip(runs, finals):
+        finals, met = _run_batch(batch, specs)
+        for (i, _, _), w, ok in zip(runs, finals, met):
             results[i] = (net.replace_weights(w), traces[i])
+            if not ok:
+                traces[i].converged = False
+                traces[i].notes.append(f"stopped after max_steps={schedules[i].max_steps}")
 
     run(eng, unit_runs)
     for parts, runs in tied_runs.items():
@@ -659,11 +650,6 @@ def run_balancing(net, schedule: Schedule, cost: CostSpec, allow_nonhomogeneous=
 
 
 def trace_to_csv(trace: BalanceTrace) -> str:
-    buf = io.StringIO()
-    buf.write("step,unit,lambda_star,delta_r,r_after,deficit_after\n")
-    for k, rep in enumerate(trace.steps):
-        buf.write(
-            f"{k},{rep.unit},{rep.lambda_star!r},{rep.delta_r!r},"
-            f"{trace.r_series[k]!r},{trace.deficit_series[k]!r}\n"
-        )
-    return buf.getvalue()
+    return "step,unit,lambda_star,delta_r,r_after,deficit_after\n" + "".join(
+        f"{k},{u},{lam!r},{r0 - r!r},{r!r},{d!r}\n" for k, (u, lam, r0, r, d) in enumerate(trace._rows())
+    )

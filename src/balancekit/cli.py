@@ -118,7 +118,7 @@ def cmd_balance(args) -> int:
     summary = {
         "r_before": r_before,
         "r_after": network_cost(final, cost),
-        "steps": len(trace.steps),
+        "steps": len(trace.units),
         "final_deficit": network_deficit(final, cost),
         "converged": trace.converged,
         "notes": trace.notes,

@@ -383,16 +383,28 @@ def validate(net: Network) -> list:
     """Return a list of invariant violations (empty iff the network is valid).
 
     The structural problems of ``structural_problems`` come first, then the
-    hidden units with an all-zero incoming or outgoing side, which a run can
-    skip but a valid network should not have.
+    hidden units with a dead incoming or outgoing side (see ``_dead_sides``),
+    which a run skips but a valid network should not have.
     """
     problems = structural_problems(net)
-    for h in net.hidden_ids:
-        if not any(e.weight != 0.0 for e in net._in[h]):
+    hidden = net.hidden_ids
+    dead_in, dead_out = _dead_sides(net, hidden)
+    for h, no_in, no_out in zip(hidden, dead_in.tolist(), dead_out.tolist()):
+        if no_in:
             problems.append(f"hidden unit {h} has no nonzero incoming weight")
-        if not any(e.weight != 0.0 for e in net._out[h]):
+        if no_out:
             problems.append(f"hidden unit {h} has no nonzero outgoing weight")
     return problems
+
+
+def _dead_sides(net: Network, ids):
+    """Per unit of ``ids``: whether its incoming side is dead, and whether its outgoing side is.
+
+    A side is dead when it has no nonzero edge; self-loops count on neither side.
+    """
+    s = net.structure
+    live = (net.w != 0.0) & (s.src != s.dst)
+    return ~np.isin(ids, s.dst[live]), ~np.isin(ids, s.src[live])
 
 
 def check_structure(net: Network) -> None:

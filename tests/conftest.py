@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles kept deliberately separate from
 the library code paths they check."""
 
+import io
 import json
 import math
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 
 import balancekit as bk
+from balancekit import balancing
 from balancekit.activations import activate, activation_from_json, activation_to_json
-from balancekit.netgraph import NetworkFormatError
+from balancekit.netgraph import NetworkFormatError, topological_order
 from balancekit.regularizer import weight_cost
 
 
@@ -146,6 +148,44 @@ def reference_deserialize(text):
         raise NetworkFormatError(f"'recurrent' must be true or false, got {recurrent!r}")
     unroll_steps = _reference_whole_number(doc.get("unroll_steps", 3), "'unroll_steps'")
     return bk.Network(units, edges, recurrent=recurrent, unroll_steps=unroll_steps)
+
+
+def reference_partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
+    """One pass stepped unit by unit on a one-row engine, with a ``BalanceReport`` built per step.
+
+    Returns the network, the reports, the cost and deficit after each step,
+    and the notes.
+    """
+    net.structure.check()
+    eligible, notes = balancing._balanceable(net, allow_nonhomogeneous)
+    eng = balancing._Engine(net, cost, [(u,) for u in eligible])
+    index = {u: k for k, u in enumerate(eligible)}
+    if order is None:
+        order = eligible if net.recurrent else [u for u in topological_order(net) if u in index]
+    steps, r_series, deficit_series = [], [], []
+    for u in [int(u) for u in order]:
+        if u not in index:
+            notes.append(f"unit {u} skipped in pass: not balanceable")
+            continue
+        r_before = float(eng.r[0])
+        lam = float(eng.step(np.array([index[u]]))[0])
+        r_after = float(eng.r[0])
+        steps.append(bk.BalanceReport(u, lam, r_before, r_after, r_before - r_after))
+        r_series.append(r_after)
+        deficit_series.append(float(eng.deficit()[0]))
+    return eng.to_network(), steps, r_series, deficit_series, notes
+
+
+def reference_trace_to_csv(trace):
+    """The trace's CSV written one ``BalanceReport`` at a time."""
+    buf = io.StringIO()
+    buf.write("step,unit,lambda_star,delta_r,r_after,deficit_after\n")
+    for k, rep in enumerate(trace.steps):
+        buf.write(
+            f"{k},{rep.unit},{rep.lambda_star!r},{rep.delta_r!r},"
+            f"{trace.r_series[k]!r},{trace.deficit_series[k]!r}\n"
+        )
+    return buf.getvalue()
 
 
 def same_network(a, b):

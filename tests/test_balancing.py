@@ -16,6 +16,8 @@ from conftest import (
     golden_lambda,
     random_layered,
     recurrent_bipu,
+    reference_partial_balance_pass,
+    reference_trace_to_csv,
     star_neuron,
 )
 
@@ -762,3 +764,74 @@ def test_criterion4_schedules_in_one_batch_keep_their_step_counts():
     assert [len(trace.steps) for _, trace in runs] == [
         393, 361, 339, 362, 350, 423, 384, 368, 421, 462, 452, 393,
     ]
+
+
+# -- the partial pass as a capped run, and traces kept as columns ---------------
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    recurrent=st.booleans(),
+    cost=st.sampled_from([bk.l2(), bk.lp(1.5), MIXED]),
+    zeros=st.lists(st.integers(0, 2**16), max_size=3),
+    picks=st.none() | st.lists(st.integers(0, 2**16), max_size=12),
+)
+@example(seed=0, recurrent=False, cost=MIXED, zeros=[], picks=None)
+@example(seed=1, recurrent=True, cost=bk.lp(1.5), zeros=[5], picks=[0, 1, 2, 3, 3])
+def test_partial_pass_is_the_unit_by_unit_loop(seed, recurrent, cost, zeros, picks):
+    net, dead = _net_with_dead_unit(seed, recurrent)
+    w = net.weights()
+    w[[k % w.size for k in zeros]] = 0.0
+    net = net.replace_weights(w)
+    order = None
+    if picks is not None:
+        # hidden units, the dead one and visible ones, which the pass skips with a note
+        pool = net.hidden_ids + net.input_ids + net.output_ids
+        order = [pool[k % len(pool)] for k in picks] + [dead, net.output_ids[0]]
+    out, trace = bk.partial_balance_pass(net, cost, order)
+    ref, reports, r_series, deficit_series, notes = reference_partial_balance_pass(net, cost, order)
+    assert out.weights().tobytes() == ref.weights().tobytes()
+    assert _bits(list(map(astuple, trace.steps))) == _bits(list(map(astuple, reports)))
+    assert _bits(trace.r_series) == _bits(r_series)
+    assert _bits(trace.deficit_series) == _bits(deficit_series)
+    assert trace.notes == [note.replace(" in pass:", " in order:") for note in notes]
+    assert trace.converged
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda net: bk.partial_balance_pass(net, bk.l2()),
+        lambda net: bk.run_balancing(net, bk.Schedule("sequential"), bk.l2()),
+    ],
+    ids=["partial_balance_pass", "run_balancing"],
+)
+def test_runs_reject_a_non_finite_weight(run):
+    net = bk.make_layered([2, 3, 1], seed=0)
+    w = net.weights()
+    w[0] = np.nan
+    with pytest.raises(ValueError, match=r"invalid network: edge \(0->2\): non-finite weight nan"):
+        run(net.replace_weights(w))
+
+
+_CSV_CASES = {
+    "no step": lambda net: bk.run_balancing(net, bk.Schedule("sequential", deficit_tol=1e3), bk.l2()),
+    "max_steps": lambda net: bk.run_balancing(
+        net, bk.Schedule("stochastic", seed=2, deficit_tol=0.0, max_steps=300), MIXED
+    ),
+    "converged": lambda net: bk.run_balancing(
+        net, bk.Schedule("sequential", deficit_tol=1e-14, max_steps=100_000), bk.lp(1.5)
+    ),
+    "layer_tied": lambda net: bk.run_balancing(
+        net, bk.Schedule("layer_tied", deficit_tol=1e-14, max_steps=100_000), bk.l2()
+    ),
+    "partial pass": lambda net: bk.partial_balance_pass(net, MIXED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CSV_CASES))
+def test_trace_csv_is_the_report_by_report_writer(case):
+    _, trace = _CSV_CASES[case](_criterion4_net())
+    assert {"no step": not trace.units, "max_steps": not trace.converged}.get(case, trace.converged)
+    assert trace_to_csv(trace) == reference_trace_to_csv(trace)

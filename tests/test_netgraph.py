@@ -125,6 +125,21 @@ def test_validate_flags_dead_hidden_unit():
     assert any("unit 1" in p and "outgoing" in p for p in problems)
 
 
+def test_validate_and_runs_agree_on_a_unit_fed_only_by_its_self_loop():
+    # a self-loop counts on neither side, so unit 1's incoming side is dead
+    units = [
+        bk.Unit(0, bk.INPUT, bk.IDENTITY),
+        bk.Unit(1, bk.HIDDEN, bk.RELU),
+        bk.Unit(2, bk.HIDDEN, bk.RELU),
+        bk.Unit(3, bk.OUTPUT, bk.IDENTITY),
+    ]
+    weights = {(0, 1): 0.0, (1, 1): 0.5, (0, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0, (2, 1): 0.0}
+    net = bk.Network(units, [bk.Edge(a, b, w) for (a, b), w in weights.items()], recurrent=True)
+    assert bk.validate(net) == ["hidden unit 1 has no nonzero incoming weight"]
+    _, trace = bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
+    assert trace.notes[0] == "unit 1 skipped: all-zero incoming or outgoing side"
+
+
 def test_validate_flags_cycle_in_feedforward():
     units = [
         bk.Unit(0, bk.INPUT, bk.IDENTITY),
