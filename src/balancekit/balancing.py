@@ -14,14 +14,16 @@ self-loop of a recurrent unit, picks up lam**(1-c), which is still
 function-preserving and which for c = 1 means it never changes and drops out
 of every balance computation.
 
-Runs of several schedules on one network advance together in one batched
-engine (``run_balancing_many``); a single run is the batch of one.
+Runs of several schedules on one network that balance the same sets advance
+together in one batched engine (``run_balancing_many``); a single run is the
+batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -90,8 +92,10 @@ class Schedule:
     seeded PCG64 generator), "sequential" (cycle a fixed order), "partial_pass"
     (cycle the input-to-output order), "layer_independent" (cycle the layer
     partition, balancing each unit on its own) and "layer_tied" (cycle the
-    partition, one shared factor per subset).  The run stops when the summed
-    deficit falls below ``deficit_tol * r_initial**2`` (the deficit is
+    partition, one shared factor per subset; the subsets must be disjoint).
+    The run stops, or takes no step, when the summed deficit of the sets it
+    balances (the per-subset gap for "layer_tied", else the single-unit
+    deficit) falls below ``deficit_tol * r_initial**2`` (the deficit is
     quadratic in the cost, so normalizing by the squared initial cost makes
     the tolerance dimensionless) or after ``max_steps`` single balancing
     operations.
@@ -125,25 +129,31 @@ class Schedule:
 _PAD = 3  # side code of a padding slot in the per-set edge table
 
 
-def _set_edges(src, dst, units):
-    """Edges touching a unit set, and their side: 0 into it, 1 out of it, 2 both ends in it."""
-    if len(units) == 1:
-        into, outof = dst == units[0], src == units[0]
-    else:
-        into, outof = np.isin(dst, units), np.isin(src, units)
-    sel = np.flatnonzero(into | outof)
-    side = outof[sel].astype(np.int64) + (into[sel] & outof[sel])
-    return sel, side
+def _set_edges(src, dst, sets, n_units):
+    """(set, edge, side) entries of the edges touching each of the disjoint unit sets.
+
+    The entries are ordered by set, then by edge; the side is 0 into the set,
+    1 out of it, 2 with both ends in it.  Unit ids must be dense, below ``n_units``.
+    """
+    members = np.fromiter(chain.from_iterable(sets), np.int64)
+    member_set = np.repeat(np.arange(len(sets)), [len(units) for units in sets])
+    owner = np.full(n_units, -1, dtype=np.int64)
+    owner[members] = member_set
+    shared = members[owner[members] != member_set]
+    if shared.size:
+        raise ValueError(f"unit {shared[0]} lies in more than one of the sets balanced together")
+    head, tail = owner[dst], owner[src]
+    # an edge enters its head's set, and leaves its tail's set when that is another one
+    into, outof = np.flatnonzero(head >= 0), np.flatnonzero((tail >= 0) & (tail != head))
+    k, edge = np.concatenate([head[into], tail[outof]]), np.concatenate([into, outof])
+    side = np.concatenate([np.where(tail[into] == head[into], 2, 0), np.ones(outof.size, np.int64)])
+    order = np.argsort(k * src.size + edge)
+    return k[order], edge[order], side[order]
 
 
 def _exponents(c):
-    """Exponent of lam per side, [dst in S] - c [src in S]: into, out of, inside the set."""
-    return (1.0, -c, 1.0 - c)
-
-
-def _factors(lam, c, side):
-    """Per-edge factors of scaling a unit set with exponent c by lam."""
-    return np.array([lam**e for e in _exponents(c)])[side]
+    """Exponent of lam per side code, [dst in S] - c [src in S]: into, out of, inside S, padding."""
+    return (1.0, -c, 1.0 - c, 0.0)
 
 
 def _edge_costs(cost, w):
@@ -161,11 +171,12 @@ def _edge_costs(cost, w):
 
 
 def _bisect_log_lambda(cost, sums, c):
-    """Cost-minimizing factor of one set from its per-term side sums (terms, 3), by bisection.
+    """Cost-minimizing factor of one set from its per-term side sums (terms, 4), by bisection.
 
     The function bisected is lam * d/dlam of the objective, strictly
     increasing in t = log lam.  The bracket starts around the per-term
-    closed forms and widens until the function changes sign.
+    closed forms and widens until the function changes sign.  The padding
+    sums are zero, so they drop out with every other zero sum.
     """
     ps = np.array([p for p, _ in cost.terms])
     pe = np.outer(ps, _exponents(c))
@@ -228,33 +239,27 @@ class _Engine:
         self._ec, self._q = _edge_costs(cost, self._w)
         self.r = self.r_init = self._ec[:, :n_edges].sum(axis=1)
 
-        tables = [_set_edges(self.src, self.dst, units) for units in sets]
+        k, edge, side = _set_edges(self.src, self.dst, sets, len(net.structure.units))
         self.unit = np.array([units[0] for units in sets], dtype=np.int64)
         self.c = net.structure.exponent[self.unit]
-        width = max((sel.size for sel, _ in tables), default=0)
-        self._edge = np.full((len(sets), width), n_edges, dtype=np.int64)
-        self._side = np.full((len(sets), width), _PAD, dtype=np.int64)
-        for k, (sel, side) in enumerate(tables):
-            self._edge[k, : sel.size] = sel
-            self._side[k, : side.size] = side
-        zero, one = np.zeros(len(sets)), np.ones(len(sets))
-        power = np.stack([one, -self.c, one - self.c, zero], axis=1)  # lam exponent per side code
+        sizes = np.bincount(k, minlength=len(sets))
+        starts = np.cumsum(sizes) - sizes
+        slot = np.arange(k.size) - starts[k]  # position of each entry in its set's row
+        self._edge = np.full((len(sets), sizes.max(initial=0)), n_edges, dtype=np.int64)
+        self._side = np.full(self._edge.shape, _PAD, dtype=np.int64)
+        self._edge[k, slot], self._side[k, slot] = edge, side
+        power = np.empty((len(sets), 4))  # lam exponent per side code
+        power[:, 0], power[:, 1], power[:, 2], power[:, 3] = _exponents(self.c)
         self._power = np.take_along_axis(power, self._side, axis=1)
-        self._sel = np.concatenate([sel for sel, _ in tables] + [np.zeros(0, dtype=np.int64)])
-        self._sign = np.concatenate(
-            [self._power[k, : sel.size] for k, (sel, _) in enumerate(tables)] + [np.zeros(0)]
-        )
+        self._sel, self._sign = edge, power[k, side]
         # each set's entries are contiguous; a set with no edge has no gap
-        sizes = np.array([sel.size for sel, _ in tables], dtype=np.int64)
-        self._starts = (np.cumsum(sizes) - sizes)[sizes > 0]
+        self._starts = starts[sizes > 0]
 
         single = cost.single_term
         # the closed form's exponent, and whether every set takes it whatever the weights
         # (a set with no edge inside has S = 0 exactly)
         self._root = None if single is None else 1.0 / (single[0] * (self.c + 1.0))
-        self._all_closed = single is not None and all(
-            c == 1.0 or not (side == 2).any() for c, (_, side) in zip(self.c, tables)
-        )
+        self._all_closed = single is not None and not ((side == 2) & (self.c[k] != 1.0)).any()
         self._index()
 
     def _index(self):
@@ -315,7 +320,7 @@ class _Engine:
         # a bisection takes tens of steps whose control flow differs per row;
         # run one row at a time, it costs less than masked array steps
         for row in np.flatnonzero(solve).tolist():
-            lam[row] = _bisect_log_lambda(self.cost, sums[row, :, :_PAD], float(c[row]))
+            lam[row] = _bisect_log_lambda(self.cost, sums[row], float(c[row]))
         return lam
 
     def lambda_star(self, ks):
@@ -368,18 +373,18 @@ def _unit_exponent(net, i, allow_nonhomogeneous):
     return c
 
 
-def _check_tied(units, exponents, src, dst):
+def _check_tied(net, units):
     """Reject a tied set that mixes exponents or has an edge inside it."""
-    if len(set(exponents)) != 1:
-        raise ValueError(
-            f"tied subset {sorted(units)} mixes homogeneity exponents {sorted(set(exponents))}"
-        )
-    sel, side = _set_edges(src, dst, units)
-    inside = sel[side == 2]
+    s = net.structure
+    exponents = np.unique(s.exponent[list(units)]).tolist()
+    if len(exponents) != 1:
+        raise ValueError(f"tied subset {sorted(units)} mixes homogeneity exponents {exponents}")
+    _, edge, side = _set_edges(s.src, s.dst, [units], len(s.units))
+    inside = edge[side == 2]
     if inside.size:
         k = inside[0]
         raise ValueError(
-            f"edge ({src[k]}->{dst[k]}) connects two units of tied subset {sorted(units)}"
+            f"edge ({s.src[k]}->{s.dst[k]}) connects two units of tied subset {sorted(units)}"
         )
 
 
@@ -397,9 +402,9 @@ def scale_neuron(net, i, lam, allow_nonhomogeneous=False) -> Network:
     if not lam > 0.0:
         raise ValueError(f"scaling factor must be > 0, got {lam}")
     c = _unit_exponent(net, i, allow_nonhomogeneous)
-    sel, side = _set_edges(net.structure.src, net.structure.dst, (i,))
+    _, edge, side = _set_edges(net.structure.src, net.structure.dst, [(i,)], len(net.units))
     w = net.weights()
-    w[sel] *= _factors(lam, c, side)
+    w[edge] *= np.array([lam**e for e in _exponents(c)])[side]
     return net.replace_weights(w)
 
 
@@ -426,8 +431,9 @@ def balance_subset_tied(net, units, cost: CostSpec, allow_nonhomogeneous=False):
     units = tuple(sorted(set(int(u) for u in units)))
     if not units:
         raise ValueError("empty unit set")
-    exponents = [_unit_exponent(net, u, allow_nonhomogeneous) for u in units]
-    _check_tied(units, exponents, net.structure.src, net.structure.dst)
+    for u in units:
+        _unit_exponent(net, u, allow_nonhomogeneous)
+    _check_tied(net, units)
     return _balance_set(net, units, cost)
 
 
@@ -567,15 +573,16 @@ def _run_batch(eng, runs):
 def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=False):
     """Run every schedule on ``net``: ``[run_balancing(net, s, cost) for s in schedules]``.
 
-    The runs share one engine that holds one weight row per run and advances
-    every unfinished run by one step at a time; each run stops on its own
-    tolerance or step cap.  ``layer_tied`` runs balance other unit sets, so
-    each partition gets its own engine.
+    Runs that balance the same unit sets (the disjoint subsets of a
+    ``layer_tied`` partition, else the single units) share one engine, which
+    holds one weight row per run and advances every unfinished run by one
+    step at a time; each run starts and stops on its own sets' deficit.
     """
     schedules = list(schedules)
     check_structure(net)
     eligible, notes = _balanceable(net, allow_nonhomogeneous)
-    eng = _Engine(net, cost, [(u,) for u in eligible])
+    singles = tuple((u,) for u in eligible)
+    eng = _Engine(net, cost, singles)
     r_init = float(eng.r_init[0])
     traces = [BalanceTrace(r_initial=r_init, notes=list(notes)) for _ in schedules]
     results = [(net, trace) for trace in traces]  # what a run that takes no step returns
@@ -585,13 +592,16 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
         return results
     start = float(eng.deficit()[0])
     index = {u: k for k, u in enumerate(eligible)}
-    unit_runs, tied_runs = [], {}  # (schedule index, picks, tol_abs); partition -> (index, tol_abs)
+    families = {}  # unit sets -> runs on them: (schedule index, picks, tol_abs)
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
         tol_abs = schedule.deficit_tol * max(r_init, _TINY) ** 2
-        if start <= tol_abs:
-            continue
+        sets = singles
+        if schedule.kind != "layer_tied" and start <= tol_abs:
+            continue  # before the order is read, so a converged run adds no note
         if schedule.kind == "stochastic":
-            unit_runs.append((i, _stochastic_picks(schedule.seed, len(eligible)), tol_abs))
+            families.setdefault(sets, []).append(
+                (i, _stochastic_picks(schedule.seed, len(eligible)), tol_abs)
+            )
             continue
         if schedule.kind == "sequential" and schedule.order is not None:
             cycle = _order_cycle(schedule.order, index, trace.notes)
@@ -605,37 +615,27 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
             parts = [part for part in parts if part]
             if schedule.kind == "layer_independent":
                 cycle = [index[u] for part in parts for u in part]
-            elif parts:
-                parts = tuple(tuple(sorted(part)) for part in parts)
-                for part in parts:
-                    _check_tied(part, [eng.c[index[u]].item() for u in part], eng.src, eng.dst)
-                tied_runs.setdefault(parts, []).append((i, tol_abs))
-                continue
             else:
-                cycle = []
+                sets = tuple(tuple(sorted(part)) for part in parts)
+                for part in sets:
+                    _check_tied(net, part)
+                cycle = range(len(sets))
         if not cycle:
             trace.notes.append("nothing to balance")
             continue
-        unit_runs.append((i, _cyclic_picks(cycle), tol_abs))
+        families.setdefault(sets, []).append((i, _cyclic_picks(cycle), tol_abs))
 
-    def run(batch, runs):
+    for sets, runs in families.items():
+        batch = eng if sets == singles else _Engine(net, cost, sets)
+        gap = float(batch.deficit()[0])
+        runs = [run for run in runs if gap > run[2]]
         batch.select(np.zeros(len(runs), dtype=np.int64))
         specs = [(picks, tol_abs, schedules[i].max_steps, traces[i]) for i, picks, tol_abs in runs]
-        finals, met = _run_batch(batch, specs)
-        for (i, _, _), w, ok in zip(runs, finals, met):
+        for (i, _, _), w, ok in zip(runs, *_run_batch(batch, specs)):
             results[i] = (net.replace_weights(w), traces[i])
             if not ok:
                 traces[i].converged = False
                 traces[i].notes.append(f"stopped after max_steps={schedules[i].max_steps}")
-
-    run(eng, unit_runs)
-    for parts, runs in tied_runs.items():
-        # tied moves only equalize per-subset aggregates, so the subsets are
-        # the sets whose deficit stops the run
-        eng = _Engine(net, cost, parts)
-        gap = float(eng.deficit()[0])
-        cycle = _cyclic_picks(range(len(parts)))
-        run(eng, [(i, cycle, tol_abs) for i, tol_abs in runs if gap > tol_abs])
     return results
 
 

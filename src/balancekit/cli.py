@@ -9,6 +9,7 @@ environment variable BALANCEKIT_SEED overrides it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -31,7 +32,7 @@ from .activations import (
 )
 from .balancing import Schedule, network_deficit, run_balancing, run_balancing_many, trace_to_csv
 from .manifold import apply_multipliers, solve_convex
-from .netgraph import check_structure, forward, load, make_layered, save
+from .netgraph import forward, load, make_layered, save
 from .regularizer import network_cost, parse_cost
 from .training import (
     BalanceMode,
@@ -106,13 +107,12 @@ def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedul
 
 def cmd_balance(args) -> int:
     net = load(args.net)
-    check_structure(net)
     cost = parse_cost(args.cost)
     seed = _env_seed(args.seed)
     schedule = _parse_schedule(args.schedule, seed, args.tol, args.max_steps)
-    out = _out_dir(args.out)
     r_before = network_cost(net, cost)
-    final, trace = run_balancing(net, schedule, cost)
+    final, trace = run_balancing(net, schedule, cost)  # checks the structure first
+    out = _out_dir(args.out)
     save(final, out / "balanced.json")
     (out / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8")
     summary = {
@@ -266,13 +266,13 @@ def cmd_train(args) -> int:
     _manifest(out, "train", {"config": str(args.config), "seeds": seeds, "arms": arms})
 
     train_spec = config["train"]
+    train_data, test_data = _build_data(config["data"])
     diverged = False
     per_arm_rows = {}
     for arm in arms:
         for seed in seeds:
             run_dir = _out_dir(out / arm / f"seed_{seed}")
             net = _build_net(config["net"], seed)
-            train_data, test_data = _build_data(config["data"])
             cfg = _train_config(train_spec, arm, seed)
             note = ""
             try:
@@ -364,6 +364,7 @@ def cmd_approx(args) -> int:
 # -- argument plumbing -------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="balancekit")
     sub = top.add_subparsers(dest="command", required=True)
@@ -376,7 +377,7 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--max-steps", type=int, default=100_000)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_balance)
+    b.set_defaults(func="cmd_balance")
 
     v = sub.add_parser("verify-uniqueness", help="many stochastic runs vs the convex oracle")
     v.add_argument("--net", required=True)
@@ -386,13 +387,13 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--max-steps", type=int, default=200_000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", required=True)
-    v.set_defaults(func=cmd_verify_uniqueness)
+    v.set_defaults(func="cmd_verify_uniqueness")
 
     t = sub.add_parser("train", help="train per a JSON config, with seed sweeps")
     t.add_argument("--config", required=True)
     t.add_argument("--seeds", default="")
     t.add_argument("--out", required=True)
-    t.set_defaults(func=cmd_train)
+    t.set_defaults(func="cmd_train")
 
     a = sub.add_parser("approx", help="build the piecewise-linear interpolating network")
     a.add_argument("--samples", required=True)
@@ -400,14 +401,15 @@ def _parser() -> argparse.ArgumentParser:
     a.add_argument("--n", type=int, default=None)
     a.add_argument("--grid", type=int, default=10_000)
     a.add_argument("--out", required=True)
-    a.set_defaults(func=cmd_approx)
+    a.set_defaults(func="cmd_approx")
     return top
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # by name at call time: the parser is built once, and outlives a replaced command function
+        return globals()[args.func](args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -25,6 +25,9 @@ import numpy as np
 from .netgraph import BIAS, INPUT, OUTPUT, Network, neighbours, reachable
 from .regularizer import CostSpec
 
+_GRAD_TOL = 1e-10  # Newton stops at this gradient sup-norm of the normalized objective
+_MAX_ITER = 200  # Newton iterations before the solve gives up
+
 
 class UnidentifiableUnitError(ValueError):
     """Hidden units whose multipliers are not pinned down by any nonzero path."""
@@ -230,12 +233,7 @@ def project_balancing_run(final_net: Network, initial_net: Network) -> SelfConsi
     return SelfConsistentConfig(L)
 
 
-def solve_convex(
-    net: Network,
-    cost: CostSpec,
-    grad_tol: float = 1e-10,
-    max_iter: int = 200,
-) -> ConvexSolution:
+def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
     """Minimize the total weight cost over the rescaling manifold.
 
     Variables are the log multipliers l of the hidden homogeneous units (every
@@ -245,8 +243,9 @@ def solve_convex(
     objective starts at 1 at any weight scale.  The objective is smooth and
     strictly convex, so a damped Newton iteration converges in a handful of
     steps; it stops when the gradient sup-norm of the normalized objective
-    falls below ``grad_tol`` (an absolute tolerance would sit under the
-    floating-point floor for large-cost problems).
+    falls below ``_GRAD_TOL`` (an absolute tolerance would sit under the
+    floating-point floor for large-cost problems), and raises
+    ``ConvexSolverError`` after ``_MAX_ITER`` iterations without.
     """
     structure = net.structure
     structure.check()
@@ -291,11 +290,11 @@ def solve_convex(
         dz = np.sum(p * t, axis=0)
         g = (np.bincount(dst, dz, n) - np.bincount(src, csrc * dz, n))[free]
         grad_norm = float(np.max(np.abs(g)))
-        if grad_norm <= grad_tol:
+        if grad_norm <= _GRAD_TOL:
             break
-        if iterations >= max_iter:
+        if iterations >= _MAX_ITER:
             raise ConvexSolverError(
-                f"no convergence after {max_iter} Newton iterations (grad={grad_norm:.3e})"
+                f"no convergence after {_MAX_ITER} Newton iterations (grad={grad_norm:.3e})"
             )
         hz = np.sum(p * p * t, axis=0)
         H = np.bincount(h_at, np.tile(hz, 4) * h_by, n * n).reshape(n, n)[np.ix_(free, free)]

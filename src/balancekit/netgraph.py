@@ -37,7 +37,6 @@ OUTPUT = "output"
 HIDDEN = "hidden"
 BIAS = "bias-source"
 ROLES = (INPUT, OUTPUT, HIDDEN, BIAS)
-VISIBLE_ROLES = (INPUT, OUTPUT, BIAS)
 
 DOCUMENT_VERSION = 1
 
@@ -331,9 +330,6 @@ class Network:
     @property
     def bias_ids(self):
         return self.ids_with_role(BIAS)
-
-    def is_visible(self, i: int) -> bool:
-        return self.unit(i).role in VISIBLE_ROLES
 
     def weights(self) -> np.ndarray:
         return self.w.copy()

@@ -294,9 +294,18 @@ def sgd_train(net: Network, train: Dataset, test: Dataset, config: TrainConfig):
     netgraph.check_structure(net)
     mode = config.balance
     bal_cost = mode.cost if mode.cost is not None else l2()
-    if mode.kind in ("full_at_start", "full_each_epoch"):
+
+    def rebalance(net, partial=False):
+        """``net`` after one partial pass, or after a sequential run to the mode's tolerance."""
+        if partial:
+            return balancing.partial_balance_pass(
+                net, bal_cost, allow_nonhomogeneous=mode.allow_nonhomogeneous
+            )[0]
         sched = balancing.Schedule("sequential", deficit_tol=mode.tol, max_steps=200_000)
-        net, _ = balancing.run_balancing(net, sched, bal_cost, mode.allow_nonhomogeneous)
+        return balancing.run_balancing(net, sched, bal_cost, mode.allow_nonhomogeneous)[0]
+
+    if mode.kind in ("full_at_start", "full_each_epoch"):
+        net = rebalance(net)
 
     comp = _Compiled(net)
     t_train = _prepare_targets(config.loss, train.targets, len(comp.outputs))
@@ -331,17 +340,8 @@ def sgd_train(net: Network, train: Dataset, test: Dataset, config: TrainConfig):
                 raise TrainingDiverged(
                     f"non-finite weights at epoch {epoch}", metrics, comp.network()
                 )
-        if mode.kind == "partial_each_epoch":
-            balanced, _ = balancing.partial_balance_pass(
-                comp.network(), bal_cost, allow_nonhomogeneous=mode.allow_nonhomogeneous
-            )
-            comp.w = balanced.weights()
-        elif mode.kind == "full_each_epoch":
-            sched = balancing.Schedule("sequential", deficit_tol=mode.tol, max_steps=200_000)
-            balanced, _ = balancing.run_balancing(
-                comp.network(), sched, bal_cost, mode.allow_nonhomogeneous
-            )
-            comp.w = balanced.weights()
+        if mode.kind in ("partial_each_epoch", "full_each_epoch"):
+            comp.w = rebalance(comp.network(), mode.kind == "partial_each_epoch").weights()
         snapshot(epoch)
     return comp.network(), metrics
 

@@ -11,7 +11,7 @@ import pytest
 import balancekit as bk
 from balancekit import balancing
 from balancekit.activations import activate, activation_from_json, activation_to_json
-from balancekit.netgraph import NetworkFormatError, topological_order
+from balancekit.netgraph import NetworkFormatError, check_structure, hidden_layers, topological_order
 from balancekit.regularizer import weight_cost
 
 
@@ -174,6 +174,85 @@ def reference_partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=F
         r_series.append(r_after)
         deficit_series.append(float(eng.deficit()[0]))
     return eng.to_network(), steps, r_series, deficit_series, notes
+
+
+def reference_set_edges(src, dst, units):
+    """Edges touching one unit set, one scan of every edge, and their side: 0 in, 1 out, 2 inside."""
+    into, outof = np.isin(dst, units), np.isin(src, units)
+    sel = np.flatnonzero(into | outof)
+    return sel, outof[sel].astype(np.int64) + (into[sel] & outof[sel])
+
+
+def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=False):
+    """Runs with every schedule skipped when the single-unit deficit starts within its
+    tolerance, and each tied partition checked and balanced on an engine of its own.
+
+    Unit runs share one engine; a tied family runs only the runs whose
+    per-subset gap starts above their tolerance.
+    """
+    schedules = list(schedules)
+    check_structure(net)
+    eligible, notes = balancing._balanceable(net, allow_nonhomogeneous)
+    eng = balancing._Engine(net, cost, [(u,) for u in eligible])
+    r_init = float(eng.r_init[0])
+    traces = [bk.BalanceTrace(r_initial=r_init, notes=list(notes)) for _ in schedules]
+    results = [(net, trace) for trace in traces]
+    if not eligible:
+        for trace in traces:
+            trace.notes.append("nothing to balance")
+        return results
+    start = float(eng.deficit()[0])
+    index = {u: k for k, u in enumerate(eligible)}
+    unit_runs, tied_runs = [], {}
+    for i, (schedule, trace) in enumerate(zip(schedules, traces)):
+        tol_abs = schedule.deficit_tol * max(r_init, balancing._TINY) ** 2
+        if start <= tol_abs:
+            continue
+        if schedule.kind == "stochastic":
+            unit_runs.append((i, balancing._stochastic_picks(schedule.seed, len(eligible)), tol_abs))
+            continue
+        if schedule.kind == "sequential" and schedule.order is not None:
+            cycle = balancing._order_cycle(schedule.order, index, trace.notes)
+        elif schedule.kind in ("sequential", "partial_pass"):
+            cycle = balancing._default_cycle(net, index)
+        else:
+            partition = schedule.partition
+            if partition is None:
+                partition = hidden_layers(net)
+            parts = [tuple(u for u in part if u in index) for part in partition]
+            parts = [part for part in parts if part]
+            if schedule.kind == "layer_independent":
+                cycle = [index[u] for part in parts for u in part]
+            elif parts:
+                parts = tuple(tuple(sorted(part)) for part in parts)
+                for part in parts:
+                    balancing._check_tied(net, part)
+                tied_runs.setdefault(parts, []).append((i, tol_abs))
+                continue
+            else:
+                cycle = []
+        if not cycle:
+            trace.notes.append("nothing to balance")
+            continue
+        unit_runs.append((i, balancing._cyclic_picks(cycle), tol_abs))
+
+    def run(batch, runs):
+        batch.select(np.zeros(len(runs), dtype=np.int64))
+        specs = [(picks, tol_abs, schedules[i].max_steps, traces[i]) for i, picks, tol_abs in runs]
+        finals, met = balancing._run_batch(batch, specs)
+        for (i, _, _), w, ok in zip(runs, finals, met):
+            results[i] = (net.replace_weights(w), traces[i])
+            if not ok:
+                traces[i].converged = False
+                traces[i].notes.append(f"stopped after max_steps={schedules[i].max_steps}")
+
+    run(eng, unit_runs)
+    for parts, runs in tied_runs.items():
+        eng = balancing._Engine(net, cost, parts)
+        gap = float(eng.deficit()[0])
+        cycle = balancing._cyclic_picks(range(len(parts)))
+        run(eng, [(i, cycle, tol_abs) for i, tol_abs in runs if gap > tol_abs])
+    return results
 
 
 def reference_trace_to_csv(trace):

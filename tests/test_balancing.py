@@ -17,6 +17,8 @@ from conftest import (
     random_layered,
     recurrent_bipu,
     reference_partial_balance_pass,
+    reference_run_balancing_many,
+    reference_set_edges,
     reference_trace_to_csv,
     star_neuron,
 )
@@ -764,6 +766,119 @@ def test_criterion4_schedules_in_one_batch_keep_their_step_counts():
     assert [len(trace.steps) for _, trace in runs] == [
         393, 361, 339, 362, 350, 423, 384, 368, 421, 462, 452, 393,
     ]
+
+
+# -- one run path: runs grouped by the sets they balance -----------------------
+
+
+def _mixed_batch(net, dead, recurrent, draw):
+    """Schedules of every kind with drawn tolerances, caps, orders and tied partitions."""
+    hidden = list(net.hidden_ids)
+    layers = bk.netgraph.hidden_layers(net) if not recurrent else None
+    schedules = []
+    for _ in range(draw(st.integers(1, 13))):
+        kind = draw(st.sampled_from(_KINDS))
+        partition = order = None
+        if recurrent and kind.startswith("layer"):
+            kind, partition = "layer_independent", (tuple(hidden[::2]), tuple(hidden[1::2]))
+        elif kind.startswith("layer") and draw(st.booleans()):
+            # each layer split in two: tied subsets with no edge inside
+            partition = tuple(half for layer in layers for half in (layer[::2], layer[1::2]))
+        if kind == "sequential" and draw(st.booleans()):
+            order = tuple(draw(st.permutations(hidden))) + (dead, net.input_ids[0])
+        schedules.append(bk.Schedule(
+            kind, seed=draw(st.integers(0, 99)), order=order, partition=partition,
+            deficit_tol=draw(st.sampled_from([1e3, 0.0, 1e-12, 1e-16])),
+            max_steps=draw(st.integers(1, 300)),
+        ))
+    return schedules
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    recurrent=st.booleans(),
+    cost=st.sampled_from([bk.l2(), bk.lp(1.5), MIXED]),
+    data=st.data(),
+)
+def test_run_balancing_many_matches_the_per_kind_paths(seed, recurrent, cost, data):
+    net, dead = _net_with_dead_unit(seed, recurrent)
+    schedules = _mixed_batch(net, dead, recurrent, data.draw)
+    many = bk.run_balancing_many(net, schedules, cost)
+    ref = reference_run_balancing_many(net, schedules, cost)
+    for (out, trace), (ref_out, ref_trace) in zip(many, ref, strict=True):
+        assert out.weights().tobytes() == ref_out.weights().tobytes()
+        assert trace.units == ref_trace.units
+        for col in ("lambdas", "r_series", "deficit_series"):
+            assert _bits(getattr(trace, col)) == _bits(getattr(ref_trace, col)), col
+        assert _bits([trace.r_initial]) == _bits([ref_trace.r_initial])
+        assert trace.notes == ref_trace.notes
+        assert trace.converged == ref_trace.converged
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), recurrent=st.booleans(), data=st.data())
+def test_engine_tables_are_the_per_set_scans(seed, recurrent, data):
+    net, _ = _net_with_dead_unit(seed, recurrent)  # recurrent nets carry self-loops
+    w = net.weights()
+    w[data.draw(st.lists(st.integers(0, w.size - 1), max_size=4))] = 0.0
+    net = net.replace_weights(w)
+    hidden = list(net.hidden_ids)
+    # single units, or the hidden units dealt into disjoint groups, edges inside allowed
+    groups = data.draw(st.lists(st.integers(0, 3), min_size=len(hidden), max_size=len(hidden)))
+    grouped = [tuple(u for u, g in zip(hidden, groups) if g == k) for k in range(4)]
+    for sets in ([(u,) for u in hidden], [part for part in grouped if part]):
+        eng = balancing._Engine(net, bk.l2(), sets)
+        src, dst = net.structure.src, net.structure.dst
+        scans = [reference_set_edges(src, dst, units) for units in sets]
+        for k, (sel, side) in enumerate(scans):
+            real = eng._side[k] != balancing._PAD
+            assert real.sum() == sel.size
+            assert eng._edge[k][real].tolist() == sel.tolist()
+            assert eng._side[k][real].tolist() == side.tolist()
+        assert eng._sel.tolist() == [e for sel, _ in scans for e in sel.tolist()]
+
+
+def _balanced_criterion4_net():
+    net = _criterion4_net()
+    sched = bk.Schedule("layer_independent", deficit_tol=1e-30, max_steps=100_000)
+    return bk.run_balancing(net, sched, bk.l2())[0]
+
+
+def test_tied_run_starts_on_its_own_gap():
+    net = _balanced_criterion4_net()
+    for u in range(3, 9):
+        net = bk.scale_neuron(net, u, 1.0001)
+    r = bk.network_cost(net, bk.l2())
+    gap = 0.0
+    for part in bk.netgraph.hidden_layers(net):
+        inset = set(part)
+        gap += sum(e.weight**2 * ((e.dst in inset) - (e.src in inset)) for e in net.edges) ** 2
+    assert bk.network_deficit(net, bk.l2()) / r**2 == pytest.approx(2.79e-9, rel=1e-2)
+    assert gap / r**2 == pytest.approx(1.62e-8, rel=1e-2)
+    sched = bk.Schedule("layer_tied", deficit_tol=1e-8, max_steps=1000)
+    # judged by the single-unit deficit, the run took no step
+    (_, old), = reference_run_balancing_many(net, [sched], bk.l2())
+    assert old.converged and not old.units
+    _, trace = bk.run_balancing(net, sched, bk.l2())
+    assert trace.converged and trace.units
+    assert trace.deficit_series[-1] <= 1e-8 * r**2
+
+
+def test_tied_partition_is_checked_on_a_balanced_net():
+    net = _balanced_criterion4_net()
+    sched = bk.Schedule("layer_tied", partition=((3, 9),), deficit_tol=1e-8)
+    (_, old), = reference_run_balancing_many(net, [sched], bk.l2())
+    assert old.converged and not old.units
+    with pytest.raises(ValueError, match=r"edge \(3->9\) connects two units of tied subset \[3, 9\]"):
+        bk.run_balancing(net, sched, bk.l2())
+
+
+def test_tied_subsets_must_be_disjoint():
+    net = _balanced_criterion4_net()
+    partition = ((3, 4, 5, 6), (5, 6, 7, 8), (9, 10, 11, 12, 13, 14))
+    with pytest.raises(ValueError, match=r"\bunit 5\b"):
+        bk.run_balancing(net, bk.Schedule("layer_tied", partition=partition), bk.l2())
 
 
 # -- the partial pass as a capped run, and traces kept as columns ---------------

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import balancekit as bk
+from balancekit import cli
 from balancekit.cli import main
 from conftest import chain
 
@@ -142,6 +143,23 @@ def test_train_two_arms_aggregate(tmp_path):
     assert (out / "full_at_start" / "seed_2" / "network.json").exists()
 
 
+def test_train_builds_the_data_once_per_command(tmp_path, monkeypatch):
+    calls = []
+    build = cli._build_data
+    monkeypatch.setattr(cli, "_build_data", lambda spec: calls.append(spec) or build(spec))
+    cfg = _train_config(tmp_path, epochs=1, arms=["none", "partial_each_epoch"])
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 1
+
+
+def test_main_runs_the_command_function_the_module_holds(tmp_path, monkeypatch, chain_net_path):
+    assert cli._parser() is cli._parser()  # built once
+    seen = []
+    monkeypatch.setattr(cli, "cmd_balance", lambda args: seen.append(args.net) or 0)
+    assert main(["balance", "--net", str(chain_net_path), "--out", str(tmp_path / "o")]) == 0
+    assert seen == [str(chain_net_path)]
+
+
 def test_train_zero_epochs_single_row(tmp_path):
     cfg = _train_config(tmp_path, epochs=0)
     out = tmp_path / "t"
@@ -260,9 +278,11 @@ def test_balance_edge_to_unknown_unit_exits_one(tmp_path, capsys):
     doc["edges"].append({"from": 1, "to": 7, "weight": 1.0})
     p = tmp_path / "dangling.json"
     p.write_text(json.dumps(doc))
-    code = main(["balance", "--net", str(p), "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    code = main(["balance", "--net", str(p), "--out", str(out)])
     assert code == 1
     assert "unknown unit" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ['{"units": [1]}', '{"edges": [{"from": "x", "to": 1, "weight": 1}]}',
