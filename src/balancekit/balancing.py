@@ -57,13 +57,16 @@ class BalanceTrace:
     the total cost and the summed balance deficit of the balanced unit sets
     after it (for tied-layer runs the sets are the subsets, so the deficit is
     the aggregate per-subset gap, the quantity those moves can actually drive
-    to zero).  ``r_initial`` is the cost before the first step.  The costs are
-    the engine's (NumPy powers, pairwise row sums; see ``_edge_costs``), so
-    ``network_cost`` of the result can differ from ``r_series[-1]`` in the
-    last bits.  ``steps`` builds one ``BalanceReport`` per step from the
-    columns on every read.  ``notes`` collects skipped units and other
-    annotations; ``converged`` reports whether the stop criterion was met
-    within the step budget.
+    to zero).  There is one row per step even where the engine solved a
+    whole block of edge-disjoint sets at once: each step writes one set, and
+    its cost and deficit are summed afresh from the weights after it, so the
+    columns are those of balancing one set at a time.  ``r_initial`` is the
+    cost before the first step.  The costs are the engine's (NumPy powers,
+    pairwise row sums; see ``_edge_costs``), so ``network_cost`` of the
+    result can differ from ``r_series[-1]`` in the last bits.  ``steps``
+    builds one ``BalanceReport`` per step from the columns on every read.
+    ``notes`` collects skipped units and other annotations; ``converged``
+    reports whether the stop criterion was met within the step budget.
     """
 
     units: list = field(default_factory=list)
@@ -144,10 +147,11 @@ def _set_edges(src, dst, sets, n_units):
         raise ValueError(f"unit {shared[0]} lies in more than one of the sets balanced together")
     head, tail = owner[dst], owner[src]
     # an edge enters its head's set, and leaves its tail's set when that is another one
-    into, outof = np.flatnonzero(head >= 0), np.flatnonzero((tail >= 0) & (tail != head))
+    into, outof = np.flatnonzero(head >= 0), np.flatnonzero(tail >= 0)
+    outof = outof[tail[outof] != head[outof]]
     k, edge = np.concatenate([head[into], tail[outof]]), np.concatenate([into, outof])
     side = np.concatenate([np.where(tail[into] == head[into], 2, 0), np.ones(outof.size, np.int64)])
-    order = np.argsort(k * src.size + edge)
+    order = np.argsort(k * src.size + edge, kind="stable")  # unique keys; stable sorts them fastest
     return k[order], edge[order], side[order]
 
 
@@ -214,19 +218,32 @@ def _bisect_log_lambda(cost, sums, c):
 class _Engine:
     """Array-backed balancing state of R replicas of one network under one family of unit sets.
 
-    Row i of the (R, E + 1) weight array is replica i; the extra column is a
-    dummy weight held at zero.  Set k owns row k of a padded
+    The state is one flat array of R blocks, one per replica, each holding
+    the replica's E + 1 weights, its E + 1 edge costs, its signed gap terms
+    (one per (set, edge) entry) and a dummy slot; the last weight and cost
+    belong to a dummy edge held at zero.  Set k owns row k of a padded
     (n_sets, max_degree) table of the edges touching it and of their side
     codes (into, out of, inside, padding); padding slots point at the dummy
-    column and scale by lam**0.  ``step(ks)`` balances set ``ks[i]`` in
-    replica i with one gather, one ``bincount`` of side sums, lam* (the
-    closed form for all rows at once, a bisection row by row where it does
-    not apply) and one scatter.  ``deficit()`` recomputes, per replica, from the
-    current weights, sum over sets of (sum_{u in set} in_u - c out_u)**2,
-    where in_u and out_u are p-weighted side costs (see ``_edge_costs``),
-    with one segment sum over the (replica, set, edge) entries.
-    The engine starts with one replica of ``net``; ``select(rows)``
-    replicates it or drops the replicas that are done.
+    edge and scale by lam**0.
+
+    ``_solve`` finds the new weights of any list of (replica, set) pairs from
+    the current weights with one gather, one ``bincount`` of side sums, lam*
+    (the closed form for all rows at once, a bisection row by row where it
+    does not apply) and one product; ``_write`` scatters them, with their
+    edge costs and gap terms, in one assignment.  ``step(ks)`` solves and
+    writes set ``ks[i]`` in replica i.  ``plan(rows, blocks)`` solves a whole
+    block of sets that share no edge, so each gets the factor it would get
+    after the sets before it, and ``advance(ks)`` then writes one planned set
+    per replica.
+
+    The gap term of an entry is the edge's p-weighted cost (see
+    ``_edge_costs``) times the set's exponent of lam on it (1 into the set,
+    -c out of it, 1 - c inside); a write refreshes the entries of its edges
+    in the sets at both ends.  ``deficit()`` is, per replica, the sum over
+    sets of their squared gap sum_{u in set} in_u - c out_u, still reduced
+    afresh from the terms of the current weights, with one segment sum and
+    no gather.  The engine starts with one replica of ``net``;
+    ``select(rows)`` replicates it or drops the replicas that are done.
     """
 
     def __init__(self, net, cost, sets):
@@ -234,69 +251,97 @@ class _Engine:
         self.cost = cost
         self.src, self.dst = net.structure.src, net.structure.dst
         n_edges = self.src.size
-        self._w = np.zeros((1, n_edges + 1))
-        self._w[0, :n_edges] = net.w
-        self._ec, self._q = _edge_costs(cost, self._w)
-        self.r = self.r_init = self._ec[:, :n_edges].sum(axis=1)
+        w = np.zeros((1, n_edges + 1))
+        w[0, :n_edges] = net.w
+        ec, q = _edge_costs(cost, w)
+        self.r = self.r_init = ec[:, :n_edges].sum(axis=1)
 
         k, edge, side = _set_edges(self.src, self.dst, sets, len(net.structure.units))
+        n_sets, n = len(sets), k.size
         self.unit = np.array([units[0] for units in sets], dtype=np.int64)
         self.c = net.structure.exponent[self.unit]
-        sizes = np.bincount(k, minlength=len(sets))
+        sizes = np.bincount(k, minlength=n_sets)
         starts = np.cumsum(sizes) - sizes
-        slot = np.arange(k.size) - starts[k]  # position of each entry in its set's row
-        self._edge = np.full((len(sets), sizes.max(initial=0)), n_edges, dtype=np.int64)
-        self._side = np.full(self._edge.shape, _PAD, dtype=np.int64)
-        self._edge[k, slot], self._side[k, slot] = edge, side
-        power = np.empty((len(sets), 4))  # lam exponent per side code
+        width = sizes.max(initial=0)
+        slot = np.arange(n) - starts[k]  # position of each entry in its set's row
+        # per slot: where its weight, its cost, and its gap terms in the set itself and in the
+        # set at the edge's other end lie in a replica's block of the state; padding and a
+        # missing second entry go to the dummy edge and the dummy slot
+        terms_at = 2 * (n_edges + 1)
+        dummy = terms_at + n
+        twin = np.full(n, dummy)
+        if n_sets > 1:  # in one set, every edge has one entry
+            by_edge = np.argsort(edge, kind="stable")
+            pair = np.flatnonzero(edge[by_edge[1:]] == edge[by_edge[:-1]])
+            first, second = by_edge[pair], by_edge[pair + 1]
+            twin[first], twin[second] = second + terms_at, first + terms_at
+        local = np.empty((n_sets, 4, width), dtype=np.int64)
+        local[:] = np.array([n_edges, 2 * n_edges + 1, dummy, dummy])[:, None]
+        places, at = local.reshape(-1), k * (4 * width) + slot
+        places[at], places[at + width] = edge, edge + (n_edges + 1)
+        places[at + 2 * width], places[at + 3 * width] = np.arange(terms_at, dummy), twin
+        self._local = local.reshape(n_sets, 4 * width)
+        self._edge = local[:, 0]
+        self._side = np.full((n_sets, width), _PAD, dtype=np.int64)
+        self._side.reshape(-1)[k * width + slot] = side
+        power = np.empty((n_sets, 4))  # lam exponent per side code
         power[:, 0], power[:, 1], power[:, 2], power[:, 3] = _exponents(self.c)
-        self._power = np.take_along_axis(power, self._side, axis=1)
+        self._power = power.reshape(-1)[self._side + 4 * np.arange(n_sets)[:, None]]
         self._sel, self._sign = edge, power[k, side]
+        # per slot, the exponent of lam on its edge in each of its two entries
+        self._entry_sign = np.zeros((n_sets, 2, width))
+        signs, at = self._entry_sign.reshape(-1), k * (2 * width) + slot
+        signs[at], signs[at + width] = self._sign, np.append(self._sign, 0.0)[twin - terms_at]
         # each set's entries are contiguous; a set with no edge has no gap
         self._starts = starts[sizes > 0]
+        self._block = dummy + 1
+        self._plans = None  # per (replica, set) row: a planned lam and what ``_write`` writes
+        self._set_rows = None
 
         single = cost.single_term
         # the closed form's exponent, and whether every set takes it whatever the weights
         # (a set with no edge inside has S = 0 exactly)
         self._root = None if single is None else 1.0 / (single[0] * (self.c + 1.0))
         self._all_closed = single is not None and not ((side == 2) & (self.c[k] != 1.0)).any()
-        self._index()
+        self._hold(np.concatenate((w[0], ec[0], q[0].take(edge) * self._sign, [0.0])))
 
-    def _index(self):
-        """Per-replica positions in the flattened arrays, for the replicas in play."""
-        n_rows, width = self._w.shape
-        n_sets = len(self.c)
+    def _hold(self, state):
+        """Take ``state``, one block per replica, and index its replicas."""
+        n_sets, width = self._edge.shape
+        n_edges = self.src.size
+        blocks = state.reshape(-1, self._block)
+        self._state, self._w = state, blocks[:, :n_edges + 1]
+        self._ec_real = blocks[:, n_edges + 1:2 * n_edges + 1]
+        self._terms = blocks[:, 2 * (n_edges + 1):-1]
+        n_rows = len(blocks)
+        if self._set_rows is not None and self._set_rows.size == n_rows:
+            return  # the positions depend only on the number of replicas
         rows = np.arange(n_rows)
         self._set_rows = rows * n_sets
-        slots = (n_rows * n_sets, self._edge.shape[1])
-        self._slot_edge = (self._edge + (rows * width)[:, None, None]).reshape(slots)
-        self._slot_code = (self._side + 4 * rows[:, None, None]).reshape(slots)
-        self._q_ids = (self._sel + (rows * width)[:, None]).ravel()
-        self._gap_starts = (self._starts + (rows * self._sel.size)[:, None]).ravel()
-        self._signs = np.tile(self._sign, n_rows)
-        self._wf, self._ecf, self._qf = self._w.ravel(), self._ec.ravel(), self._q.ravel()
-        self._ec_real = self._ec[:, :-1]
+        self._slot_state, self._slot_code = self._local, self._side  # replica 0's
+        if n_rows != 1:
+            self._slot_state = (self._local + (rows * self._block)[:, None, None]).reshape(
+                n_rows * n_sets, 4 * width
+            )
+            self._slot_code = (self._side + 4 * rows[:, None, None]).reshape(n_rows * n_sets, width)
 
     @property
     def w(self):
         return self._w[:, :-1]
 
-    def _side_sums(self, ks):
-        """Flat slots of the sets' edges, their weights, and per-term side sums (rows, terms, 4).
+    def _side_sums(self, codes, slots, w):
+        """Per-term side sums (rows, terms, 4) from the edges' bin codes, state slots and weights.
 
         Bin 3 of each row collects the padding.  One-term costs read the
         sums off the maintained edge costs.
         """
-        n = len(ks)
-        at = self._set_rows + ks
-        flat = self._slot_edge.take(at, axis=0)
-        codes = self._slot_code.take(at, axis=0).ravel()
-        w = self._wf.take(flat)
+        n, width = w.shape
         if self._root is not None:
-            return flat, w, np.bincount(codes, self._ecf.take(flat).ravel(), 4 * n).reshape(n, 1, 4)
+            ec = self._state.take(slots[:, width:2 * width])
+            return np.bincount(codes, ec.ravel(), 4 * n).reshape(n, 1, 4)
         a = np.abs(w).ravel()
         sums = [np.bincount(codes, beta * a**p, 4 * n).reshape(n, 4) for p, beta in self.cost.terms]
-        return flat, w, np.stack(sums, axis=1)
+        return np.stack(sums, axis=1)
 
     def _lambda(self, ks, sums):
         """Cost-minimizing factor of set ``ks[i]`` in replica i, from its side sums.
@@ -323,34 +368,95 @@ class _Engine:
             lam[row] = _bisect_log_lambda(self.cost, sums[row], float(c[row]))
         return lam
 
+    def _solve(self, ks, slots, codes):
+        """lam* of set ``ks[j]`` at state slots ``slots[j]``, from the current weights, and what
+        ``_write`` writes there: the new weights, edge costs and gap terms."""
+        w = self._state.take(slots[:, :self._edge.shape[1]])
+        lam = self._lambda(ks, self._side_sums(codes, slots, w))
+        w *= lam[:, None] ** self._power.take(ks, axis=0)
+        ec, q = _edge_costs(self.cost, w)
+        terms = q[:, None] * self._entry_sign.take(ks, axis=0)  # a slot's cost in its two entries
+        return lam, np.concatenate((w, ec, terms.reshape(len(ks), -1)), axis=1)
+
+    def _write(self, slots, new):
+        self._state[slots] = new
+        self.r = np.add.reduce(self._ec_real, axis=1)
+
     def lambda_star(self, ks):
-        return self._lambda(ks, self._side_sums(ks)[2])
+        at = self._set_rows + ks
+        slots, codes = self._slot_state.take(at, axis=0), self._slot_code.take(at, axis=0)
+        return self._solve(ks, slots, codes.ravel())[0]
 
     def step(self, ks):
         """Scale set ``ks[i]`` of replica i by its optimal factor; returns the factors."""
-        flat, w, sums = self._side_sums(ks)
-        lam = self._lambda(ks, sums)
-        w *= lam[:, None] ** self._power.take(ks, axis=0)
-        self._wf[flat] = w
-        ec, q = _edge_costs(self.cost, w)
-        self._ecf[flat] = ec
-        if self._q is not self._ec:
-            self._qf[flat] = q
-        self.r = self._ec_real.sum(axis=1)
+        at = self._set_rows + ks
+        slots = self._slot_state.take(at, axis=0)
+        lam, new = self._solve(ks, slots, self._slot_code.take(at, axis=0).ravel())
+        self._write(slots, new)
         return lam
+
+    def plan(self, rows, blocks):
+        """Solve every set of ``blocks[j]`` in replica ``rows[j]`` from the current weights.
+
+        The sets of a block must share no edge, so a set's solution is the
+        one it would get once the sets before it are written.  Returns how
+        many sets of each block are planned: all of them, or, when some set
+        has no optimum, only the first, so the error comes at the step that
+        reaches that set.
+        """
+        sizes = np.array([len(block) for block in blocks])
+        ks = np.concatenate(blocks)
+        at = np.repeat(self._set_rows.take(rows), sizes) + ks
+        codes = (self._side.take(ks, axis=0) + np.arange(0, 4 * ks.size, 4)[:, None]).ravel()
+        try:
+            lam, new = self._solve(ks, self._slot_state.take(at, axis=0), codes)
+        except DegenerateUnitError:
+            if (sizes == 1).all():
+                raise
+            return self.plan(rows, [block[:1] for block in blocks])
+        if self._plans is None:
+            self._plans = np.empty((self._slot_state.shape[0], 1 + new.shape[1]))
+        self._plans[at, 0], self._plans[at, 1:] = lam, new
+        return sizes
+
+    def advance(self, ks):
+        """Write the planned set ``ks[i]`` of replica i; returns the factors."""
+        at = self._set_rows + ks
+        planned = self._plans.take(at, axis=0)
+        self._write(self._slot_state.take(at, axis=0), planned[:, 1:])
+        return planned[:, 0]
 
     def deficit(self):
         """Per replica: the summed squared balance gap of the sets, from the current weights."""
-        gaps = np.add.reduceat(self._qf.take(self._q_ids) * self._signs, self._gap_starts)
-        gaps = gaps.reshape(len(self._w), self._starts.size)
+        gaps = np.add.reduceat(self._terms, self._starts, axis=1)
         return np.einsum("ij,ij->i", gaps, gaps)
+
+    def blocks(self, cycle):
+        """Steps left to the end of its block from each position of ``cycle``.
+
+        A block is a maximal run of consecutive sets of the cycle that share
+        no edge; a set shares its edges with itself, so a repeat starts a new
+        block.
+        """
+        starts = [0]
+        touched = np.zeros(self.src.size + 1, dtype=bool)  # edges of the block so far
+        for p, edges in enumerate(self._edge[cycle]):
+            if touched[edges].any():
+                starts.append(p)
+                touched[:] = False
+            touched[edges] = True
+            touched[-1] = False  # the dummy edge of the padding
+        bounds = np.array(starts + [len(cycle)])
+        return np.repeat(bounds[1:], np.diff(bounds)) - np.arange(len(cycle))
 
     def select(self, rows):
         """Keep the replicas ``rows`` picks: a mask, or indices that may repeat a replica."""
-        shared = self._q is self._ec
-        self._w, self._ec, self.r = self._w[rows], self._ec[rows], self.r[rows]
-        self._q = self._ec if shared else self._q[rows]
-        self._index()
+        n_rows, n_sets = len(self._w), len(self.c)
+        self.r = self.r[rows]
+        self._hold(self._state.reshape(n_rows, self._block)[rows].ravel())
+        if self._plans is not None:
+            width = self._plans.shape[1]
+            self._plans = self._plans.reshape(n_rows, n_sets, width)[rows].reshape(-1, width)
 
     def to_network(self):
         return self.net.replace_weights(self.w[0])
@@ -495,28 +601,47 @@ def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
     trace = BalanceTrace(r_initial=float(eng.r_init[0]), notes=notes)
     index = {u: k for k, u in enumerate(eligible)}
     cycle = _default_cycle(net, index) if order is None else _order_cycle(order, index, notes)
-    (w,), _ = _run_batch(eng, [(_cyclic_picks(cycle), -math.inf, len(cycle), trace)])
+    (w,), _ = _run_batch(eng, [(_cyclic_picks(eng, cycle), -math.inf, len(cycle), trace)])
     return net.replace_weights(w), trace
 
 
 def _stochastic_picks(seed, n):
-    """Uniform draws from a seeded PCG64; a chunk of k continues the one-at-a-time stream."""
+    """Uniform draws from a seeded PCG64; a chunk of k continues the one-at-a-time stream.
+
+    Every draw is a block of one.
+    """
     rng = np.random.default_rng(seed)
-    return lambda t, k: rng.integers(n, size=k)
+    return lambda t, k: (rng.integers(n, size=k), np.ones(k, dtype=np.int64))
 
 
-def _cyclic_picks(cycle):
+def _cyclic_picks(eng, cycle):
+    """Steps through ``cycle`` over and over, split once into blocks (see ``_Engine.blocks``)."""
     cycle = np.asarray(cycle, dtype=np.int64)
-    return lambda t, k: cycle[np.arange(t, t + k) % cycle.size]
+    left = eng.blocks(cycle)
+
+    def picks(t, k):
+        at = np.arange(t, t + k) % cycle.size
+        return cycle[at], left[at]
+
+    return picks
 
 
 def _run_batch(eng, runs):
     """Step every replica of ``eng`` until it meets its tolerance or its step cap.
 
     ``runs[i]`` is (picks, tol_abs, max_steps, trace) for engine row i: picks(t, k)
-    returns the set indices of steps t .. t + k - 1.  Fills in the step columns
-    of each trace; returns the final weights of each run, and whether each run
-    met its tolerance.
+    returns the set indices of steps t .. t + k - 1 and, for each, the steps
+    left to the end of its block, a run of consecutive sets that share no
+    edge (1 for a set that is a block of its own).  A step advances every
+    replica by one set.  A replica that reaches a block plans all of its sets
+    from one gather (``_Engine.plan``), and its steps then write one planned
+    set each (``_Engine.advance``); while every pick of the current chunk is
+    a block of one and no plan is pending, a step solves and writes at once
+    (``_Engine.step``).  Either way a step writes the bits that solving its
+    set afresh would, and the deficit is reduced afresh after every step, so
+    the per-step stop test, the cap and the logged columns do not depend on
+    the blocks.  Fills in the step columns of each trace; returns the final
+    weights of each run, and whether each run met its tolerance.
     """
     picks_of = [run[0] for run in runs]
     tol = np.array([run[1] for run in runs])
@@ -524,34 +649,50 @@ def _run_batch(eng, runs):
     ids = np.arange(len(runs))  # run of each engine row
     finals = [None] * len(runs)
     met = np.zeros(len(runs), dtype=bool)
-    log, steps = [], []  # per step, then per chunk: (ids, unit, lam, r after, deficit after)
+    log, steps = [], []  # per step, then per chunk: (ids, set, lam, r after, deficit after)
     done = np.zeros(len(runs), dtype=bool)
-    stop = cap <= 0
+    plan_end = np.zeros(len(runs), dtype=np.int64)  # step at which each replica's plan runs out
+    min_cap, next_end, last_end = min(cap.tolist(), default=0), 0, 0
     t = 0
     while True:
-        if stop.any():
+        if t >= min_cap or np.count_nonzero(done):
+            stop = done | (cap <= t)
             for row in np.flatnonzero(stop):
                 finals[ids[row]] = eng.w[row].copy()
             met[ids[stop]] = done[stop]
             go = ~stop
             eng.select(go)
-            ids, tol, cap = ids[go], tol[go], cap[go]
+            ids, tol, cap, plan_end = ids[go], tol[go], cap[go], plan_end[go]
+            if not ids.size:
+                break
+            min_cap, next_end, last_end = int(cap.min()), int(plan_end.min()), int(plan_end.max())
             if t % _DRAW_CHUNK:
-                picks = picks[go]
-        if not ids.size:
-            break
-        if t % _DRAW_CHUNK == 0:
-            picks = np.array([picks_of[i](t, _DRAW_CHUNK) for i in ids])
-        ks = picks[:, t % _DRAW_CHUNK]
-        lam = eng.step(ks)
+                picks, left = picks[go], left[go]
+                singles = bool((left == 1).all())
+        j = t % _DRAW_CHUNK
+        if j == 0:
+            drawn = [picks_of[i](t, _DRAW_CHUNK) for i in ids]
+            picks = np.array([ks for ks, _ in drawn])
+            left = np.array([n for _, n in drawn])
+            singles = bool((left == 1).all())  # every step of the chunk is a block of one
+        ks = picks[:, j]
+        if singles and t >= last_end:
+            lam = eng.step(ks)
+        else:
+            if t >= next_end:
+                rows = np.flatnonzero(plan_end <= t)
+                blocks = [picks_of[ids[r]](t, left[r, j])[0] if left[r, j] > 1 else ks[r:r + 1]
+                          for r in rows.tolist()]
+                plan_end[rows] = t + eng.plan(rows, blocks)
+                next_end, last_end = int(plan_end.min()), int(plan_end.max())
+            lam = eng.advance(ks)
         deficit = eng.deficit()
-        log.append((ids, eng.unit.take(ks), lam, eng.r, deficit))
+        log.append((ids, ks, lam, eng.r, deficit))
         t += 1
         if t % _DRAW_CHUNK == 0:
             steps.append([np.concatenate(col) for col in zip(*log)])
             log = []
         done = deficit <= tol
-        stop = done | (cap <= t)
 
     if log:
         steps.append([np.concatenate(col) for col in zip(*log)])
@@ -561,7 +702,8 @@ def _run_batch(eng, runs):
         del steps
         ids = np.concatenate(ids)
         order = np.argsort(ids, kind="stable")
-        units, lam, r_after, deficit = (np.concatenate(col)[order] for col in columns)
+        sets, lam, r_after, deficit = (np.concatenate(col)[order] for col in columns)
+        units = eng.unit.take(sets)
         del columns
         ends = np.cumsum(np.bincount(ids, minlength=len(runs))).tolist()
         for (*_, trace), s, e in zip(runs, [0] + ends[:-1], ends):
@@ -592,16 +734,14 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
         return results
     start = float(eng.deficit()[0])
     index = {u: k for k, u in enumerate(eligible)}
-    families = {}  # unit sets -> runs on them: (schedule index, picks, tol_abs)
+    families = {}  # unit sets -> runs on them: (schedule index, cycle or None if drawn, tol_abs)
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
         tol_abs = schedule.deficit_tol * max(r_init, _TINY) ** 2
         sets = singles
         if schedule.kind != "layer_tied" and start <= tol_abs:
             continue  # before the order is read, so a converged run adds no note
         if schedule.kind == "stochastic":
-            families.setdefault(sets, []).append(
-                (i, _stochastic_picks(schedule.seed, len(eligible)), tol_abs)
-            )
+            families.setdefault(sets, []).append((i, None, tol_abs))
             continue
         if schedule.kind == "sequential" and schedule.order is not None:
             cycle = _order_cycle(schedule.order, index, trace.notes)
@@ -623,14 +763,18 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
         if not cycle:
             trace.notes.append("nothing to balance")
             continue
-        families.setdefault(sets, []).append((i, _cyclic_picks(cycle), tol_abs))
+        families.setdefault(sets, []).append((i, cycle, tol_abs))
 
     for sets, runs in families.items():
         batch = eng if sets == singles else _Engine(net, cost, sets)
         gap = float(batch.deficit()[0])
         runs = [run for run in runs if gap > run[2]]
         batch.select(np.zeros(len(runs), dtype=np.int64))
-        specs = [(picks, tol_abs, schedules[i].max_steps, traces[i]) for i, picks, tol_abs in runs]
+        specs = [
+            (_stochastic_picks(schedules[i].seed, len(sets)) if cycle is None
+             else _cyclic_picks(batch, cycle), tol_abs, schedules[i].max_steps, traces[i])
+            for i, cycle, tol_abs in runs
+        ]
         for (i, _, _), w, ok in zip(runs, *_run_batch(batch, specs)):
             results[i] = (net.replace_weights(w), traces[i])
             if not ok:

@@ -234,7 +234,7 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
         if not cycle:
             trace.notes.append("nothing to balance")
             continue
-        unit_runs.append((i, balancing._cyclic_picks(cycle), tol_abs))
+        unit_runs.append((i, balancing._cyclic_picks(eng, cycle), tol_abs))
 
     def run(batch, runs):
         batch.select(np.zeros(len(runs), dtype=np.int64))
@@ -250,9 +250,64 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
     for parts, runs in tied_runs.items():
         eng = balancing._Engine(net, cost, parts)
         gap = float(eng.deficit()[0])
-        cycle = balancing._cyclic_picks(range(len(parts)))
+        cycle = balancing._cyclic_picks(eng, range(len(parts)))
         run(eng, [(i, cycle, tol_abs) for i, tol_abs in runs if gap > tol_abs])
     return results
+
+
+def _reference_step(eng, k, w, ec, q):
+    """Balance set k of a one-row engine state (w, ec, q), each (1, E + 1), in place."""
+    edges = eng._edge[k:k + 1]
+    codes = eng._side[k]
+    wk = w.ravel().take(edges)
+    if eng._root is not None:
+        sums = np.bincount(codes, ec.ravel().take(edges).ravel(), 4).reshape(1, 1, 4)
+    else:
+        a = np.abs(wk).ravel()
+        sums = np.stack(
+            [np.bincount(codes, beta * a**p, 4).reshape(1, 4) for p, beta in eng.cost.terms], axis=1
+        )
+    lam = eng._lambda(np.array([k]), sums)
+    wk *= lam[:, None] ** eng._power[k:k + 1]
+    w.ravel()[edges] = wk
+    ek, qk = balancing._edge_costs(eng.cost, wk)
+    ec.ravel()[edges] = ek
+    if q is not ec:
+        q.ravel()[edges] = qk
+    return float(lam[0])
+
+
+def _reference_deficit(eng, q):
+    """The summed squared gap of the sets, gathered afresh from every (set, edge) entry."""
+    gaps = np.add.reduceat(q.ravel().take(eng._sel) * eng._sign, eng._starts).reshape(1, -1)
+    return float(np.einsum("ij,ij->i", gaps, gaps)[0])
+
+
+def reference_run_batch(eng, runs):
+    """``balancing._run_batch`` with every run stepped alone, one set per step.
+
+    Each step gathers its set's edges, solves lambda*, scatters the new
+    weights and edge costs, sums the cost and gathers the deficit afresh from
+    every (set, edge) entry, as the engine stepped before it balanced blocks.
+    """
+    finals, met = [], []
+    for row, (picks, tol, cap, trace) in enumerate(runs):
+        w = eng.w[row:row + 1].copy()
+        w = np.concatenate([w, np.zeros((1, 1))], axis=1)
+        ec, q = balancing._edge_costs(eng.cost, w)
+        done = False
+        for t in range(cap):
+            k = int(picks(t, 1)[0][0])
+            trace.units.append(int(eng.unit[k]))
+            trace.lambdas.append(_reference_step(eng, k, w, ec, q))
+            trace.r_series.append(float(ec[:, :-1].sum(axis=1)[0]))
+            trace.deficit_series.append(_reference_deficit(eng, q))
+            done = trace.deficit_series[-1] <= tol
+            if done:
+                break
+        finals.append(w[0, :-1].copy())
+        met.append(done)
+    return finals, met
 
 
 def reference_trace_to_csv(trace):

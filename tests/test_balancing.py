@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import balancekit as bk
@@ -18,6 +18,7 @@ from conftest import (
     recurrent_bipu,
     reference_partial_balance_pass,
     reference_run_balancing_many,
+    reference_run_batch,
     reference_set_edges,
     reference_trace_to_csv,
     star_neuron,
@@ -682,7 +683,12 @@ def _net_with_dead_unit(seed, recurrent):
 
 def _batch(net, dead, recurrent, kinds, seed):
     """Schedules of the given kinds; the first starts converged, the second stops
-    at max_steps and the third names the dead unit and an input in its order."""
+    at max_steps and the third names the dead unit and an input in its order.
+
+    The second cycles one balanceable unit, whatever its drawn kind: its
+    deficit keeps the gaps of the units it leaves alone, so with two or more
+    balanceable units it cannot reach an exact zero in its three steps.
+    """
     hidden = list(net.hidden_ids)
     schedules = []
     for k, kind in enumerate(kinds):
@@ -694,6 +700,7 @@ def _batch(net, dead, recurrent, kinds, seed):
         if k == 0:
             tol = 1e3
         elif k == 1:
+            kind, partition, order = "sequential", None, (next(h for h in hidden if h != dead),)
             tol, max_steps = 0.0, 3
         elif k == 2:
             kind, order = "sequential", tuple(reversed(hidden)) + (dead, net.input_ids[0])
@@ -706,6 +713,9 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
+_TIED_SECOND = ["stochastic", "layer_tied"] + ["stochastic"] * 11
+
+
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -716,8 +726,18 @@ def _bits(values):
 )
 @example(seed=3, recurrent=False, cost=MIXED, size=13, kinds=["stochastic"] * 13)
 @example(seed=4, recurrent=True, cost=bk.lp(1.5), size=13, kinds=["stochastic"] * 13)
+# nets where a layer_tied run reaches an exact zero gap after 1, 1, 1 and 2 steps;
+# seed 27's has one balanceable unit, so it runs as a batch of one
+@example(seed=30630, recurrent=False, cost=bk.l2(), size=2, kinds=_TIED_SECOND)
+@example(seed=65, recurrent=False, cost=bk.l2(), size=2, kinds=_TIED_SECOND)
+@example(seed=113, recurrent=False, cost=bk.l2(), size=2, kinds=_TIED_SECOND)
+@example(seed=27, recurrent=False, cost=bk.l2(), size=1, kinds=_TIED_SECOND)
 def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size, kinds):
     net, dead = _net_with_dead_unit(seed, recurrent)
+    if size > 1:
+        # the second schedule's claim needs a unit it leaves alone: see
+        # test_a_run_over_one_unit_can_end_on_an_exact_zero_gap
+        assume(len(balancing._balanceable(net, False)[0]) > 1)
     schedules = _batch(net, dead, recurrent, kinds[:size], seed)
     many = bk.run_balancing_many(net, schedules, cost)
     assert len(many) == size
@@ -742,6 +762,16 @@ def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size
         assert len(many[1][1].steps) == 3 and not many[1][1].converged
     if size > 2:
         assert f"unit {dead} skipped in order: not balanceable" in many[2][1].notes
+
+
+def test_a_run_over_one_unit_can_end_on_an_exact_zero_gap():
+    """Seed 27's net has one balanceable unit, so every schedule balances it alone;
+    balanced twice under L2 it has a gap of exactly 0.0, a correct early stop."""
+    net, dead = _net_with_dead_unit(27, False)
+    assert balancing._balanceable(net, False)[0] == [5] and dead == 4
+    for kind in _KINDS:
+        _, trace = bk.run_balancing(net, bk.Schedule(kind, deficit_tol=0.0, max_steps=3), bk.l2())
+        assert trace.units == [5, 5] and trace.converged and trace.deficit_series[-1] == 0.0
 
 
 def test_stochastic_draws_continue_the_one_at_a_time_stream():
@@ -950,3 +980,128 @@ def test_trace_csv_is_the_report_by_report_writer(case):
     _, trace = _CSV_CASES[case](_criterion4_net())
     assert {"no step": not trace.units, "max_steps": not trace.converged}.get(case, trace.converged)
     assert trace_to_csv(trace) == reference_trace_to_csv(trace)
+
+
+# -- blocks: edge-disjoint sets of a cycle balanced from one gather --------------
+
+_TOLS = [1e3, 0.0, 1e-12, 1e-16, 1e-30]
+
+
+def _block_batch(net, dead, recurrent, draw):
+    """Schedules of every kind: orders that interleave layers and repeat units, layer
+    partitions that are whole, split or interleaved, and caps that cut blocks."""
+    hidden = list(net.hidden_ids)
+    layers = bk.netgraph.hidden_layers(net) if not recurrent else [hidden[::2], hidden[1::2]]
+    schedules = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(_KINDS))
+        partition = order = None
+        if recurrent and kind == "layer_tied":
+            kind = "layer_independent"  # self-loops rule out tied subsets
+        if kind == "layer_independent":
+            partition = draw(st.sampled_from([
+                None if not recurrent else tuple(map(tuple, layers)),
+                tuple(half for layer in layers for half in (layer[::2], layer[1::2])),
+                (tuple(draw(st.permutations(hidden))),),
+            ]))
+        elif kind == "layer_tied" and draw(st.booleans()):
+            partition = tuple(half for layer in layers for half in (layer[::2], layer[1::2]))
+        if kind == "sequential" and draw(st.booleans()):
+            order = draw(st.lists(st.sampled_from(hidden + [dead]), min_size=1, max_size=16))
+        schedules.append(bk.Schedule(
+            kind, seed=draw(st.integers(0, 99)), order=order, partition=partition,
+            deficit_tol=draw(st.sampled_from(_TOLS)),
+            max_steps=draw(st.integers(1, 12) | st.integers(13, 400)),
+        ))
+    return schedules
+
+
+def _same_runs(runs, ref_runs):
+    for (out, trace), (ref_out, ref_trace) in zip(runs, ref_runs, strict=True):
+        assert out.weights().tobytes() == ref_out.weights().tobytes()
+        assert trace.units == ref_trace.units
+        for col in ("lambdas", "r_series", "deficit_series"):
+            assert _bits(getattr(trace, col)) == _bits(getattr(ref_trace, col)), col
+        assert _bits([trace.r_initial]) == _bits([ref_trace.r_initial])
+        assert trace.notes == ref_trace.notes
+        assert trace.converged == ref_trace.converged
+
+
+def _one_set_steps(run, *args):
+    """``run(*args)`` with every run stepped one set at a time (see ``reference_run_batch``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(balancing, "_run_batch", reference_run_batch)
+        return run(*args)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    recurrent=st.booleans(),
+    cost=st.sampled_from([bk.l2(), bk.lp(1.5), MIXED]),
+    data=st.data(),
+)
+def test_block_steps_are_the_one_set_steps(seed, recurrent, cost, data):
+    net, dead = _net_with_dead_unit(seed, recurrent)
+    schedules = _block_batch(net, dead, recurrent, data.draw)
+    many = bk.run_balancing_many(net, schedules, cost)
+    _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost))
+    pool = net.hidden_ids + net.input_ids
+    order = data.draw(st.none() | st.lists(st.sampled_from(pool), max_size=16))
+    passes = [bk.partial_balance_pass(net, cost, order)]
+    _same_runs(passes, [_one_set_steps(bk.partial_balance_pass, net, cost, order)])
+
+
+_CERTIFY_STEPS = {
+    "layer_independent": 1454, "sequential": 1454, "partial_pass": 1454, "layer_tied": 26,
+}
+
+
+def _certify_net():
+    return bk.make_layered([32, 64, 64, 10], seed=0, bias_init="uniform")
+
+
+def test_certify_net_step_counts_and_bits():
+    net = _certify_net()
+    for kind, n_steps in _CERTIFY_STEPS.items():
+        sched = bk.Schedule(kind, deficit_tol=1e-16, max_steps=100_000)
+        run = bk.run_balancing(net, sched, bk.l2())
+        assert len(run[1].units) == n_steps and run[1].converged, kind
+        _same_runs([run], [_one_set_steps(bk.run_balancing, net, sched, bk.l2())])
+
+
+def test_criterion4_cyclic_step_counts():
+    net = _criterion4_net()
+    for cost in (bk.l2(), bk.lp(1.5), MIXED):
+        for kind in ("sequential", "partial_pass", "layer_independent"):
+            _, trace = bk.run_balancing(net, bk.Schedule(kind, deficit_tol=1e-18), cost)
+            assert len(trace.units) == 154 and trace.converged, (cost, kind)
+
+
+def test_a_layer_sweep_solves_each_layer_once(monkeypatch):
+    calls = []
+    solve = balancing._Engine._lambda
+
+    def counted(self, ks, sums):
+        calls.append(len(ks))
+        return solve(self, ks, sums)
+
+    monkeypatch.setattr(balancing._Engine, "_lambda", counted)
+    sched = bk.Schedule("layer_independent", deficit_tol=1e-16, max_steps=100_000)
+    _, trace = bk.run_balancing(_certify_net(), sched, bk.l2())
+    assert len(trace.units) == 1454
+    # one lambda* computation per visited layer of 64 units, not one per step
+    assert len(calls) <= 24 and sum(calls) < 1454 + 64
+
+
+def test_a_block_raises_only_at_the_step_that_reaches_a_degenerate_set():
+    # unit 2's incoming cost underflows to 0.0: it is balanceable, but has no optimum
+    units = [bk.Unit(0, bk.INPUT, bk.IDENTITY), bk.Unit(1, bk.HIDDEN, bk.RELU),
+             bk.Unit(2, bk.HIDDEN, bk.RELU), bk.Unit(3, bk.OUTPUT, bk.IDENTITY)]
+    edges = [bk.Edge(0, 1, 2.0), bk.Edge(1, 3, 0.5), bk.Edge(0, 2, 1e-170), bk.Edge(2, 3, 1.0)]
+    net = bk.Network(units, edges)
+    sched = bk.Schedule("layer_independent", deficit_tol=1e-12, max_steps=1)
+    _, trace = bk.run_balancing(net, sched, bk.l2())
+    assert trace.units == [1] and trace.lambdas == [0.5] and not trace.converged
+    with pytest.raises(balancing.DegenerateUnitError, match="all-zero incoming or outgoing side"):
+        bk.run_balancing(net, bk.Schedule("layer_independent", max_steps=2), bk.l2())
