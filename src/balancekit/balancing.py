@@ -224,17 +224,18 @@ class _Engine:
     belong to a dummy edge held at zero.  Set k owns row k of a padded
     (n_sets, max_degree) table of the edges touching it and of their side
     codes (into, out of, inside, padding); padding slots point at the dummy
-    edge and scale by lam**0.
+    edge and scale by lam**0.  The positions are replica 0's; replica r's
+    lie ``r`` blocks further on.
 
-    ``_solve`` finds the new weights of any list of (replica, set) pairs from
-    the current weights with one gather, one ``bincount`` of side sums, lam*
-    (the closed form for all rows at once, a bisection row by row where it
-    does not apply) and one product; ``_write`` scatters them, with their
-    edge costs and gap terms, in one assignment.  ``step(ks)`` solves and
-    writes set ``ks[i]`` in replica i.  ``plan(rows, blocks)`` solves a whole
-    block of sets that share no edge, so each gets the factor it would get
-    after the sets before it, and ``advance(ks)`` then writes one planned set
-    per replica.
+    ``begin(blocks)`` solves, for each replica, a block of sets that share
+    no edge from the current weights, with one gather, one ``bincount`` of
+    side sums, lam* (the closed form for all rows at once, a bisection row
+    by row where it does not apply) and one product, so each set gets the
+    factor it would get once the sets before it are written.  It writes the
+    first set of every block (one scatter of weights, one of edge costs and
+    gap terms) and keeps the others, at most one block per replica;
+    ``advance`` writes a kept set.  A block of one set is solved and written
+    at once, so nothing is kept for stochastic picks.
 
     The gap term of an entry is the edge's p-weighted cost (see
     ``_edge_costs``) times the set's exponent of lam on it (1 into the set,
@@ -257,88 +258,95 @@ class _Engine:
         self.r = self.r_init = ec[:, :n_edges].sum(axis=1)
 
         k, edge, side = _set_edges(self.src, self.dst, sets, len(net.structure.units))
-        n_sets, n = len(sets), k.size
+        n_sets = len(sets)
         self.unit = np.array([units[0] for units in sets], dtype=np.int64)
         self.c = net.structure.exponent[self.unit]
         sizes = np.bincount(k, minlength=n_sets)
         starts = np.cumsum(sizes) - sizes
-        width = sizes.max(initial=0)
-        slot = np.arange(n) - starts[k]  # position of each entry in its set's row
-        # per slot: where its weight, its cost, and its gap terms in the set itself and in the
-        # set at the edge's other end lie in a replica's block of the state; padding and a
-        # missing second entry go to the dummy edge and the dummy slot
-        terms_at = 2 * (n_edges + 1)
-        dummy = terms_at + n
-        twin = np.full(n, dummy)
-        if n_sets > 1:  # in one set, every edge has one entry
-            by_edge = np.argsort(edge, kind="stable")
-            pair = np.flatnonzero(edge[by_edge[1:]] == edge[by_edge[:-1]])
-            first, second = by_edge[pair], by_edge[pair + 1]
-            twin[first], twin[second] = second + terms_at, first + terms_at
-        local = np.empty((n_sets, 4, width), dtype=np.int64)
-        local[:] = np.array([n_edges, 2 * n_edges + 1, dummy, dummy])[:, None]
-        places, at = local.reshape(-1), k * (4 * width) + slot
-        places[at], places[at + width] = edge, edge + (n_edges + 1)
-        places[at + 2 * width], places[at + 3 * width] = np.arange(terms_at, dummy), twin
-        self._local = local.reshape(n_sets, 4 * width)
-        self._edge = local[:, 0]
-        self._side = np.full((n_sets, width), _PAD, dtype=np.int64)
-        self._side.reshape(-1)[k * width + slot] = side
+        slot = np.arange(k.size) - starts[k]  # position of each entry in its set's row
+        self._edge = np.full((n_sets, sizes.max(initial=0)), n_edges, dtype=np.int64)
+        self._side = np.full(self._edge.shape, _PAD, dtype=np.int64)
+        self._edge[k, slot], self._side[k, slot] = edge, side
         power = np.empty((n_sets, 4))  # lam exponent per side code
         power[:, 0], power[:, 1], power[:, 2], power[:, 3] = _exponents(self.c)
         self._power = power.reshape(-1)[self._side + 4 * np.arange(n_sets)[:, None]]
-        self._sel, self._sign = edge, power[k, side]
-        # per slot, the exponent of lam on its edge in each of its two entries
-        self._entry_sign = np.zeros((n_sets, 2, width))
-        signs, at = self._entry_sign.reshape(-1), k * (2 * width) + slot
-        signs[at], signs[at + width] = self._sign, np.append(self._sign, 0.0)[twin - terms_at]
+        self._sel, self._sign, self._slot = edge, power[k, side], (k, slot)
         # each set's entries are contiguous; a set with no edge has no gap
         self._starts = starts[sizes > 0]
-        self._block = dummy + 1
-        self._plans = None  # per (replica, set) row: a planned lam and what ``_write`` writes
-        self._set_rows = None
 
         single = cost.single_term
         # the closed form's exponent, and whether every set takes it whatever the weights
         # (a set with no edge inside has S = 0 exactly)
         self._root = None if single is None else 1.0 / (single[0] * (self.c + 1.0))
         self._all_closed = single is not None and not ((side == 2) & (self.c[k] != 1.0)).any()
+        self._block = 2 * (n_edges + 1) + k.size + 1
+        self._bins = np.zeros((1, 1), dtype=np.int64)  # bincount bin offset per solved row
+        self._kept = self._kept_lam = self._end = None  # sets solved ahead (see ``_keep``)
+        self._writes = None
         self._hold(np.concatenate((w[0], ec[0], q[0].take(edge) * self._sign, [0.0])))
 
     def _hold(self, state):
-        """Take ``state``, one block per replica, and index its replicas."""
-        n_sets, width = self._edge.shape
+        """Take ``state``, one block per replica."""
         n_edges = self.src.size
         blocks = state.reshape(-1, self._block)
         self._state, self._w = state, blocks[:, :n_edges + 1]
         self._ec_real = blocks[:, n_edges + 1:2 * n_edges + 1]
         self._terms = blocks[:, 2 * (n_edges + 1):-1]
-        n_rows = len(blocks)
-        if self._set_rows is not None and self._set_rows.size == n_rows:
-            return  # the positions depend only on the number of replicas
-        rows = np.arange(n_rows)
-        self._set_rows = rows * n_sets
-        self._slot_state, self._slot_code = self._local, self._side  # replica 0's
-        if n_rows != 1:
-            self._slot_state = (self._local + (rows * self._block)[:, None, None]).reshape(
-                n_rows * n_sets, 4 * width
-            )
-            self._slot_code = (self._side + 4 * rows[:, None, None]).reshape(n_rows * n_sets, width)
+        self._rows = np.arange(len(blocks))
+        self._offset = (self._rows * self._block)[:, None]
+        self._all_offset = None if len(blocks) == 1 else self._offset  # none to add for one
+
+    def _tables(self):
+        """Per slot, in replica 0's block: where a write puts the edge's cost and its gap
+        terms in the set itself and in the set at the edge's other end, the same after the
+        edge's own position, and the factors that turn the edge's p-weighted cost into the
+        three values (1 and the two exponents of lam on it).  Padding, and a missing second
+        entry, go to the dummy edge and the dummy slot.  Built on the first write (the
+        deficit needs none of them) and kept in ``_writes``.
+        """
+        n_sets, width = self._edge.shape
+        n_edges, n = self.src.size, self._sel.size
+        k, slot = self._slot
+        terms_at = 2 * (n_edges + 1)
+        places = np.empty((n_sets, 3, width), dtype=np.int64)
+        places[:, 0] = self._edge + (n_edges + 1)
+        places[:, 1:] = terms_at + n
+        places[k, 1, slot] = np.arange(terms_at, terms_at + n)
+        factors = np.zeros((n_sets, 3, width))
+        factors[:, 0], factors[:, 1] = 1.0, self._power
+        if n_sets > 1:  # in one set, every edge has one entry
+            by_edge = np.argsort(self._sel, kind="stable")
+            pair = np.flatnonzero(self._sel[by_edge[1:]] == self._sel[by_edge[:-1]])
+            first, second = by_edge[pair], by_edge[pair + 1]
+            for one, other in ((first, second), (second, first)):
+                places[k[one], 2, slot[one]] = terms_at + other
+                factors[k[one], 2, slot[one]] = self._sign[other]
+        places = places.reshape(n_sets, 3 * width)
+        self._writes = places, np.concatenate((self._edge, places), axis=1), factors
+        return self._writes
 
     @property
     def w(self):
         return self._w[:, :-1]
 
-    def _side_sums(self, codes, slots, w):
-        """Per-term side sums (rows, terms, 4) from the edges' bin codes, state slots and weights.
+    def _codes(self, ks):
+        """Bin of each slot of set ``ks[j]`` in one ``bincount`` over the rows: 4 j + side code."""
+        codes = self._side.take(ks, axis=0)
+        if len(ks) > 1:
+            if self._bins.size < len(ks):
+                self._bins = np.arange(0, 4 * len(ks), 4)[:, None]
+            codes = codes + self._bins[:len(ks)]
+        return codes.ravel()
+
+    def _side_sums(self, codes, cost_at, w):
+        """Per-term side sums (rows, terms, 4) from the slots' bins, cost positions and weights.
 
         Bin 3 of each row collects the padding.  One-term costs read the
         sums off the maintained edge costs.
         """
-        n, width = w.shape
+        n = len(w)
         if self._root is not None:
-            ec = self._state.take(slots[:, width:2 * width])
-            return np.bincount(codes, ec.ravel(), 4 * n).reshape(n, 1, 4)
+            return np.bincount(codes, self._state.take(cost_at).ravel(), 4 * n).reshape(n, 1, 4)
         a = np.abs(w).ravel()
         sums = [np.bincount(codes, beta * a**p, 4 * n).reshape(n, 4) for p, beta in self.cost.terms]
         return np.stack(sums, axis=1)
@@ -368,63 +376,99 @@ class _Engine:
             lam[row] = _bisect_log_lambda(self.cost, sums[row], float(c[row]))
         return lam
 
-    def _solve(self, ks, slots, codes):
-        """lam* of set ``ks[j]`` at state slots ``slots[j]``, from the current weights, and what
-        ``_write`` writes there: the new weights, edge costs and gap terms."""
-        w = self._state.take(slots[:, :self._edge.shape[1]])
-        lam = self._lambda(ks, self._side_sums(codes, slots, w))
-        w *= lam[:, None] ** self._power.take(ks, axis=0)
-        ec, q = _edge_costs(self.cost, w)
-        terms = q[:, None] * self._entry_sign.take(ks, axis=0)  # a slot's cost in its two entries
-        return lam, np.concatenate((w, ec, terms.reshape(len(ks), -1)), axis=1)
+    def lambda_star(self, ks):
+        """lam* of set ``ks[i]`` in replica i, from the current weights."""
+        at = self._edge.take(ks, axis=0) + self._offset
+        sums = self._side_sums(self._codes(ks), at + (self.src.size + 1), self._state.take(at))
+        return self._lambda(ks, sums)
 
-    def _write(self, slots, new):
-        self._state[slots] = new
+    def _solve(self, ks, offset):
+        """lam* of set ``ks[j]`` in the replica at state offset ``offset[j]`` (all at offset 0
+        if None), from the current weights, and what ``_write`` takes: the state positions
+        of the set's weights, its new weights, the positions of their edge costs and gap
+        terms, and those."""
+        places, _, factors = self._writes or self._tables()
+        width = self._edge.shape[1]
+        at, rest_at = self._edge.take(ks, axis=0), places.take(ks, axis=0)
+        if offset is not None:
+            at, rest_at = at + offset, rest_at + offset
+        w = self._state.take(at)
+        lam = self._lambda(ks, self._side_sums(self._codes(ks), rest_at[:, :width], w))
+        factors = factors.take(ks, axis=0)  # 1, then the exponents of lam in the two sets
+        w = w * lam[:, None] ** factors[:, 1]
+        ec, q = _edge_costs(self.cost, w)
+        rest = q[:, None] * factors
+        if ec is not q:
+            rest[:, 0] = ec
+        return lam, at, w, rest_at, rest.reshape(len(ks), -1)
+
+    def _write(self, at, w, rest_at, rest):
+        self._state[at] = w
+        self._state[rest_at] = rest
         self.r = np.add.reduce(self._ec_real, axis=1)
 
-    def lambda_star(self, ks):
-        at = self._set_rows + ks
-        slots, codes = self._slot_state.take(at, axis=0), self._slot_code.take(at, axis=0)
-        return self._solve(ks, slots, codes.ravel())[0]
+    def begin(self, blocks, sizes=None, rows=None):
+        """Solve the block each replica in ``rows`` (every replica if None) starts, and write its
+        first set; returns the first sets' factors and how many sets of each block were solved.
 
-    def step(self, ks):
-        """Scale set ``ks[i]`` of replica i by its optimal factor; returns the factors."""
-        at = self._set_rows + ks
-        slots = self._slot_state.take(at, axis=0)
-        lam, new = self._solve(ks, slots, self._slot_code.take(at, axis=0).ravel())
-        self._write(slots, new)
-        return lam
-
-    def plan(self, rows, blocks):
-        """Solve every set of ``blocks[j]`` in replica ``rows[j]`` from the current weights.
-
-        The sets of a block must share no edge, so a set's solution is the
-        one it would get once the sets before it are written.  Returns how
-        many sets of each block are planned: all of them, or, when some set
-        has no optimum, only the first, so the error comes at the step that
-        reaches that set.
+        Block i is ``sizes[i]`` sets, laid one after another in ``blocks``
+        (one set each if ``sizes`` is None).  Its sets must share no edge, so
+        a set's solution is the one it would get once the sets before it are
+        written; the sets after the first are kept for ``advance``.  When
+        some set has no optimum, only the first set of each block is solved,
+        so the error comes at the step that reaches that set.
         """
-        sizes = np.array([len(block) for block in blocks])
-        ks = np.concatenate(blocks)
-        at = np.repeat(self._set_rows.take(rows), sizes) + ks
-        codes = (self._side.take(ks, axis=0) + np.arange(0, 4 * ks.size, 4)[:, None]).ravel()
+        offset = self._all_offset if rows is None else self._offset.take(rows, axis=0)
+        if sizes is None:
+            lam, *new = self._solve(blocks, offset)
+            self._write(*new)
+            return lam, None
+        block, place = _spread(sizes)
         try:
-            lam, new = self._solve(ks, self._slot_state.take(at, axis=0), codes)
+            lam, *new = self._solve(blocks, None if offset is None else offset.take(block, axis=0))
         except DegenerateUnitError:
             if (sizes == 1).all():
                 raise
-            return self.plan(rows, [block[:1] for block in blocks])
-        if self._plans is None:
-            self._plans = np.empty((self._slot_state.shape[0], 1 + new.shape[1]))
-        self._plans[at, 0], self._plans[at, 1:] = lam, new
-        return sizes
+            return self.begin(blocks[place == 0], np.ones_like(sizes), rows)
+        first = np.flatnonzero(place == 0)
+        self._write(*(a.take(first, axis=0) for a in new))
+        if len(first) < len(lam):
+            rows = self._rows if rows is None else rows
+            self._keep(rows, sizes, block, place, lam, new[1], new[3])
+        return lam.take(first), sizes
 
-    def advance(self, ks):
-        """Write the planned set ``ks[i]`` of replica i; returns the factors."""
-        at = self._set_rows + ks
-        planned = self._plans.take(at, axis=0)
-        self._write(self._slot_state.take(at, axis=0), planned[:, 1:])
-        return planned[:, 0]
+    def _keep(self, rows, sizes, block, place, lam, w, rest):
+        """Keep each solved set for ``advance``: set j, the ``place[j]``-th of the
+        ``sizes[block[j]]`` sets of replica ``rows[block[j]]``'s block, with its factor, its
+        new weights and what follows them.  A replica's block ends at its last kept set, so
+        a set with ``left`` steps to the end of the block lies ``left`` before that end."""
+        n_rows, depth, width = len(self._rows), int(sizes.max()), w.shape[1]
+        held = 0 if self._kept is None else len(self._kept) // n_rows
+        if held < depth:  # make room for ``depth`` sets per replica
+            kept = np.empty((n_rows, depth, width + rest.shape[1]))
+            kept_lam = np.empty((n_rows, depth))
+            if held:
+                kept[:, depth - held:] = self._kept.reshape(n_rows, held, -1)
+                kept_lam[:, depth - held:] = self._kept_lam.reshape(n_rows, held)
+            self._kept, self._kept_lam = kept.reshape(n_rows * depth, -1), kept_lam.reshape(-1)
+            held = depth
+            self._end = (self._rows + 1) * held
+        at = self._end.take(rows).take(block) - sizes.take(block) + place
+        self._kept[at, :width], self._kept[at, width:], self._kept_lam[at] = w, rest, lam
+
+    def advance(self, ks, left, rows=None):
+        """Write the kept set ``ks[i]``, ``left[i]`` steps before the end of its block, of each
+        replica in ``rows`` (every replica if None); returns the factors."""
+        slots = self._writes[1].take(ks, axis=0)
+        if rows is None:
+            at, offset = self._end - left, self._all_offset
+        else:
+            at, offset = self._end.take(rows) - left, self._offset.take(rows, axis=0)
+        if offset is not None:
+            slots = slots + offset
+        self._state[slots] = self._kept.take(at, axis=0)
+        self.r = np.add.reduce(self._ec_real, axis=1)
+        return self._kept_lam.take(at)
 
     def deficit(self):
         """Per replica: the summed squared balance gap of the sets, from the current weights."""
@@ -451,15 +495,24 @@ class _Engine:
 
     def select(self, rows):
         """Keep the replicas ``rows`` picks: a mask, or indices that may repeat a replica."""
-        n_rows, n_sets = len(self._w), len(self.c)
         self.r = self.r[rows]
-        self._hold(self._state.reshape(n_rows, self._block)[rows].ravel())
-        if self._plans is not None:
-            width = self._plans.shape[1]
-            self._plans = self._plans.reshape(n_rows, n_sets, width)[rows].reshape(-1, width)
+        self._hold(self._state.reshape(-1, self._block)[rows].ravel())
+        if self._kept is not None:
+            n_rows, width = len(self._end), self._kept.shape[1]
+            held = len(self._kept) // n_rows
+            self._kept = self._kept.reshape(n_rows, held, width)[rows].reshape(-1, width)
+            self._kept_lam = self._kept_lam.reshape(n_rows, held)[rows].reshape(-1)
+            self._end = (self._rows + 1) * held
 
     def to_network(self):
         return self.net.replace_weights(self.w[0])
+
+
+def _spread(sizes):
+    """For blocks of the given sizes laid one after another: each element's block and its
+    place in it."""
+    block = np.repeat(np.arange(sizes.size), sizes)
+    return block, np.arange(block.size) - (np.cumsum(sizes) - sizes).take(block)
 
 
 # -- single-unit and single-set operations --------------------------------------
@@ -496,7 +549,7 @@ def _check_tied(net, units):
 
 def _balance_set(net, units, cost):
     eng = _Engine(net, cost, [units])
-    lam = float(eng.step(np.zeros(1, dtype=np.int64))[0])
+    lam = float(eng.begin(np.zeros(1, dtype=np.int64))[0][0])
     new_net = eng.to_network()
     r_before, r_after = network_cost(net, cost), network_cost(new_net, cost)
     return new_net, BalanceReport(units[0], lam, r_before, r_after, r_before - r_after)
@@ -615,13 +668,14 @@ def _stochastic_picks(seed, n):
 
 
 def _cyclic_picks(eng, cycle):
-    """Steps through ``cycle`` over and over, split once into blocks (see ``_Engine.blocks``)."""
+    """Steps through ``cycle`` over and over, split once into blocks (see ``_Engine.blocks``);
+    a block drawn in a chunk of k picks ends with the chunk at the latest."""
     cycle = np.asarray(cycle, dtype=np.int64)
     left = eng.blocks(cycle)
 
     def picks(t, k):
         at = np.arange(t, t + k) % cycle.size
-        return cycle[at], left[at]
+        return cycle[at], np.minimum(left[at], np.arange(k, 0, -1))
 
     return picks
 
@@ -632,16 +686,18 @@ def _run_batch(eng, runs):
     ``runs[i]`` is (picks, tol_abs, max_steps, trace) for engine row i: picks(t, k)
     returns the set indices of steps t .. t + k - 1 and, for each, the steps
     left to the end of its block, a run of consecutive sets that share no
-    edge (1 for a set that is a block of its own).  A step advances every
-    replica by one set.  A replica that reaches a block plans all of its sets
-    from one gather (``_Engine.plan``), and its steps then write one planned
-    set each (``_Engine.advance``); while every pick of the current chunk is
-    a block of one and no plan is pending, a step solves and writes at once
-    (``_Engine.step``).  Either way a step writes the bits that solving its
-    set afresh would, and the deficit is reduced afresh after every step, so
-    the per-step stop test, the cap and the logged columns do not depend on
-    the blocks.  Fills in the step columns of each trace; returns the final
-    weights of each run, and whether each run met its tolerance.
+    edge that ends by step t + k (1 for a set that is a block of its own).
+    A step advances every replica by one set: a replica that starts a block
+    solves all of its sets from one gather and writes the first
+    (``_Engine.begin``), and the block's later steps write the sets it kept
+    (``_Engine.advance``).  Either way a step writes the bits that solving
+    its set afresh would, and the deficit is reduced afresh after every
+    step, so the per-step stop test, the cap and the logged columns do not
+    depend on the blocks.  Two tests on Python integers spare the common
+    steps the per-replica bookkeeping: every replica inside its block, and
+    every replica starting a block of one set (each stochastic step).  Fills
+    in the step columns of each trace; returns the final weights of each
+    run, and whether each run met its tolerance.
     """
     picks_of = [run[0] for run in runs]
     tol = np.array([run[1] for run in runs])
@@ -651,8 +707,10 @@ def _run_batch(eng, runs):
     met = np.zeros(len(runs), dtype=bool)
     log, steps = [], []  # per step, then per chunk: (ids, set, lam, r after, deficit after)
     done = np.zeros(len(runs), dtype=bool)
-    plan_end = np.zeros(len(runs), dtype=np.int64)  # step at which each replica's plan runs out
-    min_cap, next_end, last_end = min(cap.tolist(), default=0), 0, 0
+    # the step at which each replica's block ends (at most t once it has), and the
+    # earliest and latest of them
+    block_end = np.zeros(len(runs), dtype=np.int64)
+    min_cap, first_end, last_end = min(cap.tolist(), default=0), 0, 0
     t = 0
     while True:
         if t >= min_cap or np.count_nonzero(done):
@@ -662,30 +720,36 @@ def _run_batch(eng, runs):
             met[ids[stop]] = done[stop]
             go = ~stop
             eng.select(go)
-            ids, tol, cap, plan_end = ids[go], tol[go], cap[go], plan_end[go]
+            ids, tol, cap, block_end = ids[go], tol[go], cap[go], block_end[go]
             if not ids.size:
                 break
-            min_cap, next_end, last_end = int(cap.min()), int(plan_end.min()), int(plan_end.max())
+            min_cap, first_end, last_end = int(cap.min()), int(block_end.min()), int(block_end.max())
             if t % _DRAW_CHUNK:
                 picks, left = picks[go], left[go]
-                singles = bool((left == 1).all())
+                ones = (left.max(axis=0) == 1).tolist()
         j = t % _DRAW_CHUNK
         if j == 0:
             drawn = [picks_of[i](t, _DRAW_CHUNK) for i in ids]
             picks = np.array([ks for ks, _ in drawn])
             left = np.array([n for _, n in drawn])
-            singles = bool((left == 1).all())  # every step of the chunk is a block of one
+            ones = (left.max(axis=0) == 1).tolist()  # per step: is every block one set
         ks = picks[:, j]
-        if singles and t >= last_end:
-            lam = eng.step(ks)
+        if t < first_end:  # every replica is inside its block
+            lam = eng.advance(ks, left[:, j])
+        elif t >= last_end and ones[j]:  # every replica starts a block of one set
+            lam = eng.begin(ks)[0]
+            first_end = last_end = t + 1
         else:
-            if t >= next_end:
-                rows = np.flatnonzero(plan_end <= t)
-                blocks = [picks_of[ids[r]](t, left[r, j])[0] if left[r, j] > 1 else ks[r:r + 1]
-                          for r in rows.tolist()]
-                plan_end[rows] = t + eng.plan(rows, blocks)
-                next_end, last_end = int(plan_end.min()), int(plan_end.max())
-            lam = eng.advance(ks)
+            starting = block_end <= t
+            rows, going = np.flatnonzero(starting), np.flatnonzero(~starting)
+            sizes = left[rows, j]
+            block, place = _spread(sizes)
+            lam = np.empty(ids.size)
+            lam[rows], sizes = eng.begin(picks[rows.take(block), j + place], sizes, rows)
+            if going.size:
+                lam[going] = eng.advance(ks.take(going), left[going, j], going)
+            block_end[rows] = t + sizes
+            first_end, last_end = int(block_end.min()), int(block_end.max())
         deficit = eng.deficit()
         log.append((ids, ks, lam, eng.r, deficit))
         t += 1

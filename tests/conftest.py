@@ -168,7 +168,7 @@ def reference_partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=F
             notes.append(f"unit {u} skipped in pass: not balanceable")
             continue
         r_before = float(eng.r[0])
-        lam = float(eng.step(np.array([index[u]]))[0])
+        lam = float(eng.begin(np.array([index[u]]))[0][0])
         r_after = float(eng.r[0])
         steps.append(bk.BalanceReport(u, lam, r_before, r_after, r_before - r_after))
         r_series.append(r_after)

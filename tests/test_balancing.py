@@ -3,7 +3,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import balancekit as bk
@@ -685,9 +685,11 @@ def _batch(net, dead, recurrent, kinds, seed):
     """Schedules of the given kinds; the first starts converged, the second stops
     at max_steps and the third names the dead unit and an input in its order.
 
-    The second cycles one balanceable unit, whatever its drawn kind: its
-    deficit keeps the gaps of the units it leaves alone, so with two or more
-    balanceable units it cannot reach an exact zero in its three steps.
+    The second balances one unit: ``layer_independent`` through a one-unit
+    partition, any other kind as a ``sequential`` run.  Its deficit keeps the
+    gaps of the units it leaves alone, so with two or more balanceable units
+    it cannot reach an exact zero in its three steps.  (A ``layer_tied`` run's
+    deficit counts only the parts it balances, so it could.)
     """
     hidden = list(net.hidden_ids)
     schedules = []
@@ -700,7 +702,11 @@ def _batch(net, dead, recurrent, kinds, seed):
         if k == 0:
             tol = 1e3
         elif k == 1:
-            kind, partition, order = "sequential", None, (next(h for h in hidden if h != dead),)
+            unit = next(h for h in hidden if h != dead)
+            if kind == "layer_independent":
+                partition = ((unit,),)
+            else:
+                kind, order = "sequential", (unit,)
             tol, max_steps = 0.0, 3
         elif k == 2:
             kind, order = "sequential", tuple(reversed(hidden)) + (dead, net.input_ids[0])
@@ -713,7 +719,7 @@ def _bits(values):
     return np.array(values, dtype=float).tobytes()
 
 
-_TIED_SECOND = ["stochastic", "layer_tied"] + ["stochastic"] * 11
+_TIED_FOURTH = ["stochastic"] * 3 + ["layer_tied"] + ["stochastic"] * 9
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -721,23 +727,20 @@ _TIED_SECOND = ["stochastic", "layer_tied"] + ["stochastic"] * 11
     seed=st.integers(0, 2**32 - 1),
     recurrent=st.booleans(),
     cost=st.sampled_from([bk.l2(), bk.lp(1.5), MIXED]),
-    size=st.sampled_from([1, 2, 13]),
+    size=st.sampled_from([1, 2, 3, 13]),
     kinds=st.lists(st.sampled_from(_KINDS), min_size=13, max_size=13),
 )
 @example(seed=3, recurrent=False, cost=MIXED, size=13, kinds=["stochastic"] * 13)
 @example(seed=4, recurrent=True, cost=bk.lp(1.5), size=13, kinds=["stochastic"] * 13)
-# nets where a layer_tied run reaches an exact zero gap after 1, 1, 1 and 2 steps;
-# seed 27's has one balanceable unit, so it runs as a batch of one
-@example(seed=30630, recurrent=False, cost=bk.l2(), size=2, kinds=_TIED_SECOND)
-@example(seed=65, recurrent=False, cost=bk.l2(), size=2, kinds=_TIED_SECOND)
-@example(seed=113, recurrent=False, cost=bk.l2(), size=2, kinds=_TIED_SECOND)
-@example(seed=27, recurrent=False, cost=bk.l2(), size=1, kinds=_TIED_SECOND)
+# on the first three nets a layer_tied run ends on an exact zero gap after one step, a
+# correct early stop that the fourth schedule takes; seed 27's net has one balanceable
+# unit, on which the second schedule ends on an exact zero after two steps
+@example(seed=30630, recurrent=False, cost=bk.l2(), size=4, kinds=_TIED_FOURTH)
+@example(seed=65, recurrent=False, cost=bk.l2(), size=4, kinds=_TIED_FOURTH)
+@example(seed=113, recurrent=False, cost=bk.l2(), size=4, kinds=_TIED_FOURTH)
+@example(seed=27, recurrent=False, cost=bk.l2(), size=4, kinds=_TIED_FOURTH)
 def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size, kinds):
     net, dead = _net_with_dead_unit(seed, recurrent)
-    if size > 1:
-        # the second schedule's claim needs a unit it leaves alone: see
-        # test_a_run_over_one_unit_can_end_on_an_exact_zero_gap
-        assume(len(balancing._balanceable(net, False)[0]) > 1)
     schedules = _batch(net, dead, recurrent, kinds[:size], seed)
     many = bk.run_balancing_many(net, schedules, cost)
     assert len(many) == size
@@ -759,7 +762,10 @@ def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size
         assert f"unit {dead} skipped: all-zero incoming or outgoing side" in trace.notes
     if size > 1:
         assert many[0][1].steps == [] and many[0][1].converged
-        assert len(many[1][1].steps) == 3 and not many[1][1].converged
+        # over a net's only balanceable unit a run can end on an exact zero gap: see
+        # test_a_run_over_one_unit_can_end_on_an_exact_zero_gap
+        if len(balancing._balanceable(net, False)[0]) > 1:
+            assert len(many[1][1].steps) == 3 and not many[1][1].converged
     if size > 2:
         assert f"unit {dead} skipped in order: not balanceable" in many[2][1].notes
 
