@@ -14,14 +14,15 @@ self-loop of a recurrent unit, picks up lam**(1-c), which is still
 function-preserving and which for c = 1 means it never changes and drops out
 of every balance computation.
 
-Runs of several schedules on one network that balance the same sets advance
-together in one batched engine (``run_balancing_many``); a single run is the
-batch of one.
+Runs of several schedules on one network that balance the same sets in the
+same way (stochastic draws, or one cycle) advance in lockstep in one batched
+engine (``run_balancing_many``); a single run is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -58,9 +59,10 @@ class BalanceTrace:
     after it (for tied-layer runs the sets are the subsets, so the deficit is
     the aggregate per-subset gap, the quantity those moves can actually drive
     to zero).  There is one row per step even where the engine solved a
-    whole block of edge-disjoint sets at once: each step writes one set, and
-    its cost and deficit are summed afresh from the weights after it, so the
-    columns are those of balancing one set at a time.  ``r_initial`` is the
+    whole block of edge-disjoint sets at once, for every run of its batch:
+    each step writes one set per run, and its cost and deficit are summed
+    afresh from the weights after it, so the columns are those of balancing
+    one set at a time, one run alone.  ``r_initial`` is the
     cost before the first step.  The costs are the engine's (NumPy powers,
     pairwise row sums; see ``_edge_costs``), so ``network_cost`` of the
     result can differ from ``r_series[-1]`` in the last bits.  ``steps``
@@ -101,7 +103,8 @@ class Schedule:
     deficit) falls below ``deficit_tol * r_initial**2`` (the deficit is
     quadratic in the cost, so normalizing by the squared initial cost makes
     the tolerance dimensionless) or after ``max_steps`` single balancing
-    operations.
+    operations.  ``seed`` and ``max_steps`` must be integers (NumPy ones
+    included); anything else is a ``ValueError`` naming the field.
     """
 
     kind: str = "stochastic"
@@ -115,6 +118,12 @@ class Schedule:
         kinds = ("stochastic", "sequential", "partial_pass", "layer_independent", "layer_tied")
         if self.kind not in kinds:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
+        for name in ("seed", "max_steps"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if not self.deficit_tol >= 0.0:
             raise ValueError(f"deficit_tol must be >= 0, got {self.deficit_tol!r}")
         if self.max_steps < 0:
@@ -227,15 +236,17 @@ class _Engine:
     edge and scale by lam**0.  The positions are replica 0's; replica r's
     lie ``r`` blocks further on.
 
-    ``begin(blocks)`` solves, for each replica, a block of sets that share
-    no edge from the current weights, with one gather, one ``bincount`` of
-    side sums, lam* (the closed form for all rows at once, a bisection row
-    by row where it does not apply) and one product, so each set gets the
-    factor it would get once the sets before it are written.  It writes the
-    first set of every block (one scatter of weights, one of edge costs and
-    gap terms) and keeps the others, at most one block per replica;
-    ``advance`` writes a kept set.  A block of one set is solved and written
-    at once, so nothing is kept for stochastic picks.
+    The replicas step in lockstep: they start and end their blocks of sets
+    at the same steps.  ``begin(blocks)`` solves row r of the (R, size)
+    array ``blocks``, sets that share no edge, in replica r from the
+    current weights, with one gather, one ``bincount`` of side sums, lam*
+    (the closed form for all rows at once, a bisection row by row where it
+    does not apply) and one product, so each set gets the factor it would
+    get once the sets before it are written.  It writes the first set of
+    every block (one scatter of weights, one of edge costs and gap terms)
+    and keeps the others, an (R, size - 1) array of sets; each ``advance``
+    writes the next of them.  A block of one set keeps nothing, so
+    stochastic picks are solved and written at once.
 
     The gap term of an entry is the edge's p-weighted cost (see
     ``_edge_costs``) times the set's exponent of lam on it (1 into the set,
@@ -244,7 +255,8 @@ class _Engine:
     sets of their squared gap sum_{u in set} in_u - c out_u, still reduced
     afresh from the terms of the current weights, with one segment sum and
     no gather.  The engine starts with one replica of ``net``;
-    ``select(rows)`` replicates it or drops the replicas that are done.
+    ``select(rows)`` replicates it or drops the replicas that are done,
+    with their kept sets.
     """
 
     def __init__(self, net, cost, sets):
@@ -281,7 +293,7 @@ class _Engine:
         self._all_closed = single is not None and not ((side == 2) & (self.c[k] != 1.0)).any()
         self._block = 2 * (n_edges + 1) + k.size + 1
         self._bins = np.zeros((1, 1), dtype=np.int64)  # bincount bin offset per solved row
-        self._kept = self._kept_lam = self._end = None  # sets solved ahead (see ``_keep``)
+        self._kept = None  # sets solved ahead (see ``begin``)
         self._writes = None
         self._hold(np.concatenate((w[0], ec[0], q[0].take(edge) * self._sign, [0.0])))
 
@@ -292,9 +304,8 @@ class _Engine:
         self._state, self._w = state, blocks[:, :n_edges + 1]
         self._ec_real = blocks[:, n_edges + 1:2 * n_edges + 1]
         self._terms = blocks[:, 2 * (n_edges + 1):-1]
-        self._rows = np.arange(len(blocks))
-        self._offset = (self._rows * self._block)[:, None]
-        self._all_offset = None if len(blocks) == 1 else self._offset  # none to add for one
+        # each replica's state offset, none to add for one
+        self._offset = None if len(blocks) == 1 else np.arange(0, state.size, self._block)[:, None]
 
     def _tables(self):
         """Per slot, in replica 0's block: where a write puts the edge's cost and its gap
@@ -376,22 +387,18 @@ class _Engine:
             lam[row] = _bisect_log_lambda(self.cost, sums[row], float(c[row]))
         return lam
 
-    def lambda_star(self, ks):
-        """lam* of set ``ks[i]`` in replica i, from the current weights."""
-        at = self._edge.take(ks, axis=0) + self._offset
-        sums = self._side_sums(self._codes(ks), at + (self.src.size + 1), self._state.take(at))
-        return self._lambda(ks, sums)
-
-    def _solve(self, ks, offset):
-        """lam* of set ``ks[j]`` in the replica at state offset ``offset[j]`` (all at offset 0
-        if None), from the current weights, and what ``_write`` takes: the state positions
-        of the set's weights, its new weights, the positions of their edge costs and gap
-        terms, and those."""
+    def _solve(self, ks):
+        """lam* of set ``ks[r, j]`` in replica r, from the current weights, row by row, and
+        what a write takes: the state positions of the sets' weights, their new weights, the
+        positions of their edge costs and gap terms, and those."""
         places, _, factors = self._writes or self._tables()
         width = self._edge.shape[1]
         at, rest_at = self._edge.take(ks, axis=0), places.take(ks, axis=0)
-        if offset is not None:
+        if self._offset is not None:
+            offset = self._offset[:, None]
             at, rest_at = at + offset, rest_at + offset
+        ks = ks.ravel()
+        at, rest_at = at.reshape(ks.size, width), rest_at.reshape(ks.size, -1)
         w = self._state.take(at)
         lam = self._lambda(ks, self._side_sums(self._codes(ks), rest_at[:, :width], w))
         factors = factors.take(ks, axis=0)  # 1, then the exponents of lam in the two sets
@@ -400,75 +407,46 @@ class _Engine:
         rest = q[:, None] * factors
         if ec is not q:
             rest[:, 0] = ec
-        return lam, at, w, rest_at, rest.reshape(len(ks), -1)
+        return lam, at, w, rest_at, rest.reshape(ks.size, -1)
 
-    def _write(self, at, w, rest_at, rest):
+    def begin(self, blocks):
+        """Solve the block ``blocks[r]`` of each replica r and write its first set; returns the
+        first sets' factors and how many sets of each block were solved.
+
+        The sets of a block must share no edge, so a set's solution is the
+        one it would get once the sets before it are written; the sets after
+        the first are kept for ``advance``.  When some set has no optimum,
+        only the first set of each block is solved, so the error comes at
+        the step that reaches that set.
+        """
+        n, size = blocks.shape
+        try:
+            solved = self._solve(blocks)
+        except DegenerateUnitError:
+            if size == 1:
+                raise
+            return self.begin(blocks[:, :1])
+        lam, at, w, rest_at, rest = solved
+        if size > 1:
+            lam, at, w, rest_at, rest = (a.reshape(n, size, -1) for a in solved)
+            self._kept = np.concatenate((w[:, 1:], rest[:, 1:]), axis=2)
+            self._kept_lam, self._kept_sets, self._next = lam[:, 1:, 0], blocks[:, 1:], 0
+            lam, at, w, rest_at, rest = lam[:, 0, 0], at[:, 0], w[:, 0], rest_at[:, 0], rest[:, 0]
         self._state[at] = w
         self._state[rest_at] = rest
         self.r = np.add.reduce(self._ec_real, axis=1)
+        return lam, size
 
-    def begin(self, blocks, sizes=None, rows=None):
-        """Solve the block each replica in ``rows`` (every replica if None) starts, and write its
-        first set; returns the first sets' factors and how many sets of each block were solved.
-
-        Block i is ``sizes[i]`` sets, laid one after another in ``blocks``
-        (one set each if ``sizes`` is None).  Its sets must share no edge, so
-        a set's solution is the one it would get once the sets before it are
-        written; the sets after the first are kept for ``advance``.  When
-        some set has no optimum, only the first set of each block is solved,
-        so the error comes at the step that reaches that set.
-        """
-        offset = self._all_offset if rows is None else self._offset.take(rows, axis=0)
-        if sizes is None:
-            lam, *new = self._solve(blocks, offset)
-            self._write(*new)
-            return lam, None
-        block, place = _spread(sizes)
-        try:
-            lam, *new = self._solve(blocks, None if offset is None else offset.take(block, axis=0))
-        except DegenerateUnitError:
-            if (sizes == 1).all():
-                raise
-            return self.begin(blocks[place == 0], np.ones_like(sizes), rows)
-        first = np.flatnonzero(place == 0)
-        self._write(*(a.take(first, axis=0) for a in new))
-        if len(first) < len(lam):
-            rows = self._rows if rows is None else rows
-            self._keep(rows, sizes, block, place, lam, new[1], new[3])
-        return lam.take(first), sizes
-
-    def _keep(self, rows, sizes, block, place, lam, w, rest):
-        """Keep each solved set for ``advance``: set j, the ``place[j]``-th of the
-        ``sizes[block[j]]`` sets of replica ``rows[block[j]]``'s block, with its factor, its
-        new weights and what follows them.  A replica's block ends at its last kept set, so
-        a set with ``left`` steps to the end of the block lies ``left`` before that end."""
-        n_rows, depth, width = len(self._rows), int(sizes.max()), w.shape[1]
-        held = 0 if self._kept is None else len(self._kept) // n_rows
-        if held < depth:  # make room for ``depth`` sets per replica
-            kept = np.empty((n_rows, depth, width + rest.shape[1]))
-            kept_lam = np.empty((n_rows, depth))
-            if held:
-                kept[:, depth - held:] = self._kept.reshape(n_rows, held, -1)
-                kept_lam[:, depth - held:] = self._kept_lam.reshape(n_rows, held)
-            self._kept, self._kept_lam = kept.reshape(n_rows * depth, -1), kept_lam.reshape(-1)
-            held = depth
-            self._end = (self._rows + 1) * held
-        at = self._end.take(rows).take(block) - sizes.take(block) + place
-        self._kept[at, :width], self._kept[at, width:], self._kept_lam[at] = w, rest, lam
-
-    def advance(self, ks, left, rows=None):
-        """Write the kept set ``ks[i]``, ``left[i]`` steps before the end of its block, of each
-        replica in ``rows`` (every replica if None); returns the factors."""
-        slots = self._writes[1].take(ks, axis=0)
-        if rows is None:
-            at, offset = self._end - left, self._all_offset
-        else:
-            at, offset = self._end.take(rows) - left, self._offset.take(rows, axis=0)
-        if offset is not None:
-            slots = slots + offset
-        self._state[slots] = self._kept.take(at, axis=0)
+    def advance(self):
+        """Write the next kept set of each replica; returns the factors."""
+        j = self._next
+        self._next = j + 1
+        slots = self._writes[1].take(self._kept_sets[:, j], axis=0)
+        if self._offset is not None:
+            slots = slots + self._offset
+        self._state[slots] = self._kept[:, j]
         self.r = np.add.reduce(self._ec_real, axis=1)
-        return self._kept_lam.take(at)
+        return self._kept_lam[:, j]
 
     def deficit(self):
         """Per replica: the summed squared balance gap of the sets, from the current weights."""
@@ -498,21 +476,11 @@ class _Engine:
         self.r = self.r[rows]
         self._hold(self._state.reshape(-1, self._block)[rows].ravel())
         if self._kept is not None:
-            n_rows, width = len(self._end), self._kept.shape[1]
-            held = len(self._kept) // n_rows
-            self._kept = self._kept.reshape(n_rows, held, width)[rows].reshape(-1, width)
-            self._kept_lam = self._kept_lam.reshape(n_rows, held)[rows].reshape(-1)
-            self._end = (self._rows + 1) * held
+            self._kept, self._kept_lam = self._kept[rows], self._kept_lam[rows]
+            self._kept_sets = self._kept_sets[rows]
 
     def to_network(self):
         return self.net.replace_weights(self.w[0])
-
-
-def _spread(sizes):
-    """For blocks of the given sizes laid one after another: each element's block and its
-    place in it."""
-    block = np.repeat(np.arange(sizes.size), sizes)
-    return block, np.arange(block.size) - (np.cumsum(sizes) - sizes).take(block)
 
 
 # -- single-unit and single-set operations --------------------------------------
@@ -549,7 +517,7 @@ def _check_tied(net, units):
 
 def _balance_set(net, units, cost):
     eng = _Engine(net, cost, [units])
-    lam = float(eng.begin(np.zeros(1, dtype=np.int64))[0][0])
+    lam = float(eng.begin(np.zeros((1, 1), dtype=np.int64))[0][0])
     new_net = eng.to_network()
     r_before, r_after = network_cost(net, cost), network_cost(new_net, cost)
     return new_net, BalanceReport(units[0], lam, r_before, r_after, r_before - r_after)
@@ -570,7 +538,7 @@ def scale_neuron(net, i, lam, allow_nonhomogeneous=False) -> Network:
 def optimal_lambda(net, i, cost: CostSpec, allow_nonhomogeneous=False) -> float:
     """The unique scaling factor of unit i that minimizes the weight cost."""
     _unit_exponent(net, i, allow_nonhomogeneous)
-    return float(_Engine(net, cost, [(i,)]).lambda_star(np.zeros(1, dtype=np.int64))[0])
+    return float(_Engine(net, cost, [(i,)]).begin(np.zeros((1, 1), dtype=np.int64))[0][0])
 
 
 def balance_neuron(net, i, cost: CostSpec, allow_nonhomogeneous=False):
@@ -681,23 +649,22 @@ def _cyclic_picks(eng, cycle):
 
 
 def _run_batch(eng, runs):
-    """Step every replica of ``eng`` until it meets its tolerance or its step cap.
+    """Step every replica of ``eng`` in lockstep until it meets its tolerance or its step cap.
 
     ``runs[i]`` is (picks, tol_abs, max_steps, trace) for engine row i: picks(t, k)
     returns the set indices of steps t .. t + k - 1 and, for each, the steps
     left to the end of its block, a run of consecutive sets that share no
     edge that ends by step t + k (1 for a set that is a block of its own).
-    A step advances every replica by one set: a replica that starts a block
-    solves all of its sets from one gather and writes the first
-    (``_Engine.begin``), and the block's later steps write the sets it kept
-    (``_Engine.advance``).  Either way a step writes the bits that solving
-    its set afresh would, and the deficit is reduced afresh after every
-    step, so the per-step stop test, the cap and the logged columns do not
-    depend on the blocks.  Two tests on Python integers spare the common
-    steps the per-replica bookkeeping: every replica inside its block, and
-    every replica starting a block of one set (each stochastic step).  Fills
-    in the step columns of each trace; returns the final weights of each
-    run, and whether each run met its tolerance.
+    The runs must split their steps into the same blocks (all stochastic, or
+    all on one cycle), so the batch starts and ends every block at once.  A
+    step that starts a block solves all of its sets, in every replica, from
+    one gather and writes the first (``_Engine.begin``); the block's later
+    steps write the sets it kept (``_Engine.advance``).  Either way a step
+    writes the bits that solving its set afresh would, and the deficit is
+    reduced afresh after every step, so the per-step stop test, the cap and
+    the logged columns do not depend on the blocks.  Fills in the step
+    columns of each trace; returns the final weights of each run, and
+    whether each run met its tolerance.
     """
     picks_of = [run[0] for run in runs]
     tol = np.array([run[1] for run in runs])
@@ -707,10 +674,7 @@ def _run_batch(eng, runs):
     met = np.zeros(len(runs), dtype=bool)
     log, steps = [], []  # per step, then per chunk: (ids, set, lam, r after, deficit after)
     done = np.zeros(len(runs), dtype=bool)
-    # the step at which each replica's block ends (at most t once it has), and the
-    # earliest and latest of them
-    block_end = np.zeros(len(runs), dtype=np.int64)
-    min_cap, first_end, last_end = min(cap.tolist(), default=0), 0, 0
+    min_cap, block_end = min(cap.tolist(), default=0), 0  # block_end: the step the block ends at
     t = 0
     while True:
         if t >= min_cap or np.count_nonzero(done):
@@ -720,38 +684,24 @@ def _run_batch(eng, runs):
             met[ids[stop]] = done[stop]
             go = ~stop
             eng.select(go)
-            ids, tol, cap, block_end = ids[go], tol[go], cap[go], block_end[go]
+            ids, tol, cap = ids[go], tol[go], cap[go]
             if not ids.size:
                 break
-            min_cap, first_end, last_end = int(cap.min()), int(block_end.min()), int(block_end.max())
+            min_cap = int(cap.min())
             if t % _DRAW_CHUNK:
-                picks, left = picks[go], left[go]
-                ones = (left.max(axis=0) == 1).tolist()
+                picks = picks[go]
         j = t % _DRAW_CHUNK
         if j == 0:
             drawn = [picks_of[i](t, _DRAW_CHUNK) for i in ids]
             picks = np.array([ks for ks, _ in drawn])
-            left = np.array([n for _, n in drawn])
-            ones = (left.max(axis=0) == 1).tolist()  # per step: is every block one set
-        ks = picks[:, j]
-        if t < first_end:  # every replica is inside its block
-            lam = eng.advance(ks, left[:, j])
-        elif t >= last_end and ones[j]:  # every replica starts a block of one set
-            lam = eng.begin(ks)[0]
-            first_end = last_end = t + 1
+            left = drawn[0][1].tolist()  # the same for every run
+        if t < block_end:
+            lam = eng.advance()
         else:
-            starting = block_end <= t
-            rows, going = np.flatnonzero(starting), np.flatnonzero(~starting)
-            sizes = left[rows, j]
-            block, place = _spread(sizes)
-            lam = np.empty(ids.size)
-            lam[rows], sizes = eng.begin(picks[rows.take(block), j + place], sizes, rows)
-            if going.size:
-                lam[going] = eng.advance(ks.take(going), left[going, j], going)
-            block_end[rows] = t + sizes
-            first_end, last_end = int(block_end.min()), int(block_end.max())
+            lam, size = eng.begin(picks[:, j:j + left[j]])
+            block_end = t + size
         deficit = eng.deficit()
-        log.append((ids, ks, lam, eng.r, deficit))
+        log.append((ids, picks[:, j], lam, eng.r, deficit))
         t += 1
         if t % _DRAW_CHUNK == 0:
             steps.append([np.concatenate(col) for col in zip(*log)])
@@ -780,9 +730,10 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     """Run every schedule on ``net``: ``[run_balancing(net, s, cost) for s in schedules]``.
 
     Runs that balance the same unit sets (the disjoint subsets of a
-    ``layer_tied`` partition, else the single units) share one engine, which
-    holds one weight row per run and advances every unfinished run by one
-    step at a time; each run starts and stops on its own sets' deficit.
+    ``layer_tied`` partition, else the single units) in the same way (all
+    stochastic, or all on one cycle) form one batch: one engine holds one
+    weight row per run and advances every unfinished run by one step at a
+    time, in lockstep; each run starts and stops on its own sets' deficit.
     """
     schedules = list(schedules)
     check_structure(net)
@@ -798,20 +749,18 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
         return results
     start = float(eng.deficit()[0])
     index = {u: k for k, u in enumerate(eligible)}
-    families = {}  # unit sets -> runs on them: (schedule index, cycle or None if drawn, tol_abs)
+    # (unit sets, cycle or None if drawn) -> runs on them: (schedule index, tol_abs)
+    families = {}
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
         tol_abs = schedule.deficit_tol * max(r_init, _TINY) ** 2
-        sets = singles
+        sets, cycle = singles, None
         if schedule.kind != "layer_tied" and start <= tol_abs:
             continue  # before the order is read, so a converged run adds no note
-        if schedule.kind == "stochastic":
-            families.setdefault(sets, []).append((i, None, tol_abs))
-            continue
         if schedule.kind == "sequential" and schedule.order is not None:
             cycle = _order_cycle(schedule.order, index, trace.notes)
         elif schedule.kind in ("sequential", "partial_pass"):
             cycle = _default_cycle(net, index)
-        else:
+        elif schedule.kind != "stochastic":
             partition = schedule.partition
             if partition is None:
                 partition = hidden_layers(net)
@@ -824,22 +773,25 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
                 for part in sets:
                     _check_tied(net, part)
                 cycle = range(len(sets))
-        if not cycle:
+        if cycle is not None and not cycle:
             trace.notes.append("nothing to balance")
             continue
-        families.setdefault(sets, []).append((i, cycle, tol_abs))
+        key = sets, None if cycle is None else tuple(cycle)
+        families.setdefault(key, []).append((i, tol_abs))
 
-    for sets, runs in families.items():
-        batch = eng if sets == singles else _Engine(net, cost, sets)
+    spare = {singles: eng}  # an engine serves one batch: ``select`` rewrites its state
+    for (sets, cycle), runs in families.items():
+        batch = spare.pop(sets) if sets in spare else _Engine(net, cost, sets)
         gap = float(batch.deficit()[0])
-        runs = [run for run in runs if gap > run[2]]
+        runs = [(i, tol_abs) for i, tol_abs in runs if gap > tol_abs]
         batch.select(np.zeros(len(runs), dtype=np.int64))
+        cyclic = None if cycle is None else _cyclic_picks(batch, cycle)
         specs = [
-            (_stochastic_picks(schedules[i].seed, len(sets)) if cycle is None
-             else _cyclic_picks(batch, cycle), tol_abs, schedules[i].max_steps, traces[i])
-            for i, cycle, tol_abs in runs
+            (cyclic or _stochastic_picks(schedules[i].seed, len(sets)), tol_abs,
+             schedules[i].max_steps, traces[i])
+            for i, tol_abs in runs
         ]
-        for (i, _, _), w, ok in zip(runs, *_run_batch(batch, specs)):
+        for (i, _), w, ok in zip(runs, *_run_batch(batch, specs)):
             results[i] = (net.replace_weights(w), traces[i])
             if not ok:
                 traces[i].converged = False

@@ -168,7 +168,7 @@ def reference_partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=F
             notes.append(f"unit {u} skipped in pass: not balanceable")
             continue
         r_before = float(eng.r[0])
-        lam = float(eng.begin(np.array([index[u]]))[0][0])
+        lam = float(eng.begin(np.array([[index[u]]]))[0][0])
         r_after = float(eng.r[0])
         steps.append(bk.BalanceReport(u, lam, r_before, r_after, r_before - r_after))
         r_series.append(r_after)
@@ -187,13 +187,14 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
     """Runs with every schedule skipped when the single-unit deficit starts within its
     tolerance, and each tied partition checked and balanced on an engine of its own.
 
-    Unit runs share one engine; a tied family runs only the runs whose
-    per-subset gap starts above their tolerance.
+    Every run is a batch of one on a fresh engine; a tied run runs only when
+    its per-subset gap starts above its tolerance.
     """
     schedules = list(schedules)
     check_structure(net)
     eligible, notes = balancing._balanceable(net, allow_nonhomogeneous)
-    eng = balancing._Engine(net, cost, [(u,) for u in eligible])
+    units = [(u,) for u in eligible]
+    eng = balancing._Engine(net, cost, units)
     r_init = float(eng.r_init[0])
     traces = [bk.BalanceTrace(r_initial=r_init, notes=list(notes)) for _ in schedules]
     results = [(net, trace) for trace in traces]
@@ -203,13 +204,13 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
         return results
     start = float(eng.deficit()[0])
     index = {u: k for k, u in enumerate(eligible)}
-    unit_runs, tied_runs = [], {}
+    unit_runs, tied_runs = [], []
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
         tol_abs = schedule.deficit_tol * max(r_init, balancing._TINY) ** 2
         if start <= tol_abs:
             continue
         if schedule.kind == "stochastic":
-            unit_runs.append((i, balancing._stochastic_picks(schedule.seed, len(eligible)), tol_abs))
+            unit_runs.append((i, None, tol_abs))
             continue
         if schedule.kind == "sequential" and schedule.order is not None:
             cycle = balancing._order_cycle(schedule.order, index, trace.notes)
@@ -227,31 +228,33 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
                 parts = tuple(tuple(sorted(part)) for part in parts)
                 for part in parts:
                     balancing._check_tied(net, part)
-                tied_runs.setdefault(parts, []).append((i, tol_abs))
+                tied_runs.append((i, parts, tol_abs))
                 continue
             else:
                 cycle = []
         if not cycle:
             trace.notes.append("nothing to balance")
             continue
-        unit_runs.append((i, balancing._cyclic_picks(eng, cycle), tol_abs))
+        unit_runs.append((i, cycle, tol_abs))
 
-    def run(batch, runs):
-        batch.select(np.zeros(len(runs), dtype=np.int64))
-        specs = [(picks, tol_abs, schedules[i].max_steps, traces[i]) for i, picks, tol_abs in runs]
-        finals, met = balancing._run_batch(batch, specs)
-        for (i, _, _), w, ok in zip(runs, finals, met):
-            results[i] = (net.replace_weights(w), traces[i])
-            if not ok:
-                traces[i].converged = False
-                traces[i].notes.append(f"stopped after max_steps={schedules[i].max_steps}")
+    def run(i, sets, cycle, tol_abs):
+        eng = balancing._Engine(net, cost, sets)
+        if float(eng.deficit()[0]) <= tol_abs:
+            return
+        if cycle is None:
+            picks = balancing._stochastic_picks(schedules[i].seed, len(sets))
+        else:
+            picks = balancing._cyclic_picks(eng, cycle)
+        (w,), (ok,) = balancing._run_batch(eng, [(picks, tol_abs, schedules[i].max_steps, traces[i])])
+        results[i] = (net.replace_weights(w), traces[i])
+        if not ok:
+            traces[i].converged = False
+            traces[i].notes.append(f"stopped after max_steps={schedules[i].max_steps}")
 
-    run(eng, unit_runs)
-    for parts, runs in tied_runs.items():
-        eng = balancing._Engine(net, cost, parts)
-        gap = float(eng.deficit()[0])
-        cycle = balancing._cyclic_picks(eng, range(len(parts)))
-        run(eng, [(i, cycle, tol_abs) for i, tol_abs in runs if gap > tol_abs])
+    for i, cycle, tol_abs in unit_runs:
+        run(i, units, cycle, tol_abs)
+    for i, parts, tol_abs in tied_runs:
+        run(i, parts, range(len(parts)), tol_abs)
     return results
 
 

@@ -538,9 +538,14 @@ def test_schedule_rejects_bad_stop_criteria():
     for tol in (-1e-8, float("nan")):
         with pytest.raises(ValueError, match="deficit_tol"):
             bk.Schedule("stochastic", deficit_tol=tol)
-    with pytest.raises(ValueError, match="max_steps"):
-        bk.Schedule("sequential", max_steps=-1)
+    for steps in (-1, 1.5, 2.9):
+        with pytest.raises(ValueError, match="max_steps"):
+            bk.Schedule("sequential", max_steps=steps)
+    with pytest.raises(ValueError, match="seed"):
+        bk.Schedule("stochastic", seed=2.5)
     assert bk.Schedule("sequential", deficit_tol=0.0, max_steps=0).max_steps == 0
+    sched = bk.Schedule("stochastic", seed=np.int64(4), max_steps=np.int64(3))
+    assert type(sched.max_steps) is int and sched.max_steps == 3 and type(sched.seed) is int
 
 
 def test_mixed_cost_runs_converge():
@@ -1056,6 +1061,47 @@ def test_block_steps_are_the_one_set_steps(seed, recurrent, cost, data):
     order = data.draw(st.none() | st.lists(st.sampled_from(pool), max_size=16))
     passes = [bk.partial_balance_pass(net, cost, order)]
     _same_runs(passes, [_one_set_steps(bk.partial_balance_pass, net, cost, order)])
+
+
+def test_runs_share_a_batch_only_when_they_share_sets_and_cycle(monkeypatch):
+    net = _criterion4_net()
+    hidden = list(net.hidden_ids)
+    schedules = [bk.Schedule("stochastic", seed=seed, max_steps=50) for seed in range(3)]
+    schedules += [bk.Schedule("layer_independent", max_steps=steps) for steps in (5, 50)]
+    schedules += [
+        bk.Schedule("sequential", order=hidden[::-1], max_steps=50),
+        bk.Schedule("layer_tied", max_steps=50),
+    ]
+    batches = []
+    run_batch = balancing._run_batch
+
+    def spy(eng, runs):
+        batches.append([trace for *_, trace in runs])
+        # every run of a batch splits its steps into the same blocks
+        assert len({picks(0, 32)[1].tobytes() for picks, *_ in runs}) == 1
+        return run_batch(eng, runs)
+
+    monkeypatch.setattr(balancing, "_run_batch", spy)
+    runs = bk.run_balancing_many(net, schedules, bk.l2())
+    position = {id(trace): i for i, (_, trace) in enumerate(runs)}
+    assert sorted(sorted(position[id(trace)] for trace in batch) for batch in batches) == [
+        [0, 1, 2], [3, 4], [5], [6],
+    ]
+
+
+def test_replicas_that_leave_mid_block_keep_the_one_set_steps():
+    # the criterion-4 net's layers are blocks of 6 sets; caps and tolerances stop the
+    # runs of one batch at different steps inside them
+    net = _criterion4_net()
+    schedules = [
+        bk.Schedule("layer_independent", deficit_tol=tol, max_steps=steps)
+        for tol, steps in [(0.0, 1), (0.0, 4), (1e-18, 7), (1e-2, 100_000), (1e-3, 100_000),
+                           (1e-9, 100_000), (1e-18, 100_000)]
+    ]
+    for cost in (bk.l2(), MIXED):
+        many = bk.run_balancing_many(net, schedules, cost)
+        assert [len(trace.units) for _, trace in many] == [1, 4, 7, 9, 17, 71, 154]
+        _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost))
 
 
 _CERTIFY_STEPS = {
