@@ -34,6 +34,7 @@ from .regularizer import CostSpec, network_cost
 
 _TINY = 1e-300
 _LOG_LIMIT = 700.0  # |log lam| beyond which lam**p overflows for any sensible p
+_LN2 = math.log(2.0)
 
 
 class DegenerateUnitError(ValueError):
@@ -183,45 +184,94 @@ def _edge_costs(cost, w):
     return sum(t for _, t in terms), sum((p / p_max) * t for p, t in terms)
 
 
-def _bisect_log_lambda(cost, sums, c):
-    """Cost-minimizing factor of one set from its per-term side sums (terms, 4), by bisection.
+def _scaled_sum(terms, t):
+    """sum_i m_i 2**(k_i + a_i t) over ``terms`` (m_i, k_i, a_i), split as 2**top times the
+    rest: returns the integer top, the sum divided by 2**top and its t-derivative divided
+    the same way.
 
-    The function bisected is lam * d/dlam of the objective, strictly
-    increasing in t = log lam.  The bracket starts around the per-term
-    closed forms and widens until the function changes sign.  The padding
-    sums are zero, so they drop out with every other zero sum.
+    k_i and top are integers, so the only rounding in an exponent is that of
+    a_i t, and nothing overflows at any scale.
     """
-    ps = np.array([p for p, _ in cost.terms])
-    pe = np.outer(ps, _exponents(c))
-    nonzero = sums != 0.0
-    coef, pe_nonzero = (pe * sums)[nonzero], pe[nonzero]
+    top = math.floor(max([k + a * t for _, k, a in terms]))
+    s = ds = 0.0
+    for m, k, a in terms:
+        v = m * 2.0 ** (k - top + a * t)
+        s += v
+        ds += a * v
+    return top, s, ds
 
-    def phi(t):
-        # lam * R'(lam) at lam = exp(t); strictly increasing, -inf at 0+, +inf at infinity
-        return float(np.add.reduce(coef * np.exp(t * pe_nonzero)))
 
-    with np.errstate(divide="ignore"):
-        guesses = (math.log(c) + np.log(sums[:, 1]) - np.log(sums[:, 0])) / (ps * (c + 1.0))
-    guesses = guesses[np.isfinite(guesses)]
-    lo, hi = (float(guesses.min()), float(guesses.max())) if guesses.size else (0.0, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = 1.0
-        while phi(lo) > 0.0 and lo > -_LOG_LIMIT:
-            lo, width = lo - width, 2.0 * width
-        width = 1.0
-        while phi(hi) < 0.0 and hi < _LOG_LIMIT:
-            hi, width = hi + width, 2.0 * width
-        if not phi(lo) <= 0.0 <= phi(hi):
-            raise DegenerateUnitError("no bracketed optimum within the floating-point range")
-        for _ in range(200):
-            if hi - lo <= 1e-14:
-                break
-            mid = 0.5 * (lo + hi)
-            if phi(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-    return math.exp(0.5 * (lo + hi))
+def _log_ratio(pos, neg, t):
+    """log2(P / N) at t = log lam and its t-derivative, where lam * R'(lam) = P - N.
+
+    P and N sum the positive and the negative terms of lam * R'(lam); the
+    ratio has the sign of P - N, and its log is nearly linear in t wherever
+    one term of each side dominates.  The derivative is positive.
+    """
+    top_p, s_p, d_p = _scaled_sum(pos, t)
+    top_n, s_n, d_n = _scaled_sum(neg, t)
+    return (top_p - top_n) + math.log2(s_p / s_n), d_p / s_p - d_n / s_n
+
+
+def _solve_log_lambda(cost, sums, c):
+    """Cost-minimizing log lam of one set from its per-term side sums (terms x 4 floats).
+
+    The objective's derivative in t = log lam is lam * R'(lam) = sum over
+    terms and sides of p e S exp(p e t) (e the side's exponent of lam, S the
+    sum), strictly increasing in t.  Each sum is kept as a mantissa and an
+    exact power of two (``math.frexp``).  The bracket starts around the
+    per-term closed forms and widens until it changes sign; then a
+    safeguarded Newton iteration (Press et al., Numerical Recipes, rtsafe)
+    narrows it by the sign at each iterate and takes its midpoint where the
+    step leaves it.  The steps are taken on ``_log_ratio``, which has the
+    root and the sign of lam * R'(lam) but is nearly linear in t far from
+    the root, where a step on lam * R'(lam) itself moves by about 1 / (p e).
+    The solve stops once the step is within a few ulps of the largest
+    exponent a t.  The padding sums and the inside sums of c = 1 are zero,
+    so they drop out.
+    """
+    exps = _exponents(c)
+    pos, neg, guesses = [], [], []
+    for (p, _), row in zip(cost.terms, sums):
+        for e, s in zip(exps, row):
+            if s != 0.0 and e != 0.0:
+                m, k = math.frexp(s)
+                (pos if e > 0.0 else neg).append((abs(p * e) * m, k, p * e / _LN2))
+        into, outof = row[0], row[1]
+        if into > 0.0 and outof > 0.0:
+            guess = (math.log(c) + math.log(outof) - math.log(into)) / (p * (c + 1.0))
+            if math.isfinite(guess):
+                guesses.append(guess)
+    slope = max([abs(a) for _, _, a in pos + neg])
+    lo, hi = (min(guesses), max(guesses)) if guesses else (0.0, 0.0)
+    g_lo, d_lo = _log_ratio(pos, neg, lo)
+    width = 1.0
+    while g_lo > 0.0 and lo > -_LOG_LIMIT:
+        lo, width = lo - width, 2.0 * width
+        g_lo, d_lo = _log_ratio(pos, neg, lo)
+    g_hi, d_hi = (g_lo, d_lo) if hi == lo else _log_ratio(pos, neg, hi)
+    width = 1.0
+    while g_hi < 0.0 and hi < _LOG_LIMIT:
+        hi, width = hi + width, 2.0 * width
+        g_hi, d_hi = _log_ratio(pos, neg, hi)
+    if not g_lo <= 0.0 <= g_hi:
+        raise DegenerateUnitError("no bracketed optimum within the floating-point range")
+    t, g, dg = (lo, g_lo, d_lo) if -g_lo <= g_hi else (hi, g_hi, d_hi)
+    while True:
+        step = g / dg
+        tol = 4.0 * math.ulp(1.0 + slope * abs(t)) / dg
+        if abs(step) <= tol:
+            return t - step
+        if hi - lo <= tol:
+            return t
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        g, dg = _log_ratio(pos, neg, t)
+        if g < 0.0:
+            lo = t
+        else:
+            hi = t
 
 
 class _Engine:
@@ -240,13 +290,13 @@ class _Engine:
     at the same steps.  ``begin(blocks)`` solves row r of the (R, size)
     array ``blocks``, sets that share no edge, in replica r from the
     current weights, with one gather, one ``bincount`` of side sums, lam*
-    (the closed form for all rows at once, a bisection row by row where it
-    does not apply) and one product, so each set gets the factor it would
-    get once the sets before it are written.  It writes the first set of
-    every block (one scatter of weights, one of edge costs and gap terms)
-    and keeps the others, an (R, size - 1) array of sets; each ``advance``
-    writes the next of them.  A block of one set keeps nothing, so
-    stochastic picks are solved and written at once.
+    (the closed form for all rows at once, a Newton solve in log lam row by
+    row where it does not apply) and one product, so each set gets the
+    factor it would get once the sets before it are written.  It writes the
+    first set of every block (one scatter of weights, one of edge costs and
+    gap terms) and keeps the others, an (R, size - 1) array of sets; each
+    ``advance`` writes the next of them.  A block of one set keeps nothing,
+    so stochastic picks are solved and written at once.
 
     The gap term of an entry is the edge's p-weighted cost (see
     ``_edge_costs``) times the set's exponent of lam on it (1 into the set,
@@ -368,7 +418,7 @@ class _Engine:
         The objective in lam is sum_t A_t lam**p + B_t lam**(-p c) + S_t lam**(p(1-c)).
         A single power term without an inside contribution has the closed form
         (c * B / A) ** (1 / (p (c + 1))), computed for all rows at once; any
-        other row goes to ``_bisect_log_lambda``.
+        other row goes to ``_solve_log_lambda``.
         """
         tot = sums[:, 0] if sums.shape[1] == 1 else sums.sum(axis=1)
         if tot[:, :2].min() <= 0.0:
@@ -381,10 +431,11 @@ class _Engine:
             if self._all_closed:
                 return lam
             solve = (c != 1.0) & (tot[:, 2] != 0.0)
-        # a bisection takes tens of steps whose control flow differs per row;
-        # run one row at a time, it costs less than masked array steps
-        for row in np.flatnonzero(solve).tolist():
-            lam[row] = _bisect_log_lambda(self.cost, sums[row], float(c[row]))
+        # a Newton solve takes a few steps on a handful of terms, its bracket
+        # search a different number per row: Python floats, one row at a time
+        rows = np.flatnonzero(solve)
+        for row, row_sums, row_c in zip(rows.tolist(), sums[rows].tolist(), c[rows].tolist()):
+            lam[row] = math.exp(_solve_log_lambda(self.cost, row_sums, row_c))
         return lam
 
     def _solve(self, ks):
@@ -754,7 +805,7 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
         tol_abs = schedule.deficit_tol * max(r_init, _TINY) ** 2
         sets, cycle = singles, None
-        if schedule.kind != "layer_tied" and start <= tol_abs:
+        if schedule.kind != "layer_tied" and math.isfinite(start) and start <= tol_abs:
             continue  # before the order is read, so a converged run adds no note
         if schedule.kind == "sequential" and schedule.order is not None:
             cycle = _order_cycle(schedule.order, index, trace.notes)
@@ -783,6 +834,11 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     for (sets, cycle), runs in families.items():
         batch = spare.pop(sets) if sets in spare else _Engine(net, cost, sets)
         gap = float(batch.deficit()[0])
+        if not math.isfinite(gap):  # an edge cost overflows: no tolerance is met, no step is sound
+            for i, _ in runs:
+                traces[i].converged = False
+                traces[i].notes.append(f"no step taken: the starting deficit is {gap!r}, not finite")
+            continue
         runs = [(i, tol_abs) for i, tol_abs in runs if gap > tol_abs]
         batch.select(np.zeros(len(runs), dtype=np.int64))
         cyclic = None if cycle is None else _cyclic_picks(batch, cycle)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,13 @@ def network_cost(net, spec: CostSpec) -> float:
 
     Each edge's cost is ``weight_cost``'s bit for bit: the powers are taken on
     Python floats (an object array), as NumPy's own power can differ in the last bit.
+    A power beyond the float range makes the cost inf.
     """
     a = np.abs(net.w).astype(object)
-    costs = sum((beta * a**p for p, beta in spec.terms), 0)
+    try:
+        costs = sum((beta * a**p for p, beta in spec.terms), 0)
+    except OverflowError:  # Python float powers raise where NumPy's give inf
+        return math.inf
     return float(np.cumsum(costs.astype(float))[-1]) if a.size else 0.0
 
 

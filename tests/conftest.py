@@ -176,6 +176,47 @@ def reference_partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=F
     return eng.to_network(), steps, r_series, deficit_series, notes
 
 
+def reference_bisect_log_lambda(cost, sums, c):
+    """Cost-minimizing log lam of one set from its per-term side sums (terms, 4), by bisection.
+
+    The function bisected is lam * d/dlam of the objective, summed with NumPy
+    exponentials, strictly increasing in t = log lam.  The bracket starts
+    around the per-term closed forms and widens until the function changes
+    sign; then 200 halvings at most, until it is 1e-14 wide.
+    """
+    sums = np.asarray(sums, dtype=float)
+    ps = np.array([p for p, _ in cost.terms])
+    pe = np.outer(ps, balancing._exponents(c))
+    nonzero = sums != 0.0
+    coef, pe_nonzero = (pe * sums)[nonzero], pe[nonzero]
+
+    def phi(t):
+        return float(np.add.reduce(coef * np.exp(t * pe_nonzero)))
+
+    with np.errstate(divide="ignore"):
+        guesses = (math.log(c) + np.log(sums[:, 1]) - np.log(sums[:, 0])) / (ps * (c + 1.0))
+    guesses = guesses[np.isfinite(guesses)]
+    lo, hi = (float(guesses.min()), float(guesses.max())) if guesses.size else (0.0, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = 1.0
+        while phi(lo) > 0.0 and lo > -balancing._LOG_LIMIT:
+            lo, width = lo - width, 2.0 * width
+        width = 1.0
+        while phi(hi) < 0.0 and hi < balancing._LOG_LIMIT:
+            hi, width = hi + width, 2.0 * width
+        if not phi(lo) <= 0.0 <= phi(hi):
+            raise balancing.DegenerateUnitError("no bracketed optimum in the floating-point range")
+        for _ in range(200):
+            if hi - lo <= 1e-14:
+                break
+            mid = 0.5 * (lo + hi)
+            if phi(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi)
+
+
 def reference_set_edges(src, dst, units):
     """Edges touching one unit set, one scan of every edge, and their side: 0 in, 1 out, 2 inside."""
     into, outof = np.isin(dst, units), np.isin(src, units)

@@ -1,9 +1,11 @@
 import math
 from dataclasses import astuple
+from decimal import Decimal, localcontext
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, example, given, settings, target
 from hypothesis import strategies as st
 
 import balancekit as bk
@@ -16,6 +18,7 @@ from conftest import (
     golden_lambda,
     random_layered,
     recurrent_bipu,
+    reference_bisect_log_lambda,
     reference_partial_balance_pass,
     reference_run_balancing_many,
     reference_run_batch,
@@ -552,12 +555,42 @@ def test_mixed_cost_runs_converge():
     # at the optimum sum_t p_t (A_t - c B_t) vanishes, sum_t (A_t - c B_t) does not,
     # so only the p-weighted deficit can meet the tolerance
     net = _criterion4_net()
+    steps = []
     for seed in range(10):
         sched = bk.Schedule("stochastic", seed=seed, deficit_tol=1e-8, max_steps=300)
         out, trace = bk.run_balancing(net, sched, MIXED)
         assert trace.converged, seed
+        steps.append(len(trace.units))
         for h in out.hidden_ids:
             assert abs(bk.optimal_lambda(out, h, MIXED) - 1.0) <= 1e-3
+    # pinned: a change of lambda* that moves a count must name its cause
+    assert steps == [138, 149, 112, 134, 121, 168, 150, 102, 159, 203]
+
+
+@pytest.mark.parametrize(
+    "kind", ["sequential", "stochastic", "partial_pass", "layer_independent", "layer_tied"]
+)
+def test_a_run_whose_starting_deficit_is_not_finite_takes_no_step(kind):
+    # x1e200: every L2 edge cost overflows to inf and the starting gap is nan
+    net = bk.make_layered([3, 6, 6, 2], seed=0)
+    big = net.replace_weights(net.w * 1e200)
+    sched = bk.Schedule(kind, deficit_tol=1e-12, max_steps=2_000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, trace = bk.run_balancing(big, sched, bk.l2())
+    assert not trace.converged and trace.units == []
+    assert trace.notes == ["no step taken: the starting deficit is nan, not finite"]
+    assert out.w.tobytes() == big.w.tobytes()
+
+
+def test_an_infinite_starting_deficit_is_not_within_an_infinite_tolerance():
+    # the hidden unit's incoming cost overflows, its outgoing one does not: the deficit
+    # and r_initial**2 are both inf
+    net = chain([1e200, 1.0])
+    with np.errstate(over="ignore"):
+        out, trace = bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
+    assert trace.r_initial == math.inf and not trace.converged and trace.units == []
+    assert trace.notes == ["no step taken: the starting deficit is inf, not finite"]
+    assert out.w.tobytes() == net.w.tobytes()
 
 
 def test_mixed_cost_lambda_at_extreme_scales():
@@ -594,6 +627,58 @@ def test_mixed_cost_lambda_with_a_self_loop():
         )
 
     assert abs(lam - golden_lambda(objective)) <= 1e-7 * lam
+
+
+def _exact_phi(cost, sums, c, t):
+    """lam * R'(lam) at log lam = t (a Decimal), from the exact exponents p e, at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        total = Decimal(0)
+        for (p, _), row in zip(cost.terms, sums):
+            for e, s in zip(balancing._exponents(c), row):
+                if s != 0.0 and e != 0.0:
+                    pe = Decimal(p) * Decimal(e)
+                    total += pe * Decimal(s) * (pe * t).exp()
+        return total
+
+
+_SIDE_LOG10 = st.floats(-150.0, 150.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(st.floats(0.5, 4.0), _SIDE_LOG10, _SIDE_LOG10, st.none() | _SIDE_LOG10),
+        min_size=2, max_size=3,
+    ),
+    c=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+)
+def test_newton_log_lambda_is_the_bisection(terms, c):
+    # side sums log-uniform over 1e-150..1e150 per term, the inside sum zero or not
+    cost = CostSpec(tuple((p, 1.0) for p, *_ in terms))
+    sums = [[10.0**a, 10.0**b, 0.0 if s is None else 10.0**s, 0.0] for _, a, b, s in terms]
+    try:
+        ref = reference_bisect_log_lambda(cost, sums, c)
+    except bk.DegenerateUnitError:
+        ref = None
+    with mock.patch.object(balancing, "_log_ratio", side_effect=balancing._log_ratio) as spy:
+        try:
+            t = balancing._solve_log_lambda(cost, sums, c)
+        except bk.DegenerateUnitError:
+            t = None
+    # the largest count shows under --hypothesis-show-statistics
+    target(float(spy.call_count), label="log-ratio evaluations")
+    assert spy.call_count <= 30
+    assert (t is None) == (ref is None)
+    if t is None:
+        return
+    # past |t| = 64 the bisection cannot close its 1e-14 bracket (one ulp is wider) and its
+    # sums carry the rounding of p e t, so the two agree to 1e-13 of max(|t|, 1)
+    assert abs(t - ref) <= 1e-13 * max(1.0, abs(ref))
+    # below |t| = 1 the exponents' rounding is absolute, so ulps are counted at 1
+    ulps = 4 * Decimal(math.ulp(max(abs(t), 1.0)))
+    below, above = (_exact_phi(cost, sums, c, Decimal(t) + d) for d in (-ulps, ulps))
+    assert below <= 0 <= above
 
 
 def test_unit_schedule_trace_ends_at_the_network_deficit(rng):

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 import balancekit as bk
@@ -260,6 +262,22 @@ def test_balance_mixed_cost_of_the_readme_converges(tmp_path):
     assert summary["final_deficit"] <= 1e-8 * summary["r_before"] ** 2
 
 
+@pytest.mark.parametrize("cost", ["l2", "0.015*l1+1.0*l2"])
+def test_balance_of_a_net_whose_costs_overflow_exits_two(tmp_path, capsys, cost):
+    net = bk.make_layered([3, 6, 6, 2], seed=0)
+    p = tmp_path / "big.json"
+    bk.netgraph.save(net.replace_weights(net.w * 1e200), p)
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["balance", "--net", str(p), "--cost", cost, "--out", str(out)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["converged"] is False and summary["steps"] == 0
+    assert summary["r_before"] == math.inf
+    assert summary["notes"] == ["no step taken: the starting deficit is nan, not finite"]
+
+
 def test_verify_uniqueness_mixed_cost_of_the_readme(tmp_path):
     p = tmp_path / "c4.json"
     bk.netgraph.save(bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform"), p)
@@ -269,6 +287,9 @@ def test_verify_uniqueness_mixed_cost_of_the_readme(tmp_path):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert report["max_pairwise"] < 1e-6 and report["max_vs_oracle"] < 1e-6
+    # no worse than with the bisection lambda* (3.24e-08 and 3.45e-08) beyond 1e-12
+    assert report["max_pairwise"] <= 3.241125712261095e-08 + 1e-12
+    assert report["max_vs_oracle"] <= 3.452972241468899e-08 + 1e-12
     oracle = json.loads((out / "oracle.json").read_text())
     assert oracle["r_star"] == report["r_star"] and oracle["grad_norm"] <= 1e-10
 
