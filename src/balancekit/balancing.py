@@ -660,17 +660,37 @@ def _order_cycle(order, index, notes):
     return [index[u] for u in order if u in index]
 
 
+def _finite_start(eng, traces):
+    """The engine's starting deficit, or None when it is not finite.
+
+    Then an edge cost overflows: no tolerance is met and no step is sound, so
+    each of ``traces`` is marked unconverged with a note, and its run takes
+    no step.
+    """
+    gap = float(eng.deficit()[0])
+    if math.isfinite(gap):
+        return gap
+    for trace in traces:
+        trace.converged = False
+        trace.notes.append(f"no step taken: the starting deficit is {gap!r}, not finite")
+    return None
+
+
 def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
     """Balance each unit exactly once, by default from the inputs toward the outputs.
 
     One pass lowers the total cost monotonically but generally leaves earlier
     units unbalanced again once their downstream neighbours move.  It is a
-    cyclic run capped at one step per listed unit that never stops early.
+    cyclic run capped at one step per listed unit that never stops early,
+    unless its starting deficit is not finite: then it takes no step and
+    returns ``net``, not converged, with a note.
     """
     check_structure(net)
     eligible, notes = _balanceable(net, allow_nonhomogeneous)
     eng = _Engine(net, cost, [(u,) for u in eligible])
     trace = BalanceTrace(r_initial=float(eng.r_init[0]), notes=notes)
+    if _finite_start(eng, [trace]) is None:
+        return net, trace
     index = {u: k for k, u in enumerate(eligible)}
     cycle = _default_cycle(net, index) if order is None else _order_cycle(order, index, notes)
     (w,), _ = _run_batch(eng, [(_cyclic_picks(eng, cycle), -math.inf, len(cycle), trace)])
@@ -833,11 +853,8 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     spare = {singles: eng}  # an engine serves one batch: ``select`` rewrites its state
     for (sets, cycle), runs in families.items():
         batch = spare.pop(sets) if sets in spare else _Engine(net, cost, sets)
-        gap = float(batch.deficit()[0])
-        if not math.isfinite(gap):  # an edge cost overflows: no tolerance is met, no step is sound
-            for i, _ in runs:
-                traces[i].converged = False
-                traces[i].notes.append(f"no step taken: the starting deficit is {gap!r}, not finite")
+        gap = _finite_start(batch, [traces[i] for i, _ in runs])
+        if gap is None:
             continue
         runs = [(i, tol_abs) for i, tol_abs in runs if gap > tol_abs]
         batch.select(np.zeros(len(runs), dtype=np.int64))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -31,7 +32,7 @@ from .activations import (
     max_slice_jump,
 )
 from .balancing import Schedule, network_deficit, run_balancing, run_balancing_many, trace_to_csv
-from .manifold import apply_multipliers, solve_convex
+from .manifold import apply_multipliers, fit_multipliers, solve_convex
 from .netgraph import forward, load, make_layered, save
 from .regularizer import network_cost, parse_cost
 from .training import (
@@ -75,9 +76,21 @@ def _out_dir(path) -> Path:
     return out
 
 
+def _strict(obj):
+    """``obj`` with every non-finite float replaced by None, which JSON spells null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_json(path, obj):
+    """Write ``obj`` as strict JSON: a non-finite float reads null."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -161,6 +174,9 @@ def cmd_verify_uniqueness(args) -> int:
             return 2
     stack = np.stack([final.weights() for final, _ in runs])
     max_pairwise = float(np.max(stack.max(axis=0) - stack.min(axis=0)))
+    # how far any run strayed from a pure rescaling of the input
+    residuals = [fit_multipliers(final, net)[1] for final, _ in runs]
+    max_run_residual = float(max(np.max(np.abs(r), initial=0.0) for r in residuals))
 
     solution = solve_convex(net, cost)
     oracle = apply_multipliers(net, solution.multipliers).weights()
@@ -180,6 +196,7 @@ def cmd_verify_uniqueness(args) -> int:
         "oracle_grad_norm": solution.grad_norm,
         "oracle_iterations": solution.iterations,
         "max_constraint_residual": max((abs(r) for r in solution.constraint_residuals), default=0.0),
+        "max_run_manifold_residual": max_run_residual,
     }
     _write_json(out / "report.json", report)
     ok = max_pairwise < 1e-6 and max_vs_oracle < 1e-6

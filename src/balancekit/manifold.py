@@ -1,18 +1,22 @@
-"""Self-consistent rescaling configurations and the independent convex oracle.
+"""The rescaling manifold: fitting runs to it, and the independent convex oracle.
 
 A balancing run multiplies each unit i by some cumulative factor Lambda_i
 (visible units stay at 1), so every edge weight gets rescaled by
 Lambda_dst / Lambda_src**c_src.  Working with per-edge logs
 L = log(Lambda_dst) - c_src * log(Lambda_src) turns the reachable set into a
-linear manifold, characterized by weighted zero-sum constraints along
-input-to-output paths and directed cycles, and turns the total weight cost
-into a strictly convex sum of exponentials.  Minimizing that sum over the
-manifold certifies the unique balanced state any fair schedule converges to.
+linear manifold: the range of the edge-unit incidence operator A, with
+A[e, dst] = 1 and A[e, src] = -c_src over the nonzero edges and the free
+(hidden homogeneous) units, every other unit pinned at log multiplier 0.  The
+paper states the same manifold as weighted zero-sum constraints along
+input-to-output paths and directed cycles.  The total weight cost becomes a
+strictly convex sum of exponentials, and minimizing it over the manifold
+certifies the unique balanced state any fair schedule converges to.
 
-The solver itself is parametrized directly by the per-unit log multipliers of
-the hidden homogeneous units (everything else pinned at 0), which sweeps out
-exactly the constrained manifold with no constraints left to impose; the
-explicit path/cycle constraints remain available for verification.
+The solver is parametrized directly by the per-unit log multipliers, which
+sweeps out exactly the manifold with no constraints left to impose.  A run is
+certified by the least-squares fit of its per-edge log weight ratios onto the
+manifold (``fit_multipliers``): the residual vanishes exactly when the run
+stayed on it, and otherwise points at the edges that strayed.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import BIAS, INPUT, OUTPUT, Network, neighbours, reachable
+from .netgraph import Network, reachable
 from .regularizer import CostSpec
 
 _GRAD_TOL = 1e-10  # Newton stops at this gradient sup-norm of the normalized objective
@@ -37,14 +41,6 @@ class ConvexSolverError(RuntimeError):
     """Newton failed to reach the gradient tolerance."""
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """A zero-sum constraint: kind "path" (input..output) or "cycle" (closed)."""
-
-    kind: str
-    units: tuple
-
-
 @dataclass
 class MultiplierAssignment:
     """Per-unit positive multipliers; visible and non-homogeneous units sit at 1."""
@@ -53,184 +49,102 @@ class MultiplierAssignment:
 
 
 @dataclass
-class SelfConsistentConfig:
-    """Per-edge log rescaling factors, keyed by (src, dst)."""
-
-    l_per_edge: dict
-
-
-@dataclass
 class ConvexSolution:
-    config: SelfConsistentConfig
     multipliers: MultiplierAssignment
     r_star: float
     grad_norm: float
     iterations: int
-    constraint_residuals: list
+    constraint_residuals: list  # per nonzero edge, in edge-list order: A l - z of the optimum
 
 
-def _bfs_path(adj, start, goal_test):
-    """Shortest path from start to any unit u with ``goal_test(u)``, exploring ids in order."""
-    if goal_test(start):
-        return [start]
-    parent = {start: None}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in parent:
-                    continue
-                parent[v] = u
-                if goal_test(v):
-                    path = [v]
-                    while parent[path[-1]] is not None:
-                        path.append(parent[path[-1]])
-                    path.reverse()
-                    return path
-                nxt.append(v)
-        frontier = nxt
-    return None
+class _Manifold:
+    """A network's rescaling manifold, as arrays over its nonzero edges.
 
-
-def enumerate_constraints(net: Network):
-    """Representative constraint set covering every hidden unit.
-
-    One input-to-output path (over nonzero edges) through each hidden unit;
-    for recurrent networks additionally one directed cycle per independent
-    cycle of each strongly connected component.
+    ``src``, ``dst`` and ``csrc`` hold the ends and the source exponent of
+    each nonzero edge (``live`` marks them in the edge list); ``free`` holds
+    the units whose log multiplier may move.  Raises
+    ``UnidentifiableUnitError`` when a free unit is connected to no pinned
+    unit through nonzero edges (ignoring direction): its multiplier would be
+    free to drift.
     """
-    net.structure.check()
-    fwd, bwd = neighbours(net, forward=True), neighbours(net, forward=False)
-    is_source = [u.role in (INPUT, BIAS) for u in net.units].__getitem__
-    is_output = [u.role == OUTPUT for u in net.units].__getitem__
-    paths = []
-    seen = set()
-    for h in sorted(net.hidden_ids):
-        back = _bfs_path(bwd, h, is_source)
-        fore = _bfs_path(fwd, h, is_output)
-        if back is None or fore is None:
-            raise ValueError(f"hidden unit {h} lies on no input->output path of nonzero edges")
-        path = tuple(reversed(back)) + tuple(fore[1:])
-        if path not in seen:
-            seen.add(path)
-            paths.append(Constraint("path", path))
 
-    cycles = []
-    if net.recurrent:
-        for scc in _strongly_connected(net):
-            inside = set(scc)
-            sub = {u: [v for v in fwd[u] if v in inside] for u in scc}
-            has_self = any(u in fwd[u] for u in scc)
-            if len(scc) == 1 and not has_self:
-                continue
-            root = min(scc)
-            tree_edges = set()
-            parent = {root: None}
-            frontier = [root]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    for v in sub[u]:
-                        if v not in parent and v != u:
-                            parent[v] = u
-                            tree_edges.add((u, v))
-                            nxt.append(v)
-                frontier = nxt
-            for u in sorted(scc):
-                for v in sub[u]:
-                    if (u, v) in tree_edges:
-                        continue
-                    if u == v:
-                        cycles.append(Constraint("cycle", (u, u)))
-                        continue
-                    back = _bfs_path(sub, v, u.__eq__)
-                    cycles.append(Constraint("cycle", (u,) + tuple(back)))
-    return paths + cycles
-
-
-def _propagate(L, c, units, l=0.0):
-    """Walk a log multiplier along ``units``: l <- L[(src, dst)] + c_src * l, yielding (dst, l)."""
-    for src, dst in zip(units, units[1:]):
-        l = L[(src, dst)] + c[src] * l
-        yield dst, l
-
-
-def constraint_residual(net, constraint: Constraint, config: SelfConsistentConfig) -> float:
-    """Signed violation of one constraint by a per-edge log configuration.
-
-    Both kinds start at log multiplier 0 (an input, or the cycle's own start)
-    and propagate along the units; the residual is the value at the end, which
-    a path's output and a closed cycle both require to be 0.
-    """
-    l = 0.0
-    for _, l in _propagate(config.l_per_edge, net.structure.exponent.tolist(), constraint.units):
-        pass
-    return l
-
-
-def is_self_consistent(config: SelfConsistentConfig, net: Network, tol: float = 1e-9):
-    """Check whether per-edge logs come from per-unit multipliers.
-
-    Propagates log multipliers along the representative constraints (visible
-    and non-homogeneous units pinned at 0) and then re-checks every nonzero
-    edge.  Returns (True, MultiplierAssignment) or (False, description of the
-    first conflicting unit).
-    """
-    L = config.l_per_edge
-    s = net.structure
-    c = s.exponent.tolist()
-    live = net.w != 0.0
-    nonzero = list(zip(s.src[live].tolist(), s.dst[live].tolist()))
-    for a, b in nonzero:
-        if (a, b) not in L:
-            raise ValueError(f"config missing an entry for nonzero edge ({a}->{b})")
-
-    loglam = {u: 0.0 for u in np.flatnonzero(~s.free).tolist()}
-    constraints = enumerate_constraints(net)
-    for con in constraints:
-        units = con.units
-        if units[0] not in loglam:
-            continue  # cycles are re-walked once path propagation anchors them
-        for dst, l in _propagate(L, c, units, loglam[units[0]]):
-            if dst in loglam:
-                if abs(l - loglam[dst]) > tol:
-                    return False, (
-                        f"unit {dst}: propagated log multiplier {l!r} conflicts with "
-                        f"{loglam[dst]!r}"
-                    )
-            else:
-                loglam[dst] = l
-    for a, b in nonzero:
-        if a not in loglam or b not in loglam:
-            return False, f"unit {b if b not in loglam else a}: multiplier not determined"
-        want = loglam[b] - c[a] * loglam[a]
-        if abs(L[(a, b)] - want) > tol:
-            return False, (
-                f"unit {b}: edge ({a}->{b}) log factor {L[(a, b)]!r} "
-                f"does not match the recovered multipliers ({want!r})"
+    def __init__(self, net: Network):
+        structure = net.structure
+        structure.check()
+        self.n = n = len(structure.units)
+        self.free = np.flatnonzero(structure.free)
+        self.live = net.w != 0.0
+        self.src, self.dst = src, dst = structure.src[self.live], structure.dst[self.live]
+        pinned = np.flatnonzero(~structure.free)
+        anchored = reachable(n, np.concatenate((src, dst)), np.concatenate((dst, src)), pinned)
+        lost = np.flatnonzero(structure.free & ~anchored).tolist()
+        if lost:
+            raise UnidentifiableUnitError(
+                f"units {lost} are not connected to any visible unit by nonzero edges"
             )
-    lam = {u.id: math.exp(loglam[u.id]) if u.id in loglam else 1.0 for u in net.units}
-    return True, MultiplierAssignment(lam)
+        self.csrc = csrc = structure.exponent[src]
+        # entries of edge e in A^T diag(h) A: (dst, dst) += h, (src, src) += c^2 h,
+        # (dst, src) and (src, dst) -= c h, on the flattened n x n matrix
+        self.h_at = np.concatenate((dst * n + dst, src * n + src, dst * n + src, src * n + dst))
+        self.h_by = np.concatenate((np.ones_like(csrc), csrc * csrc, -csrc, -csrc))
+
+    def image(self, l):
+        """A l: the per-edge logs of the per-unit log multipliers ``l``."""
+        return l[self.dst] - self.csrc * l[self.src]
+
+    def adjoint(self, y):
+        """A^T y over the free units."""
+        n = self.n
+        return (np.bincount(self.dst, y, n) - np.bincount(self.src, self.csrc * y, n))[self.free]
+
+    def gram(self, h):
+        """A^T diag(h) A over the free units."""
+        n, free = self.n, self.free
+        return np.bincount(self.h_at, np.tile(h, 4) * self.h_by, n * n).reshape(n, n)[np.ix_(free, free)]
+
+    def fit(self, L):
+        """Least-squares fit of per-edge logs ``L``: per-unit log multipliers l, and A l - L.
+
+        Solves the normal equations (A^T A) l = A^T L, which anchoring makes
+        positive definite.
+        """
+        l = np.zeros(self.n)
+        if self.free.size:
+            l[self.free] = np.linalg.solve(self.gram(np.ones_like(L)), self.adjoint(L))
+        return l, self.image(l) - L
 
 
-def project_balancing_run(final_net: Network, initial_net: Network) -> SelfConsistentConfig:
-    """Per-edge log weight ratios of a balancing run's end state vs its start."""
+def fit_multipliers(final_net: Network, initial_net: Network):
+    """Certify a run: fit its per-edge log weight ratios onto the rescaling manifold.
+
+    Returns the fitted ``MultiplierAssignment`` and the residual A l - L, one
+    float per edge in edge-list order (0.0 on zero-weight edges).  A run that
+    only rescaled units has a residual at rounding level; ``argmax`` of its
+    absolute value names the edge that strays most.  Raises ``ValueError``
+    when the nets do not share one edge list, naming the first edge whose
+    weight flips sign, vanishes or appears or whose ratio is not finite, and
+    ``UnidentifiableUnitError`` as ``solve_convex`` does.
+    """
     s0, s1 = initial_net.structure, final_net.structure
     if not (np.array_equal(s0.src, s1.src) and np.array_equal(s0.dst, s1.dst)):
         raise ValueError("networks do not share the same edge list")
-    L = {}
-    weights = zip(initial_net.w.tolist(), final_net.w.tolist())
-    for a, b, (w0, w1) in zip(s0.src.tolist(), s0.dst.tolist(), weights):
-        if w0 == 0.0:
-            if w1 != 0.0:
-                raise ValueError(f"edge ({a}->{b}) went from zero to nonzero; not a rescaling")
-            continue
-        ratio = w1 / w0
-        if ratio <= 0.0:
-            raise ValueError(f"edge ({a}->{b}) flipped sign or vanished; not a rescaling")
-        L[(a, b)] = math.log(ratio)
-    return SelfConsistentConfig(L)
+    m = _Manifold(initial_net)
+    w0, w1 = initial_net.w, final_net.w
+    with np.errstate(all="ignore"):
+        ratio = np.divide(w1, w0, out=np.ones_like(w1), where=m.live)
+    bad = np.flatnonzero((~m.live & (w1 != 0.0)) | ~np.isfinite(ratio) | ~(ratio > 0.0))
+    if bad.size:
+        k = int(bad[0])
+        edge = f"edge ({s0.src[k]}->{s0.dst[k]})"
+        if not m.live[k]:
+            raise ValueError(f"{edge} went from zero to nonzero; not a rescaling")
+        if not math.isfinite(ratio[k]):
+            raise ValueError(f"{edge}: weight ratio {float(ratio[k])!r} is not finite")
+        raise ValueError(f"{edge} flipped sign or vanished; not a rescaling")
+    l, residual = m.fit(np.log(ratio[m.live]))
+    full = np.zeros(w0.size)
+    full[m.live] = residual
+    return MultiplierAssignment(dict(enumerate(np.exp(l).tolist()))), full
 
 
 def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
@@ -245,50 +159,31 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
     steps; it stops when the gradient sup-norm of the normalized objective
     falls below ``_GRAD_TOL`` (an absolute tolerance would sit under the
     floating-point floor for large-cost problems), and raises
-    ``ConvexSolverError`` after ``_MAX_ITER`` iterations without.
+    ``ConvexSolverError`` after ``_MAX_ITER`` iterations without.  The
+    ``constraint_residuals`` are the manifold fit's residual of the optimum's
+    per-edge logs z, one per nonzero edge.
     """
-    structure = net.structure
-    structure.check()
-    free = np.flatnonzero(structure.free)
-    n = len(structure.units)
-
-    # identifiability: every free unit must reach a pinned unit through
-    # nonzero edges (ignoring direction), otherwise its multiplier is free to
-    # drift and the program has no minimum.
-    live = net.w != 0.0
-    src, dst = structure.src[live], structure.dst[live]
-    anchored = reachable(n, np.r_[src, dst], np.r_[dst, src], np.flatnonzero(~structure.free))
-    lost = np.flatnonzero(structure.free & ~anchored).tolist()
-    if lost:
-        raise UnidentifiableUnitError(
-            f"units {lost} are not connected to any visible unit by nonzero edges"
-        )
-    constraints = enumerate_constraints(net)
+    m = _Manifold(net)
+    free = m.free
 
     # log c_te, one row per term, shifted by its logsumexp
     p = np.array([[pt] for pt, _ in cost.terms])
-    logc = np.log([[beta] for _, beta in cost.terms]) + p * np.log(np.abs(net.w[live]))
+    logc = np.log([[beta] for _, beta in cost.terms]) + p * np.log(np.abs(net.w[m.live]))
     top = np.max(logc, initial=-np.inf)
     with np.errstate(divide="ignore"):
         log_scale = top + np.log(np.sum(np.exp(logc - top)))
     coeff = np.exp(logc - log_scale)
-    csrc = structure.exponent[src]
-    # Hessian entries of edge e: (dst, dst) += h, (src, src) += c^2 h,
-    # (dst, src) and (src, dst) -= c h, on the flattened n x n matrix
-    h_at = np.r_[dst * n + dst, src * n + src, dst * n + src, src * n + dst]
-    h_by = np.r_[np.ones_like(csrc), csrc * csrc, -csrc, -csrc]
 
     def terms(l):
         with np.errstate(over="ignore"):
-            return coeff * np.exp(p * (l[dst] - csrc * l[src]))
+            return coeff * np.exp(p * m.image(l))
 
-    l = np.zeros(n)
+    l = np.zeros(m.n)
     grad_norm, iterations = 0.0, 0
     while free.size:  # with no free unit there is nothing to solve: 0 iterations
         iterations += 1
         t = terms(l)
-        dz = np.sum(p * t, axis=0)
-        g = (np.bincount(dst, dz, n) - np.bincount(src, csrc * dz, n))[free]
+        g = m.adjoint(np.sum(p * t, axis=0))
         grad_norm = float(np.max(np.abs(g)))
         if grad_norm <= _GRAD_TOL:
             break
@@ -296,8 +191,7 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
             raise ConvexSolverError(
                 f"no convergence after {_MAX_ITER} Newton iterations (grad={grad_norm:.3e})"
             )
-        hz = np.sum(p * p * t, axis=0)
-        H = np.bincount(h_at, np.tile(hz, 4) * h_by, n * n).reshape(n, n)[np.ix_(free, free)]
+        H = m.gram(np.sum(p * p * t, axis=0))
         try:
             step = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -321,15 +215,11 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
             )
         l = trial
 
-    z = l[dst] - csrc * l[src]
-    config = SelfConsistentConfig(dict(zip(zip(src.tolist(), dst.tolist()), z.tolist())))
+    _, residual = m.fit(m.image(l))
     lam = dict(enumerate(np.exp(l).tolist()))
-    residuals = [constraint_residual(net, c, config) for c in constraints]
     with np.errstate(over="ignore", divide="ignore"):
         r_star = float(np.exp(log_scale + np.log(np.sum(terms(l)))))
-    return ConvexSolution(
-        config, MultiplierAssignment(lam), r_star, grad_norm, iterations, residuals
-    )
+    return ConvexSolution(MultiplierAssignment(lam), r_star, grad_norm, iterations, residual.tolist())
 
 
 def apply_multipliers(net: Network, assignment: MultiplierAssignment) -> Network:
@@ -359,17 +249,3 @@ def tied_layer_closed_form(layer_norms) -> list:
     mean = sum(logs) / len(logs)
     return [math.exp(0.5 * (mean - l)) for l in logs]
 
-
-def _strongly_connected(net):
-    """Strongly connected components over the nonzero edges, each sorted, ordered by least unit."""
-    structure = net.structure
-    live = net.w != 0.0
-    src, dst = structure.src[live], structure.dst[live]
-    n = len(structure.units)
-    components, done = [], np.zeros(n, dtype=bool)
-    for u in range(n):
-        if not done[u]:
-            component = reachable(n, src, dst, [u]) & reachable(n, dst, src, [u])
-            done |= component
-            components.append(np.flatnonzero(component).tolist())
-    return components

@@ -423,14 +423,6 @@ def structural_problems(net: Network) -> list:
     ]
 
 
-def neighbours(net: Network, forward: bool = True):
-    """Per unit, the ascending ids one nonzero edge away: its targets, or its sources."""
-    s = net.structure
-    live = net.w != 0.0
-    ends = (s.src[live], s.dst[live]) if forward else (s.dst[live], s.src[live])
-    return _grouped(*ends, len(s.units))
-
-
 def activation_groups(specs):
     """(spec, column positions) per distinct activation, in order of first use.
 

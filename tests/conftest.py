@@ -150,6 +150,148 @@ def reference_deserialize(text):
     return bk.Network(units, edges, recurrent=recurrent, unroll_steps=unroll_steps)
 
 
+def _reference_neighbours(net, forward):
+    """Per unit id, the ascending ids one nonzero edge away: its targets, or its sources."""
+    adj = {u.id: [] for u in net.units}
+    for e in net.edges:
+        if e.weight != 0.0:
+            a, b = (e.src, e.dst) if forward else (e.dst, e.src)
+            adj[a].append(b)
+    return {u: sorted(vs) for u, vs in adj.items()}
+
+
+def _reference_bfs_path(adj, start, goal_test):
+    """Shortest path from start to any unit u with ``goal_test(u)``, exploring ids in order."""
+    if goal_test(start):
+        return [start]
+    parent = {start: None}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v in parent:
+                    continue
+                parent[v] = u
+                if goal_test(v):
+                    path = [v]
+                    while parent[path[-1]] is not None:
+                        path.append(parent[path[-1]])
+                    path.reverse()
+                    return path
+                nxt.append(v)
+        frontier = nxt
+    return None
+
+
+def _reference_reach(adj, start):
+    """Set of the units reachable from ``start`` along ``adj``, ``start`` included."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def reference_constraints(net):
+    """The paper's path/cycle statement of the rescaling manifold, as (kind, units) tuples.
+
+    One input-to-output path (over nonzero edges) through each hidden unit;
+    for recurrent networks additionally one directed cycle per independent
+    cycle of each strongly connected component.  Per-edge logs lie on the
+    manifold exactly when every constraint's residual
+    (``reference_constraint_residual``) is 0.
+    """
+    check_structure(net)
+    fwd, bwd = _reference_neighbours(net, True), _reference_neighbours(net, False)
+    roles = {u.id: u.role for u in net.units}
+    paths = []
+    for h in sorted(net.hidden_ids):
+        back = _reference_bfs_path(bwd, h, lambda u: roles[u] in (bk.INPUT, bk.BIAS))
+        fore = _reference_bfs_path(fwd, h, lambda u: roles[u] == bk.OUTPUT)
+        if back is None or fore is None:
+            raise ValueError(f"hidden unit {h} lies on no input->output path of nonzero edges")
+        path = ("path", tuple(reversed(back)) + tuple(fore[1:]))
+        if path not in paths:
+            paths.append(path)
+
+    cycles = []
+    if net.recurrent:
+        done = set()
+        for root in sorted(fwd):  # each component is rooted at its least unit
+            if root in done:
+                continue
+            scc = sorted(_reference_reach(fwd, root) & _reference_reach(bwd, root))
+            done.update(scc)
+            sub = {u: [v for v in fwd[u] if v in scc] for u in scc}
+            if len(scc) == 1 and root not in fwd[root]:
+                continue
+            tree_edges = set()
+            parent = {root: None}
+            frontier = [root]
+            while frontier:
+                nxt = []
+                for u in frontier:
+                    for v in sub[u]:
+                        if v not in parent and v != u:
+                            parent[v] = u
+                            tree_edges.add((u, v))
+                            nxt.append(v)
+                frontier = nxt
+            for u in scc:
+                for v in sub[u]:
+                    if (u, v) in tree_edges:
+                        continue
+                    if u == v:
+                        cycles.append(("cycle", (u, u)))
+                        continue
+                    back = _reference_bfs_path(sub, v, u.__eq__)
+                    cycles.append(("cycle", (u,) + tuple(back)))
+    return paths + cycles
+
+
+def reference_log_ratios(final_net, initial_net):
+    """Per-edge log weight ratios of a run, keyed by (src, dst), over the nonzero edges."""
+    return {
+        (a.src, a.dst): math.log(b.weight / a.weight)
+        for a, b in zip(initial_net.edges, final_net.edges)
+        if a.weight != 0.0
+    }
+
+
+def _reference_walk(c, log_ratios, units, l=0.0):
+    """Log multiplier at the end of ``units``, walking l <- L[(src, dst)] + c_src * l from ``l``."""
+    for src, dst in zip(units, units[1:]):
+        l = log_ratios[(src, dst)] + c[src] * l
+    return l
+
+
+def reference_constraint_residual(net, constraint, log_ratios):
+    """Signed violation of one (kind, units) constraint by per-edge logs keyed by (src, dst).
+
+    A path starts at an input's log multiplier 0 and must end at the
+    output's, 0.  A cycle starts at its first unit's log multiplier, walked
+    in from a source along the shortest nonzero path, and must come back to
+    it; only when the exponents around the cycle multiply to 1 is that the
+    same as walking from 0 back to 0.
+    """
+    c = net.structure.exponent
+    kind, units = constraint
+    if kind == "path":
+        return _reference_walk(c, log_ratios, units)
+    roles = {u.id: u.role for u in net.units}
+    back = _reference_bfs_path(
+        _reference_neighbours(net, False), units[0], lambda u: roles[u] in (bk.INPUT, bk.BIAS)
+    )
+    start = _reference_walk(c, log_ratios, back[::-1])
+    return _reference_walk(c, log_ratios, units, start) - start
+
+
 def reference_partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
     """One pass stepped unit by unit on a one-row engine, with a ``BalanceReport`` built per step.
 

@@ -582,6 +582,16 @@ def test_a_run_whose_starting_deficit_is_not_finite_takes_no_step(kind):
     assert out.w.tobytes() == big.w.tobytes()
 
 
+def test_a_partial_pass_whose_starting_deficit_is_not_finite_takes_no_step():
+    net = bk.make_layered([3, 6, 6, 2], seed=0)
+    big = net.replace_weights(net.w * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, trace = bk.partial_balance_pass(big, bk.l2())
+    assert not trace.converged and trace.units == []
+    assert trace.notes == ["no step taken: the starting deficit is nan, not finite"]
+    assert out.w.tobytes() == big.w.tobytes()
+
+
 def test_an_infinite_starting_deficit_is_not_within_an_infinite_tolerance():
     # the hidden unit's incoming cost overflows, its outgoing one does not: the deficit
     # and r_initial**2 are both inf

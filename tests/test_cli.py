@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -8,6 +7,14 @@ import balancekit as bk
 from balancekit import cli
 from balancekit.cli import main
 from conftest import chain
+
+
+def _load(path):
+    """A JSON output of the CLI, read strictly: the bare NaN and Infinity are not JSON."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 @pytest.fixture
@@ -32,7 +39,7 @@ def test_balance_chain_matches_oracle(tmp_path, chain_net_path):
         "--schedule", "stochastic:3", "--tol", "1e-18", "--out", str(out),
     ])
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _load(out / "summary.json")
     net = bk.netgraph.load(chain_net_path)
     sol = bk.solve_convex(net, bk.l2())
     assert abs(summary["r_after"] - sol.r_star) <= 1e-6 * sol.r_star
@@ -49,7 +56,7 @@ def test_balance_already_balanced_makes_no_steps(tmp_path, chain_net_path):
     code = main(["balance", "--net", str(first / "balanced.json"), "--cost", "l2",
                  "--schedule", "sequential", "--tol", "1e-12", "--out", str(second)])
     assert code == 0
-    summary = json.loads((second / "summary.json").read_text())
+    summary = _load(second / "summary.json")
     assert summary["steps"] == 0
 
 
@@ -71,14 +78,18 @@ def test_verify_uniqueness_small(tmp_path, layered_net_path):
     code = main(["verify-uniqueness", "--net", str(layered_net_path), "--cost", "l2",
                  "--n-schedules", "3", "--tol", "1e-18", "--out", str(out)])
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _load(out / "report.json")
     assert report["max_pairwise"] < 1e-6
     assert report["max_vs_oracle"] < 1e-6
-    oracle = json.loads((out / "oracle.json").read_text())
+    oracle = _load(out / "oracle.json")
     assert set(oracle) == {
         "r_star", "lambda_per_unit", "grad_norm", "iterations", "constraint_residuals",
     }
     assert oracle["grad_norm"] <= 1e-10
+    net = bk.netgraph.load(layered_net_path)
+    assert len(oracle["constraint_residuals"]) == np.count_nonzero(net.w)
+    assert report["max_constraint_residual"] <= 1e-9
+    assert report["max_run_manifold_residual"] <= 1e-9
 
 
 def test_verify_uniqueness_visible_only_net(tmp_path):
@@ -90,7 +101,7 @@ def test_verify_uniqueness_visible_only_net(tmp_path):
     code = main(["verify-uniqueness", "--net", str(p), "--n-schedules", "2",
                  "--out", str(out)])
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _load(out / "report.json")
     assert "note" in report
 
 
@@ -203,7 +214,7 @@ def test_train_divergence_exits_two_with_partial_metrics(tmp_path):
     assert main(["train", "--config", str(p), "--out", str(out)]) == 2
     metrics = (out / "none" / "seed_0" / "metrics.csv").read_text().strip().split("\n")
     assert len(metrics) >= 2  # header plus at least the initial evaluation row
-    run_manifest = json.loads((out / "none" / "seed_0" / "manifest.json").read_text())
+    run_manifest = _load(out / "none" / "seed_0" / "manifest.json")
     assert "non-finite" in run_manifest["note"]
 
 
@@ -230,7 +241,7 @@ def test_approx_constant_and_line(tmp_path):
     out = tmp_path / "a"
     assert main(["approx", "--samples", str(p), "--epsilon", "0.5",
                  "--grid", "501", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _load(out / "report.json")
     assert report["max_interpolation_error"] == 0.0
 
     p = tmp_path / "line.csv"
@@ -238,7 +249,7 @@ def test_approx_constant_and_line(tmp_path):
     out = tmp_path / "b"
     assert main(["approx", "--samples", str(p), "--epsilon", "0.5", "--n", "1",
                  "--grid", "501", "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _load(out / "report.json")
     assert report["max_interpolation_error"] <= 1e-15
 
 
@@ -257,7 +268,7 @@ def test_balance_mixed_cost_of_the_readme_converges(tmp_path):
     code = main(["balance", "--net", str(p), "--cost", "0.015*l1+1.0*l2",
                  "--max-steps", "300", "--out", str(out)])
     assert code == 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _load(out / "summary.json")
     assert summary["converged"] and summary["steps"] <= 300
     assert summary["final_deficit"] <= 1e-8 * summary["r_before"] ** 2
 
@@ -272,9 +283,10 @@ def test_balance_of_a_net_whose_costs_overflow_exits_two(tmp_path, capsys, cost)
         code = main(["balance", "--net", str(p), "--cost", cost, "--out", str(out)])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _load(out / "summary.json")
     assert summary["converged"] is False and summary["steps"] == 0
-    assert summary["r_before"] == math.inf
+    assert summary["r_before"] is None and summary["final_deficit"] is None
+    _load(out / "manifest.json")
     assert summary["notes"] == ["no step taken: the starting deficit is nan, not finite"]
 
 
@@ -285,13 +297,14 @@ def test_verify_uniqueness_mixed_cost_of_the_readme(tmp_path):
     code = main(["verify-uniqueness", "--net", str(p), "--cost", "0.015*l1+1.0*l2",
                  "--n-schedules", "12", "--out", str(out)])
     assert code == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _load(out / "report.json")
     assert report["max_pairwise"] < 1e-6 and report["max_vs_oracle"] < 1e-6
     # no worse than with the bisection lambda* (3.24e-08 and 3.45e-08) beyond 1e-12
     assert report["max_pairwise"] <= 3.241125712261095e-08 + 1e-12
     assert report["max_vs_oracle"] <= 3.452972241468899e-08 + 1e-12
-    oracle = json.loads((out / "oracle.json").read_text())
+    oracle = _load(out / "oracle.json")
     assert oracle["r_star"] == report["r_star"] and oracle["grad_norm"] <= 1e-10
+    assert report["max_run_manifold_residual"] <= 1e-9
 
 
 def test_balance_edge_to_unknown_unit_exits_one(tmp_path, capsys):
@@ -337,7 +350,7 @@ def test_every_manifest_records_the_python_and_numpy_versions(tmp_path, chain_ne
         if command == "train":
             manifests += [out / "none" / f"seed_{s}" / "manifest.json" for s in (1, 2)]
         for path in manifests:
-            manifest = json.loads(path.read_text())
+            manifest = _load(path)
             assert {k: manifest.get(k) for k in versions} == versions, (command, path)
 
 

@@ -458,7 +458,7 @@ _ENTRY_POINTS = {
     "gradients": lambda net: bk.gradients(net, (np.ones((1, 1)), np.ones((1, 1))), "squared_error"),
     "topological_order": topological_order,
     "solve_convex": lambda net: bk.solve_convex(net, bk.l2()),
-    "enumerate_constraints": bk.enumerate_constraints,
+    "fit_multipliers": lambda net: bk.fit_multipliers(net, net),
     "partial_balance_pass": lambda net: bk.partial_balance_pass(net, bk.l2()),
     "network_deficit": lambda net: bk.network_deficit(net, bk.l2()),
 }

@@ -213,6 +213,20 @@ def test_balancing_cost_may_differ_from_training_cost():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_partial_passes_leave_a_net_whose_costs_overflow_as_it_is():
+    # zero inputs and targets: the loss and its gradient stay 0 at any weight scale
+    net = bk.make_layered([3, 6, 6, 2], seed=0)
+    big = net.replace_weights(net.w * 1e200)
+    data = bk.Dataset(np.zeros((16, 3)), np.zeros((16, 2)), "zeros")
+    cfg = bk.TrainConfig(
+        0.05, 8, 2, "squared_error", balance=bk.BalanceMode("partial_each_epoch"), seed=0
+    )
+    out, rows = bk.sgd_train(big, data, data, cfg)
+    assert len(rows) == 3 and not np.isnan(out.w).any()
+    assert out.w.tobytes() == big.w.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises_with_partial_metrics():
     train, test = _circles_split()
     net = bk.make_layered([2, 4, 1], hidden_activation=bk.RELU,
