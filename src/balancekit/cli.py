@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import platform
 import sys
@@ -32,7 +31,7 @@ from .activations import (
     max_slice_jump,
 )
 from .balancing import Schedule, network_deficit, run_balancing, run_balancing_many, trace_to_csv
-from .manifold import apply_multipliers, fit_multipliers, solve_convex
+from .manifold import apply_multipliers, fit_multipliers_many, solve_convex
 from .netgraph import forward, load, make_layered, save
 from .regularizer import network_cost, parse_cost
 from .training import (
@@ -76,21 +75,13 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _strict(obj):
-    """``obj`` with every non-finite float replaced by None, which JSON spells null."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _strict(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict(v) for v in obj]
-    return obj
-
-
 def _write_json(path, obj):
     """Write ``obj`` as strict JSON: a non-finite float reads null."""
+    # json spells them NaN/Infinity; reading that back with those constants as
+    # None keeps every other value (floats print as their exact repr)
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -175,8 +166,8 @@ def cmd_verify_uniqueness(args) -> int:
     stack = np.stack([final.weights() for final, _ in runs])
     max_pairwise = float(np.max(stack.max(axis=0) - stack.min(axis=0)))
     # how far any run strayed from a pure rescaling of the input
-    residuals = [fit_multipliers(final, net)[1] for final, _ in runs]
-    max_run_residual = float(max(np.max(np.abs(r), initial=0.0) for r in residuals))
+    fits = fit_multipliers_many([final for final, _ in runs], net)
+    max_run_residual = float(max(np.max(np.abs(residual), initial=0.0) for _, residual in fits))
 
     solution = solve_convex(net, cost)
     oracle = apply_multipliers(net, solution.multipliers).weights()

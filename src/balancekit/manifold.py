@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import Network, reachable
+from .netgraph import BIAS, HIDDEN, INPUT, OUTPUT, Network, reachable
 from .regularizer import CostSpec
 
 _GRAD_TOL = 1e-10  # Newton stops at this gradient sup-norm of the normalized objective
@@ -54,7 +54,7 @@ class ConvexSolution:
     r_star: float
     grad_norm: float
     iterations: int
-    constraint_residuals: list  # per nonzero edge, in edge-list order: A l - z of the optimum
+    constraint_residuals: list  # A l - z of the optimum, per edge as fit_multipliers lays it out
 
 
 class _Manifold:
@@ -89,8 +89,8 @@ class _Manifold:
         self.h_by = np.concatenate((np.ones_like(csrc), csrc * csrc, -csrc, -csrc))
 
     def image(self, l):
-        """A l: the per-edge logs of the per-unit log multipliers ``l``."""
-        return l[self.dst] - self.csrc * l[self.src]
+        """A l: the per-edge logs of the per-unit log multipliers ``l`` (one row per run)."""
+        return l[..., self.dst] - self.csrc * l[..., self.src]
 
     def adjoint(self, y):
         """A^T y over the free units."""
@@ -103,48 +103,60 @@ class _Manifold:
         return np.bincount(self.h_at, np.tile(h, 4) * self.h_by, n * n).reshape(n, n)[np.ix_(free, free)]
 
     def fit(self, L):
-        """Least-squares fit of per-edge logs ``L``: per-unit log multipliers l, and A l - L.
+        """Least-squares fit of per-edge logs ``L`` (one row per run): log multipliers l, A l - L.
 
         Solves the normal equations (A^T A) l = A^T L, which anchoring makes
-        positive definite.
+        positive definite, for every row at once.  The residual is laid out
+        over the whole edge list, 0.0 on the zero-weight edges.
         """
-        l = np.zeros(self.n)
-        if self.free.size:
-            l[self.free] = np.linalg.solve(self.gram(np.ones_like(L)), self.adjoint(L))
-        return l, self.image(l) - L
+        L = np.atleast_2d(L)
+        l = np.zeros((len(L), self.n))
+        rhs = np.array([self.adjoint(y) for y in L]).reshape(len(L), self.free.size)
+        l[:, self.free] = np.linalg.solve(self.gram(np.ones(L.shape[1])), rhs.T).T
+        residual = np.zeros((len(L), self.live.size))
+        residual[:, self.live] = self.image(l) - L
+        return l, residual
 
 
 def fit_multipliers(final_net: Network, initial_net: Network):
-    """Certify a run: fit its per-edge log weight ratios onto the rescaling manifold.
+    """Certify one run: ``fit_multipliers_many([final_net], initial_net)[0]``."""
+    return fit_multipliers_many([final_net], initial_net)[0]
 
-    Returns the fitted ``MultiplierAssignment`` and the residual A l - L, one
-    float per edge in edge-list order (0.0 on zero-weight edges).  A run that
-    only rescaled units has a residual at rounding level; ``argmax`` of its
-    absolute value names the edge that strays most.  Raises ``ValueError``
-    when the nets do not share one edge list, naming the first edge whose
+
+def fit_multipliers_many(final_nets, initial_net: Network) -> list:
+    """Certify runs: fit each one's per-edge log weight ratios onto the rescaling manifold.
+
+    Returns one ``(MultiplierAssignment, residual)`` per run, the residual
+    A l - L one float per edge in edge-list order (0.0 on zero-weight edges).
+    A run that only rescaled units has a residual at rounding level; ``argmax``
+    of its absolute value names the edge that strays most.  The runs share
+    one normal matrix and one solve.  Raises ``ValueError`` when the nets do
+    not share one edge list, naming the first edge of the first run whose
     weight flips sign, vanishes or appears or whose ratio is not finite, and
     ``UnidentifiableUnitError`` as ``solve_convex`` does.
     """
-    s0, s1 = initial_net.structure, final_net.structure
-    if not (np.array_equal(s0.src, s1.src) and np.array_equal(s0.dst, s1.dst)):
-        raise ValueError("networks do not share the same edge list")
+    final_nets = list(final_nets)
+    s0 = initial_net.structure
+    for s1 in (final_net.structure for final_net in final_nets):
+        if not (np.array_equal(s0.src, s1.src) and np.array_equal(s0.dst, s1.dst)):
+            raise ValueError("networks do not share the same edge list")
     m = _Manifold(initial_net)
-    w0, w1 = initial_net.w, final_net.w
+    w0 = initial_net.w
+    w1 = np.array([final_net.w for final_net in final_nets]).reshape(-1, w0.size)
     with np.errstate(all="ignore"):
         ratio = np.divide(w1, w0, out=np.ones_like(w1), where=m.live)
-    bad = np.flatnonzero((~m.live & (w1 != 0.0)) | ~np.isfinite(ratio) | ~(ratio > 0.0))
+    bad = np.argwhere((~m.live & (w1 != 0.0)) | ~np.isfinite(ratio) | ~(ratio > 0.0))
     if bad.size:
-        k = int(bad[0])
+        run, k = bad[0].tolist()
         edge = f"edge ({s0.src[k]}->{s0.dst[k]})"
         if not m.live[k]:
             raise ValueError(f"{edge} went from zero to nonzero; not a rescaling")
-        if not math.isfinite(ratio[k]):
-            raise ValueError(f"{edge}: weight ratio {float(ratio[k])!r} is not finite")
+        if not math.isfinite(ratio[run, k]):
+            raise ValueError(f"{edge}: weight ratio {float(ratio[run, k])!r} is not finite")
         raise ValueError(f"{edge} flipped sign or vanished; not a rescaling")
-    l, residual = m.fit(np.log(ratio[m.live]))
-    full = np.zeros(w0.size)
-    full[m.live] = residual
-    return MultiplierAssignment(dict(enumerate(np.exp(l).tolist()))), full
+    l, residual = m.fit(np.log(ratio[:, m.live]))
+    return [(MultiplierAssignment(dict(enumerate(row))), res)
+            for row, res in zip(np.exp(l).tolist(), residual)]
 
 
 def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
@@ -161,10 +173,19 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
     floating-point floor for large-cost problems), and raises
     ``ConvexSolverError`` after ``_MAX_ITER`` iterations without.  The
     ``constraint_residuals`` are the manifold fit's residual of the optimum's
-    per-edge logs z, one per nonzero edge.
+    per-edge logs z, laid out as ``fit_multipliers`` lays out its residual.
+    Raises ``ValueError`` when a hidden unit lies on no input->output path of
+    nonzero edges.
     """
     m = _Manifold(net)
     free = m.free
+    # the paper's path statement of the manifold needs a path through every hidden unit
+    roles = net.structure.role_ids
+    on_path = reachable(m.n, m.src, m.dst, roles[INPUT] + roles[BIAS])
+    on_path &= reachable(m.n, m.dst, m.src, roles[OUTPUT])
+    dead = [h for h in roles[HIDDEN] if not on_path[h]]
+    if dead:
+        raise ValueError(f"hidden unit {dead[0]} lies on no input->output path of nonzero edges")
 
     # log c_te, one row per term, shifted by its logsumexp
     p = np.array([[pt] for pt, _ in cost.terms])
@@ -219,7 +240,7 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
     lam = dict(enumerate(np.exp(l).tolist()))
     with np.errstate(over="ignore", divide="ignore"):
         r_star = float(np.exp(log_scale + np.log(np.sum(terms(l)))))
-    return ConvexSolution(MultiplierAssignment(lam), r_star, grad_norm, iterations, residual.tolist())
+    return ConvexSolution(MultiplierAssignment(lam), r_star, grad_norm, iterations, residual[0].tolist())
 
 
 def apply_multipliers(net: Network, assignment: MultiplierAssignment) -> Network:

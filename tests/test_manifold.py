@@ -132,6 +132,10 @@ def test_uncovered_hidden_unit_is_rejected():
     net = chain([1.0, 0.0, 1.0])  # zero edge cuts unit 1 off the nonzero graph
     with pytest.raises(ValueError, match="unit 1"):
         reference_constraints(net)
+    # both hidden units are anchored, but neither lies on an input->output
+    # path, so the cost has no minimum for the oracle to certify
+    with pytest.raises(ValueError, match="hidden unit 1 lies on no input->output path"):
+        bk.solve_convex(net, bk.l2())
 
 
 # -- fitting runs to the manifold ---------------------------------------------
@@ -246,6 +250,30 @@ def test_full_run_projects_onto_the_manifold(rng):
     assert np.max(np.abs(residual)) <= 1e-9
 
 
+def test_fitting_many_runs_at_once_fits_each(rng):
+    net = random_layered(rng)
+    finals = [_rescaled(net, {h: float(rng.normal()) for h in net.hidden_ids}) for _ in range(3)]
+    w = finals[1].weights()
+    w[0] *= 1.01
+    finals[1] = finals[1].replace_weights(w)
+    fits = bk.fit_multipliers_many(finals, net)
+    assert len(fits) == 3
+    for final, (lam, residual) in zip(finals, fits):
+        one_lam, one_residual = bk.fit_multipliers(final, net)
+        for u, v in one_lam.lambda_per_unit.items():
+            assert abs(lam.lambda_per_unit[u] - v) <= 1e-12 * v
+        assert np.max(np.abs(residual - one_residual)) <= 1e-14
+    assert np.argmax(np.abs(fits[1][1])) == 0
+    assert bk.fit_multipliers_many([], net) == []
+
+
+def test_fitting_many_runs_names_the_first_bad_run():
+    net = chain([1.0, 1.0])
+    finals = [chain([2.0, 0.5]), chain([2.0, -0.5]), chain([-1.0, 1.0])]
+    with pytest.raises(ValueError, match=r"edge \(1->2\) flipped sign"):
+        bk.fit_multipliers_many(finals, net)
+
+
 def test_fit_requires_anchoring():
     net = _unanchored()
     with pytest.raises(UnidentifiableUnitError, match="2"):
@@ -293,7 +321,8 @@ def test_fit_recovers_multipliers_and_agrees_with_the_references(seed, recurrent
     A = A[:, free]
     x = np.linalg.lstsq(A, L, rcond=None)[0]
     _, residual = m.fit(L)
-    assert np.max(np.abs(residual - (A @ x - L))) <= 1e-12
+    assert not residual[0][~m.live].any()
+    assert np.max(np.abs(residual[0][m.live] - (A @ x - L))) <= 1e-12
 
 
 # -- the convex oracle ------------------------------------------------------------
@@ -377,7 +406,14 @@ def test_oracle_residuals_and_report_fields(rng):
     sol = bk.solve_convex(net, bk.l2())
     assert sol.grad_norm <= 1e-10
     assert sol.iterations >= 1
-    assert len(sol.constraint_residuals) == np.count_nonzero(net.w)
+    assert len(sol.constraint_residuals) == len(net.edges)
+    assert max(abs(r) for r in sol.constraint_residuals) <= 1e-9
+    # a zero edge keeps its slot in the edge-list layout, at 0.0
+    w = net.weights()
+    w[0] = 0.0  # every unit of a fully connected layered net keeps a path
+    sol = bk.solve_convex(net.replace_weights(w), bk.l2())
+    assert len(sol.constraint_residuals) == len(net.edges)
+    assert sol.constraint_residuals[0] == 0.0
     assert max(abs(r) for r in sol.constraint_residuals) <= 1e-9
 
 

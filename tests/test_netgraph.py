@@ -459,6 +459,7 @@ _ENTRY_POINTS = {
     "topological_order": topological_order,
     "solve_convex": lambda net: bk.solve_convex(net, bk.l2()),
     "fit_multipliers": lambda net: bk.fit_multipliers(net, net),
+    "fit_multipliers_many": lambda net: bk.fit_multipliers_many([net], net),
     "partial_balance_pass": lambda net: bk.partial_balance_pass(net, bk.l2()),
     "network_deficit": lambda net: bk.network_deficit(net, bk.l2()),
 }
