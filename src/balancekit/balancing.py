@@ -29,8 +29,8 @@ from itertools import chain
 import numpy as np
 
 from .activations import homogeneity_exponent
-from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers, topological_order
-from .regularizer import CostSpec, network_cost
+from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers
+from .regularizer import CostSpec, network_cost  # noqa: F401  (bench/layers.py traces this name)
 
 _TINY = 1e-300
 _LOG_LIMIT = 700.0  # |log lam| beyond which lam**p overflows for any sensible p
@@ -95,10 +95,11 @@ class Schedule:
     """Order in which units are balanced, plus the stop criterion.
 
     kind is one of "stochastic" (uniform draws with replacement from numpy's
-    seeded PCG64 generator), "sequential" (cycle a fixed order), "partial_pass"
-    (cycle the input-to-output order), "layer_independent" (cycle the layer
-    partition, balancing each unit on its own) and "layer_tied" (cycle the
-    partition, one shared factor per subset; the subsets must be disjoint).
+    seeded PCG64 generator), "sequential" (cycle ``order``, by default the
+    layers of "layer_independent"; a recurrent net's units by id),
+    "layer_independent" (cycle the layer partition, balancing each unit on
+    its own) and "layer_tied" (cycle the partition, one shared factor per
+    subset; the subsets must be disjoint).
     The run stops, or takes no step, when the summed deficit of the sets it
     balances (the per-subset gap for "layer_tied", else the single-unit
     deficit) falls below ``deficit_tol * r_initial**2`` (the deficit is
@@ -116,7 +117,7 @@ class Schedule:
     max_steps: int = 100_000
 
     def __post_init__(self):
-        kinds = ("stochastic", "sequential", "partial_pass", "layer_independent", "layer_tied")
+        kinds = ("stochastic", "sequential", "layer_independent", "layer_tied")
         if self.kind not in kinds:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         for name in ("seed", "max_steps"):
@@ -567,11 +568,11 @@ def _check_tied(net, units):
 
 
 def _balance_set(net, units, cost):
+    """Balance one set from ``net``; the report's costs are the engine's, as in a run's trace."""
     eng = _Engine(net, cost, [units])
     lam = float(eng.begin(np.zeros((1, 1), dtype=np.int64))[0][0])
-    new_net = eng.to_network()
-    r_before, r_after = network_cost(net, cost), network_cost(new_net, cost)
-    return new_net, BalanceReport(units[0], lam, r_before, r_after, r_before - r_after)
+    r_before, r_after = float(eng.r_init[0]), float(eng.r[0])
+    return eng.to_network(), BalanceReport(units[0], lam, r_before, r_after, r_before - r_after)
 
 
 def scale_neuron(net, i, lam, allow_nonhomogeneous=False) -> Network:
@@ -649,8 +650,9 @@ def _balanceable(net, allow_nonhomogeneous):
 
 
 def _default_cycle(net, index):
-    """Set indices of the balanceable units from the inputs toward the outputs (recurrent: by id)."""
-    return [index[u] for u in (index if net.recurrent else topological_order(net)) if u in index]
+    """Set indices of the balanceable units, layer by layer from the inputs (recurrent: by id)."""
+    units = index if net.recurrent else chain.from_iterable(hidden_layers(net))
+    return [index[u] for u in units if u in index]
 
 
 def _order_cycle(order, index, notes):
@@ -677,7 +679,7 @@ def _finite_start(eng, traces):
 
 
 def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
-    """Balance each unit exactly once, by default from the inputs toward the outputs.
+    """Balance each unit exactly once, by default in the default "sequential" cycle's order.
 
     One pass lowers the total cost monotonically but generally leaves earlier
     units unbalanced again once their downstream neighbours move.  It is a
@@ -829,7 +831,7 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
             continue  # before the order is read, so a converged run adds no note
         if schedule.kind == "sequential" and schedule.order is not None:
             cycle = _order_cycle(schedule.order, index, trace.notes)
-        elif schedule.kind in ("sequential", "partial_pass"):
+        elif schedule.kind == "sequential":
             cycle = _default_cycle(net, index)
         elif schedule.kind != "stochastic":
             partition = schedule.partition

@@ -99,8 +99,9 @@ def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedul
         if ":" in text:
             seed = int(text.split(":", 1)[1])
         return Schedule("stochastic", seed=seed, deficit_tol=tol, max_steps=max_steps)
+    # a partial pass's order is the default sequential cycle
     kinds = {"sequential": "sequential", "layer": "layer_independent",
-             "layer-tied": "layer_tied", "partial": "partial_pass"}
+             "layer-tied": "layer_tied", "partial": "sequential"}
     if text in kinds:
         return Schedule(kinds[text], seed=seed, deficit_tol=tol, max_steps=max_steps)
     raise ValueError(f"unknown schedule {text!r}")
@@ -199,6 +200,19 @@ def cmd_verify_uniqueness(args) -> int:
 # -- train -------------------------------------------------------------------
 
 
+class _Spec(dict):
+    """A JSON object of a train config: a missing key is a ValueError that names it."""
+
+    def __init__(self, value, where: str):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+        super().__init__(value)
+        self.where = where
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.where} needs {key!r}")
+
+
 def _build_net(spec: dict, seed: int):
     if "path" in spec:
         return load(spec["path"])
@@ -237,11 +251,10 @@ def _build_data(spec: dict):
 
 
 def _train_config(spec: dict, balance_kind: str, seed: int) -> TrainConfig:
-    bal = dict(spec.get("balance", {}))
-    bal["kind"] = balance_kind
+    bal = _Spec(spec.get("balance", {}), "'balance'")
     bal_cost = bal.get("cost")
     mode = BalanceMode(
-        kind=bal["kind"],
+        kind=balance_kind,
         tol=float(bal.get("tol", 1e-8)),
         cost=parse_cost(bal_cost) if bal_cost else None,
         allow_nonhomogeneous=bool(bal.get("allow_nonhomogeneous", False)),
@@ -260,27 +273,29 @@ def _train_config(spec: dict, balance_kind: str, seed: int) -> TrainConfig:
 
 def cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
-    out = _out_dir(args.out)
+        config = _Spec(json.load(fh), "train config")
+    train_spec = _Spec(config["train"], "'train'")
     seeds = config.get("seeds", [0])
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",")]
     env = os.environ.get("BALANCEKIT_SEED")
     if env:
         seeds = [int(env)]
+    if not isinstance(seeds, list) or not seeds:
+        raise ValueError(f"'seeds' must be a non-empty list, got {seeds!r}")
     arms = config.get("arms")
     if not arms:
-        arms = [config.get("train", {}).get("balance", {}).get("kind", "none")]
+        arms = [_Spec(train_spec.get("balance", {}), "'balance'").get("kind", "none")]
+    out = _out_dir(args.out)
     _manifest(out, "train", {"config": str(args.config), "seeds": seeds, "arms": arms})
 
-    train_spec = config["train"]
-    train_data, test_data = _build_data(config["data"])
+    train_data, test_data = _build_data(_Spec(config["data"], "'data'"))
     diverged = False
     per_arm_rows = {}
     for arm in arms:
         for seed in seeds:
             run_dir = _out_dir(out / arm / f"seed_{seed}")
-            net = _build_net(config["net"], seed)
+            net = _build_net(_Spec(config["net"], "'net'"), seed)
             cfg = _train_config(train_spec, arm, seed)
             note = ""
             try:

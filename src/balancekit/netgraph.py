@@ -9,12 +9,12 @@ A ``Network`` is an immutable ``Structure`` (the units and the edge ends,
 with everything that depends on them alone) plus a read-only float64 weight
 array.  Scaling and balancing change weights, never the graph, so every
 operation returns new weights on the shared structure, and the structural
-check, the topological order and the evaluation plan run once per structure.
+check, the depths (the input-to-output order) and the evaluation plan run
+once per structure.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -79,14 +79,6 @@ def reachable(n_units: int, src, dst, start) -> np.ndarray:
         frontier = step & ~seen
         seen |= frontier
     return seen
-
-
-def _grouped(keys, values, n_units):
-    """Per unit 0..n_units-1, the ``values`` whose key is that unit, ascending."""
-    order = np.lexsort((values, keys))
-    ptr = np.searchsorted(keys[order], np.arange(n_units + 1)).tolist()
-    values = values[order].tolist()
-    return [values[a:b] for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 class Structure:
@@ -227,22 +219,8 @@ class Structure:
 
     @cached_property
     def order(self) -> tuple:
-        """Unit ids in dependency order (Kahn, ascending-id tie-break)."""
-        n = len(self.units)
-        indeg = np.bincount(self.dst, minlength=n).tolist()
-        succ = _grouped(self.src, self.dst, n)
-        ready = [u for u in range(n) if indeg[u] == 0]  # ascending, so already a heap
-        order = []
-        while ready:
-            u = heapq.heappop(ready)
-            order.append(u)
-            for v in succ[u]:
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(ready, v)
-        if len(order) != n:
-            raise ValueError("network contains a directed cycle; no topological order")
-        return tuple(order)
+        """Unit ids from the inputs toward the outputs: by ``depth``, then by id."""
+        return tuple(np.argsort(self.depth, kind="stable").tolist())
 
     @cached_property
     def plan(self) -> "EvaluationPlan":
@@ -252,9 +230,9 @@ class Structure:
 class Network:
     """A ``Structure`` plus a read-only float64 weight array ``w``, one weight per edge.
 
-    ``edges`` and the per-unit edge lists ``_in``/``_out`` are views built on
-    first read.  Do not mutate a network; ``replace_weights`` makes a new one
-    on the same structure.
+    ``edges``, one ``Edge`` record per edge, is built on first read.  Do not
+    mutate a network; ``replace_weights`` makes a new one on the same
+    structure.
     """
 
     def __init__(self, units, edges, recurrent: bool = False, unroll_steps: int = 3):
@@ -288,21 +266,6 @@ class Network:
     def edges(self):
         s = self.structure
         return tuple(map(Edge, s.src.tolist(), s.dst.tolist(), self.w.tolist()))
-
-    def _edges_by(self, end, order):
-        groups = {u.id: [] for u in self.units}
-        for e in sorted(self.edges, key=order):
-            if end(e) in groups:
-                groups[end(e)].append(e)
-        return groups
-
-    @cached_property
-    def _in(self):
-        return self._edges_by(lambda e: e.dst, lambda e: e.src)
-
-    @cached_property
-    def _out(self):
-        return self._edges_by(lambda e: e.src, lambda e: e.dst)
 
     # -- basic queries -------------------------------------------------
 
@@ -357,20 +320,25 @@ class Network:
         return f"Network({len(self.units)} units, {self.w.size} edges, {kind})"
 
 
+def _edges_at(net: Network, i: int, end, other):
+    """Edges whose ``end`` is unit i, ordered by their ``other`` end, ties in edge-list order."""
+    net.unit(i)
+    k = np.flatnonzero(end == i)
+    return [net.edges[j] for j in k[np.argsort(other[k], kind="stable")].tolist()]
+
+
 def in_edges(net: Network, i: int):
     """Edges ending at unit i, ordered by source id."""
-    net.unit(i)
-    return list(net._in[i])
+    return _edges_at(net, i, net.structure.dst, net.structure.src)
 
 
 def out_edges(net: Network, i: int):
     """Edges leaving unit i, ordered by target id."""
-    net.unit(i)
-    return list(net._out[i])
+    return _edges_at(net, i, net.structure.src, net.structure.dst)
 
 
 def topological_order(net: Network):
-    """Unit ids in dependency order (Kahn, ascending-id tie-break)."""
+    """Unit ids from the inputs toward the outputs: by longest-path depth, then by id."""
     net.structure.check()
     return list(net.structure.order)
 

@@ -397,7 +397,7 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
             continue
         if schedule.kind == "sequential" and schedule.order is not None:
             cycle = balancing._order_cycle(schedule.order, index, trace.notes)
-        elif schedule.kind in ("sequential", "partial_pass"):
+        elif schedule.kind == "sequential":
             cycle = balancing._default_cycle(net, index)
         else:
             partition = schedule.partition

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import balancekit as bk
 from balancekit import balancing
 from balancekit.balancing import trace_to_csv
+from balancekit.netgraph import hidden_layers, topological_order
 from balancekit.regularizer import CostSpec, weight_cost
 from conftest import (
     chain,
@@ -30,8 +31,8 @@ from conftest import (
 
 def _unit_objective(net, i, cost, c=1.0):
     """Independent 1-D objective in the scaling factor for golden search."""
-    w_in = [e.weight for e in net._in[i] if e.src != i]
-    w_out = [e.weight for e in net._out[i] if e.dst != i]
+    w_in = [e.weight for e in bk.in_edges(net, i) if e.src != i]
+    w_out = [e.weight for e in bk.out_edges(net, i) if e.dst != i]
 
     def obj(lam):
         return sum(weight_cost(cost, lam * w) for w in w_in) + sum(
@@ -176,8 +177,8 @@ def test_balance_drop_matches_closed_form(rng):
     for p in (0.5, 1.0, 2.0, 3.0):
         cost = bk.lp(p)
         net, hid = star_neuron(rng.uniform(0.2, 2, 3), rng.uniform(0.2, 2, 2))
-        a = sum(weight_cost(cost, e.weight) for e in net._in[hid])
-        b = sum(weight_cost(cost, e.weight) for e in net._out[hid])
+        a = sum(weight_cost(cost, e.weight) for e in bk.in_edges(net, hid))
+        b = sum(weight_cost(cost, e.weight) for e in bk.out_edges(net, hid))
         _, rep = bk.balance_neuron(net, hid, cost)
         assert abs(rep.delta_r - (math.sqrt(a) - math.sqrt(b)) ** 2) <= 1e-10
 
@@ -192,10 +193,25 @@ def test_balance_is_idempotent(rng):
 def test_bipu_balance_equation(rng):
     net, hid = star_neuron([1.3, -0.4], [0.9, 2.0], activation=bk.bipu(1.0, 0.2, 3.0))
     out, _ = bk.balance_neuron(net, hid, bk.l2())
-    a = sum(e.weight**2 for e in out._in[hid])
-    b = sum(e.weight**2 for e in out._out[hid])
+    a = sum(e.weight**2 for e in bk.in_edges(out, hid))
+    b = sum(e.weight**2 for e in bk.out_edges(out, hid))
     assert abs(a - 3.0 * b) <= 1e-9 * max(a, 1.0)
     assert forward_gap(net, out, rng, n_probes=20) <= 1e-9
+
+
+def test_single_set_reports_are_the_one_step_run_reports():
+    # the report's costs are the engine's, so they match a run's trace bit for bit
+    net = _criterion4_net()
+    for h in net.hidden_ids:
+        _, report = bk.balance_neuron(net, h, bk.l2())
+        sched = bk.Schedule("sequential", order=(h,), max_steps=1, deficit_tol=0.0)
+        (step,) = bk.run_balancing(net, sched, bk.l2())[1].steps
+        assert _bits(astuple(report)) == _bits(astuple(step)), h
+    layer = hidden_layers(net)[0]
+    _, report = bk.balance_subset_tied(net, layer, bk.l2())
+    sched = bk.Schedule("layer_tied", partition=(layer,), max_steps=1, deficit_tol=0.0)
+    (step,) = bk.run_balancing(net, sched, bk.l2())[1].steps
+    assert _bits(astuple(report)) == _bits(astuple(step))
 
 
 # -- deficits -----------------------------------------------------------------
@@ -399,7 +415,7 @@ def test_run_balancing_skips_degenerate_units():
 def test_layer_schedules_reach_same_fixed_point(rng):
     net = random_layered(rng, n_layers=4)
     results = []
-    for kind in ("layer_independent", "sequential", "partial_pass"):
+    for kind in ("layer_independent", "sequential"):
         sched = bk.Schedule(kind, deficit_tol=1e-20, max_steps=200_000)
         out, trace = bk.run_balancing(net, sched, bk.l2())
         assert trace.converged, kind
@@ -567,9 +583,7 @@ def test_mixed_cost_runs_converge():
     assert steps == [138, 149, 112, 134, 121, 168, 150, 102, 159, 203]
 
 
-@pytest.mark.parametrize(
-    "kind", ["sequential", "stochastic", "partial_pass", "layer_independent", "layer_tied"]
-)
+@pytest.mark.parametrize("kind", ["sequential", "stochastic", "layer_independent", "layer_tied"])
 def test_a_run_whose_starting_deficit_is_not_finite_takes_no_step(kind):
     # x1e200: every L2 edge cost overflows to inf and the starting gap is nan
     net = bk.make_layered([3, 6, 6, 2], seed=0)
@@ -692,7 +706,7 @@ def test_newton_log_lambda_is_the_bisection(terms, c):
 
 
 def test_unit_schedule_trace_ends_at_the_network_deficit(rng):
-    for kind in ("stochastic", "sequential", "partial_pass", "layer_independent"):
+    for kind in ("stochastic", "sequential", "layer_independent"):
         for cost in (bk.l2(), bk.lp(1.5), MIXED):
             net = random_layered(rng)
             sched = bk.Schedule(kind, seed=3, deficit_tol=1e-12, max_steps=20_000)
@@ -757,7 +771,7 @@ def test_recurrent_self_loop_operations_preserve_function(seed, n_hidden, expone
 
 # -- the batched engine --------------------------------------------------------
 
-_KINDS = ("stochastic", "sequential", "partial_pass", "layer_independent", "layer_tied")
+_KINDS = ("stochastic", "sequential", "layer_independent", "layer_tied")
 
 
 def _net_with_dead_unit(seed, recurrent):
@@ -1200,7 +1214,7 @@ def test_replicas_that_leave_mid_block_keep_the_one_set_steps():
 
 
 _CERTIFY_STEPS = {
-    "layer_independent": 1454, "sequential": 1454, "partial_pass": 1454, "layer_tied": 26,
+    "layer_independent": 1454, "sequential": 1454, "layer_tied": 26,
 }
 
 
@@ -1220,7 +1234,7 @@ def test_certify_net_step_counts_and_bits():
 def test_criterion4_cyclic_step_counts():
     net = _criterion4_net()
     for cost in (bk.l2(), bk.lp(1.5), MIXED):
-        for kind in ("sequential", "partial_pass", "layer_independent"):
+        for kind in ("sequential", "layer_independent"):
             _, trace = bk.run_balancing(net, bk.Schedule(kind, deficit_tol=1e-18), cost)
             assert len(trace.units) == 154 and trace.converged, (cost, kind)
 
@@ -1252,3 +1266,65 @@ def test_a_block_raises_only_at_the_step_that_reaches_a_degenerate_set():
     assert trace.units == [1] and trace.lambdas == [0.5] and not trace.converged
     with pytest.raises(balancing.DegenerateUnitError, match="all-zero incoming or outgoing side"):
         bk.run_balancing(net, bk.Schedule("layer_independent", max_steps=2), bk.l2())
+
+
+# -- one input-to-output order: the default cycle is the layer cycle -------------
+
+
+def _skip_dag(seed):
+    """A feedforward net with skip edges whose hidden ids are not in input-to-output order.
+
+    Every hidden unit lies on an input->output path; some have a
+    non-homogeneous activation, which runs do not balance.
+    """
+    rng = np.random.default_rng(seed)
+    n_in, n_hid, n_out = int(rng.integers(1, 4)), int(rng.integers(2, 9)), int(rng.integers(1, 3))
+    acts = [bk.RELU, bk.leaky_relu(0.3), bk.bipu(1.0, -0.5, 2.0), bk.TANH_UNIT]
+    units = [bk.Unit(k, bk.INPUT, bk.IDENTITY) for k in range(n_in)]
+    units += [bk.Unit(n_in + k, bk.HIDDEN, acts[rng.integers(len(acts))]) for k in range(n_hid)]
+    units += [bk.Unit(len(units) + k, bk.OUTPUT, bk.IDENTITY) for k in range(n_out)]
+    # one input-to-output order of the units: inputs, hidden ids shuffled, outputs
+    seq = list(range(n_in)) + (n_in + rng.permutation(n_hid)).tolist() + [u.id for u in units[-n_out:]]
+    pairs = {(seq[a], seq[b]) for a in range(len(seq)) for b in range(max(a + 1, n_in), len(seq))
+             if rng.random() < 0.3}
+    for j in range(n_in, n_in + n_hid):  # an edge in from an earlier unit, one out to a later one
+        pairs |= {(seq[rng.integers(j)], seq[j]), (seq[j], seq[rng.integers(j + 1, len(seq))])}
+    pairs = sorted(pairs)
+    sizes = rng.uniform(0.3, 1.5, len(pairs)) * rng.choice([-1.0, 1.0], len(pairs))
+    edges = [bk.Edge(a, b, float(w)) for (a, b), w in zip(pairs, sizes)]
+    return bk.Network(units, [edges[k] for k in rng.permutation(len(edges))])
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), cost=st.sampled_from([bk.l2(), bk.lp(1.5), MIXED]))
+def test_the_default_cycle_is_the_layer_cycle(seed, cost):
+    net = _skip_dag(seed)
+    order = topological_order(net)
+    position = {u: k for k, u in enumerate(order)}
+    assert sorted(order) == list(range(len(net.units)))
+    assert all(position[e.src] < position[e.dst] for e in net.edges)
+    hidden = set(net.hidden_ids)
+    assert [u for u in order if u in hidden] == [u for layer in hidden_layers(net) for u in layer]
+    (seq, a), (lay, b) = (
+        bk.run_balancing(net, bk.Schedule(kind, deficit_tol=1e-14, max_steps=2_000), cost)
+        for kind in ("sequential", "layer_independent")
+    )
+    assert seq.w.tobytes() == lay.w.tobytes()
+    for column in ("units", "lambdas", "r_series", "deficit_series"):
+        assert _bits(getattr(a, column)) == _bits(getattr(b, column)), column
+    assert (a.r_initial, a.notes, a.converged) == (b.r_initial, b.notes, b.converged)
+
+
+def test_the_default_cycle_takes_the_layers_in_order():
+    # 0 -> 1 -> 2 -> 4 and 0 -> 3 -> 4: by id, a walk that takes each unit once its
+    # sources are done visits the hidden units 1, 2, 3; the layers are [1, 3], [2]
+    units = [bk.Unit(0, bk.INPUT, bk.IDENTITY), bk.Unit(4, bk.OUTPUT, bk.IDENTITY)]
+    units += [bk.Unit(k, bk.HIDDEN, bk.RELU) for k in (1, 2, 3)]
+    edges = [bk.Edge(0, 1, 2.0), bk.Edge(1, 2, 0.5), bk.Edge(2, 4, 3.0),
+             bk.Edge(0, 3, 0.25), bk.Edge(3, 4, 1.5)]
+    net = bk.Network(units, edges)
+    assert topological_order(net) == [0, 1, 3, 2, 4]
+    assert hidden_layers(net) == [[1, 3], [2]]
+    sched = bk.Schedule("sequential", deficit_tol=0.0, max_steps=6)
+    assert bk.run_balancing(net, sched, bk.l2())[1].units == [1, 3, 2, 1, 3, 2]
+    assert bk.partial_balance_pass(net, bk.l2())[1].units == [1, 3, 2]

@@ -188,6 +188,24 @@ def test_train_bad_cost_string_names_token(tmp_path, capsys):
     assert "l3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "malform, names",
+    [
+        (lambda cfg: {**cfg, "seeds": []}, "'seeds'"),
+        (lambda cfg: {k: v for k, v in cfg.items() if k != "train"}, "'train'"),
+        (lambda cfg: [cfg], "train config"),
+        (lambda cfg: {**cfg, "data": {"kind": "csv"}}, "'train'"),
+    ],
+    ids=["empty seeds", "no train", "a list", "csv without paths"],
+)
+def test_train_malformed_config_exits_one_without_a_traceback(tmp_path, capsys, malform, names):
+    cfg = _train_config(tmp_path)
+    cfg.write_text(json.dumps(malform(json.loads(cfg.read_text()))))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err and "Traceback" not in err
+
+
 def test_train_reproducible_bytes(tmp_path):
     cfg = _train_config(tmp_path, epochs=2)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -259,6 +277,19 @@ def test_approx_rejects_uneven_knots(tmp_path):
     code = main(["approx", "--samples", str(p), "--epsilon", "0.5",
                  "--out", str(tmp_path / "o")])
     assert code == 1
+
+
+def test_partial_sequential_and_layer_schedules_write_the_same_bytes(tmp_path):
+    # on a layered net the partial pass order, the default sequential cycle and the
+    # layer cycle are one list
+    net_path = tmp_path / "c4.json"
+    bk.netgraph.save(bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform"), net_path)
+    outputs = []
+    for schedule in ("partial", "sequential", "layer"):
+        out = tmp_path / schedule
+        assert main(["balance", "--net", str(net_path), "--schedule", schedule, "--out", str(out)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("trace.csv", "balanced.json", "summary.json")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_balance_mixed_cost_of_the_readme_converges(tmp_path):

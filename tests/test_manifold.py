@@ -367,8 +367,8 @@ def test_oracle_optimum_is_balanced_and_optimal(rng):
     sol = bk.solve_convex(net, bk.lp(p))
     induced = bk.apply_multipliers(net, sol.multipliers)
     for h in net.hidden_ids:
-        a = sum(abs(e.weight) ** p for e in induced._in[h])
-        b = sum(abs(e.weight) ** p for e in induced._out[h])
+        a = sum(abs(e.weight) ** p for e in bk.in_edges(induced, h))
+        b = sum(abs(e.weight) ** p for e in bk.out_edges(induced, h))
         assert abs(a - b) <= 1e-8 * max(1.0, a)
     # strict convexity: random unit-scale perturbations of the log multipliers lose
     free = sorted(net.hidden_ids)

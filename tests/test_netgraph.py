@@ -430,6 +430,8 @@ def test_topological_order_and_layers():
     net = bk.make_layered([2, 3, 4, 1], seed=0)
     layers = hidden_layers(net)
     assert [len(l) for l in layers] == [3, 4]
+    with pytest.raises(ValueError, match="directed cycle; no topological order"):
+        topological_order(bk.make_recurrent(1, 2, 1))
 
 
 # -- malformed networks: every graph walk raises the documented ValueError ----

@@ -182,8 +182,8 @@ def test_partial_balancing_drives_ratios_to_one():
     )
     out, rows = bk.sgd_train(_toy_net(), train, test, cfg)
     for h in out.hidden_ids:
-        cin = sum(e.weight**2 for e in out._in[h])
-        cout = sum(e.weight**2 for e in out._out[h])
+        cin = sum(e.weight**2 for e in bk.in_edges(out, h))
+        cout = sum(e.weight**2 for e in bk.out_edges(out, h))
         assert abs((cin / cout) ** 0.5 - 1.0) < 0.05
 
 
@@ -207,8 +207,8 @@ def test_balancing_cost_may_differ_from_training_cost():
     )
     out, _ = bk.sgd_train(_toy_net(), train, test, cfg)
     for h in out.hidden_ids:
-        cin = sum(abs(e.weight) for e in out._in[h])
-        cout = sum(abs(e.weight) for e in out._out[h])
+        cin = sum(abs(e.weight) for e in bk.in_edges(out, h))
+        cout = sum(abs(e.weight) for e in bk.out_edges(out, h))
         assert abs(cin - cout) <= 1e-9 * max(1.0, cin)
 
 
@@ -305,6 +305,7 @@ def test_circles_classes_balanced():
     assert abs(int(counts[0]) - int(counts[1])) <= 1
 
 
+@pytest.mark.slow
 def test_circles_not_linearly_separable_but_learnable():
     train, test = _circles_split(n=500, noise=0.05, seed=3)
     linear = bk.make_layered([2, 1], output_activation=bk.LOGISTIC_UNIT,
