@@ -15,8 +15,9 @@ function-preserving and which for c = 1 means it never changes and drops out
 of every balance computation.
 
 Runs of several schedules on one network that balance the same sets in the
-same way (stochastic draws, or one cycle) advance in lockstep in one batched
-engine (``run_balancing_many``); a single run is the batch of one.
+same way share one engine (``run_balancing_many``): stochastic runs advance
+in lockstep, one weight row each, and the runs on one cycle are one stepping,
+each a prefix of it; a single run is the batch of one.
 """
 
 from __future__ import annotations
@@ -60,10 +61,10 @@ class BalanceTrace:
     after it (for tied-layer runs the sets are the subsets, so the deficit is
     the aggregate per-subset gap, the quantity those moves can actually drive
     to zero).  There is one row per step even where the engine solved a
-    whole block of edge-disjoint sets at once, for every run of its batch:
-    each step writes one set per run, and its cost and deficit are summed
-    afresh from the weights after it, so the columns are those of balancing
-    one set at a time, one run alone.  ``r_initial`` is the
+    whole block of edge-disjoint sets at once, in the one row that all runs
+    on a cycle share: each step writes one set, and its cost and deficit are
+    summed afresh from the weights after it, so the columns are those of
+    balancing one set at a time, one run alone.  ``r_initial`` is the
     cost before the first step.  The costs are the engine's (NumPy powers,
     pairwise row sums; see ``_edge_costs``), so ``network_cost`` of the
     result can differ from ``r_series[-1]`` in the last bits.  ``steps``
@@ -287,17 +288,17 @@ class _Engine:
     edge and scale by lam**0.  The positions are replica 0's; replica r's
     lie ``r`` blocks further on.
 
-    The replicas step in lockstep: they start and end their blocks of sets
-    at the same steps.  ``begin(blocks)`` solves row r of the (R, size)
-    array ``blocks``, sets that share no edge, in replica r from the
-    current weights, with one gather, one ``bincount`` of side sums, lam*
-    (the closed form for all rows at once, a Newton solve in log lam row by
-    row where it does not apply) and one product, so each set gets the
-    factor it would get once the sets before it are written.  It writes the
-    first set of every block (one scatter of weights, one of edge costs and
-    gap terms) and keeps the others, an (R, size - 1) array of sets; each
-    ``advance`` writes the next of them.  A block of one set keeps nothing,
-    so stochastic picks are solved and written at once.
+    The replicas step in lockstep; only stochastic runs take several, as
+    the runs on one cycle share one.  ``begin(blocks)`` solves row r of the
+    (R, size) array ``blocks``, sets that share no edge, in replica r from
+    the current weights, with one gather, one ``bincount`` of side sums,
+    lam* (the closed form for all rows at once, a Newton solve in log lam
+    row by row where it does not apply) and one product, so each set gets
+    the factor it would get once the sets before it are written.  It writes
+    the first set of every row (one scatter of weights, one of edge costs
+    and gap terms).  A block of several sets comes only in one replica,
+    which keeps its later sets for ``advance`` to write one by one;
+    stochastic picks are blocks of one set, solved and written at once.
 
     The gap term of an entry is the edge's p-weighted cost (see
     ``_edge_costs``) times the set's exponent of lam on it (1 into the set,
@@ -306,8 +307,7 @@ class _Engine:
     sets of their squared gap sum_{u in set} in_u - c out_u, still reduced
     afresh from the terms of the current weights, with one segment sum and
     no gather.  The engine starts with one replica of ``net``;
-    ``select(rows)`` replicates it or drops the replicas that are done,
-    with their kept sets.
+    ``select(rows)`` replicates it or drops the replicas that are done.
     """
 
     def __init__(self, net, cost, sets):
@@ -344,7 +344,6 @@ class _Engine:
         self._all_closed = single is not None and not ((side == 2) & (self.c[k] != 1.0)).any()
         self._block = 2 * (n_edges + 1) + k.size + 1
         self._bins = np.zeros((1, 1), dtype=np.int64)  # bincount bin offset per solved row
-        self._kept = None  # sets solved ahead (see ``begin``)
         self._writes = None
         self._hold(np.concatenate((w[0], ec[0], q[0].take(edge) * self._sign, [0.0])))
 
@@ -444,15 +443,12 @@ class _Engine:
         what a write takes: the state positions of the sets' weights, their new weights, the
         positions of their edge costs and gap terms, and those."""
         places, _, factors = self._writes or self._tables()
-        width = self._edge.shape[1]
-        at, rest_at = self._edge.take(ks, axis=0), places.take(ks, axis=0)
-        if self._offset is not None:
-            offset = self._offset[:, None]
-            at, rest_at = at + offset, rest_at + offset
         ks = ks.ravel()
-        at, rest_at = at.reshape(ks.size, width), rest_at.reshape(ks.size, -1)
+        at, rest_at = self._edge.take(ks, axis=0), places.take(ks, axis=0)
+        if self._offset is not None:  # one set per replica
+            at, rest_at = at + self._offset, rest_at + self._offset
         w = self._state.take(at)
-        lam = self._lambda(ks, self._side_sums(self._codes(ks), rest_at[:, :width], w))
+        lam = self._lambda(ks, self._side_sums(self._codes(ks), rest_at[:, :w.shape[1]], w))
         factors = factors.take(ks, axis=0)  # 1, then the exponents of lam in the two sets
         w = w * lam[:, None] ** factors[:, 1]
         ec, q = _edge_costs(self.cost, w)
@@ -471,7 +467,7 @@ class _Engine:
         only the first set of each block is solved, so the error comes at
         the step that reaches that set.
         """
-        n, size = blocks.shape
+        size = blocks.shape[1]
         try:
             solved = self._solve(blocks)
         except DegenerateUnitError:
@@ -479,26 +475,22 @@ class _Engine:
                 raise
             return self.begin(blocks[:, :1])
         lam, at, w, rest_at, rest = solved
-        if size > 1:
-            lam, at, w, rest_at, rest = (a.reshape(n, size, -1) for a in solved)
-            self._kept = np.concatenate((w[:, 1:], rest[:, 1:]), axis=2)
-            self._kept_lam, self._kept_sets, self._next = lam[:, 1:, 0], blocks[:, 1:], 0
-            lam, at, w, rest_at, rest = lam[:, 0, 0], at[:, 0], w[:, 0], rest_at[:, 0], rest[:, 0]
+        if size > 1:  # one replica
+            self._kept = np.concatenate((w[1:], rest[1:]), axis=1)
+            self._kept_lam, self._kept_sets, self._next = lam[1:], blocks[0, 1:], 0
+            lam, at, w, rest_at, rest = (a[:1] for a in solved)
         self._state[at] = w
         self._state[rest_at] = rest
         self.r = np.add.reduce(self._ec_real, axis=1)
         return lam, size
 
     def advance(self):
-        """Write the next kept set of each replica; returns the factors."""
+        """Write the next kept set of the one replica; returns its factor, shape (1,)."""
         j = self._next
         self._next = j + 1
-        slots = self._writes[1].take(self._kept_sets[:, j], axis=0)
-        if self._offset is not None:
-            slots = slots + self._offset
-        self._state[slots] = self._kept[:, j]
+        self._state[self._writes[1][self._kept_sets[j]]] = self._kept[j]
         self.r = np.add.reduce(self._ec_real, axis=1)
-        return self._kept_lam[:, j]
+        return self._kept_lam[j:j + 1]
 
     def deficit(self):
         """Per replica: the summed squared balance gap of the sets, from the current weights."""
@@ -527,9 +519,6 @@ class _Engine:
         """Keep the replicas ``rows`` picks: a mask, or indices that may repeat a replica."""
         self.r = self.r[rows]
         self._hold(self._state.reshape(-1, self._block)[rows].ravel())
-        if self._kept is not None:
-            self._kept, self._kept_lam = self._kept[rows], self._kept_lam[rows]
-            self._kept_sets = self._kept_sets[rows]
 
     def to_network(self):
         return self.net.replace_weights(self.w[0])
@@ -638,7 +627,7 @@ def network_deficit(net, cost: CostSpec) -> float:
 
 # -- passes and runs -------------------------------------------------------------
 
-_DRAW_CHUNK = 256  # picks drawn (stochastic) or tiled (cyclic) per replica at a time
+_DRAW_CHUNK = 256  # picks drawn (stochastic) or tiled (cyclic) per engine row at a time
 
 
 def _balanceable(net, allow_nonhomogeneous):
@@ -722,30 +711,34 @@ def _cyclic_picks(eng, cycle):
 
 
 def _run_batch(eng, runs):
-    """Step every replica of ``eng`` in lockstep until it meets its tolerance or its step cap.
+    """Step the rows of ``eng`` in lockstep until each run meets its tolerance or its step cap.
 
-    ``runs[i]`` is (picks, tol_abs, max_steps, trace) for engine row i: picks(t, k)
-    returns the set indices of steps t .. t + k - 1 and, for each, the steps
-    left to the end of its block, a run of consecutive sets that share no
-    edge that ends by step t + k (1 for a set that is a block of its own).
-    The runs must split their steps into the same blocks (all stochastic, or
-    all on one cycle), so the batch starts and ends every block at once.  A
-    step that starts a block solves all of its sets, in every replica, from
-    one gather and writes the first (``_Engine.begin``); the block's later
-    steps write the sets it kept (``_Engine.advance``).  Either way a step
-    writes the bits that solving its set afresh would, and the deficit is
-    reduced afresh after every step, so the per-step stop test, the cap and
-    the logged columns do not depend on the blocks.  Fills in the step
-    columns of each trace; returns the final weights of each run, and
+    ``runs[i]`` is (picks, tol_abs, max_steps, trace): picks(t, k) returns the
+    set indices of steps t .. t + k - 1 and, for each, the steps left to the
+    end of its block, a run of consecutive sets that share no edge that ends
+    by step t + k (1 for a set that is a block of its own).  Stochastic runs
+    step one engine row each, one set per step.  Runs on one cycle share its
+    picks and one row, since a cycle is deterministic: a run stops at the
+    first step where the row's deficit meets its tolerance, or at its cap,
+    with the row's weights then and its columns so far.  A block's first
+    step solves all of its sets from one gather and writes the first
+    (``_Engine.begin``), its later steps write the sets it kept
+    (``_Engine.advance``): each step writes the bits that solving its set
+    afresh would, and the deficit is reduced afresh after it, so the stop
+    test and the logged columns do not depend on the blocks.  Fills in the
+    step columns of each trace; returns the final weights of each run, and
     whether each run met its tolerance.
     """
     picks_of = [run[0] for run in runs]
     tol = np.array([run[1] for run in runs])
     cap = np.array([run[2] for run in runs])
-    ids = np.arange(len(runs))  # run of each engine row
+    shared = len(eng.w) < len(runs)  # one row stepped for all the runs
+    ids = np.arange(len(runs))  # live runs
+    lead = ids[:len(eng.w)]  # the run that logs each engine row
     finals = [None] * len(runs)
     met = np.zeros(len(runs), dtype=bool)
-    log, steps = [], []  # per step, then per chunk: (ids, set, lam, r after, deficit after)
+    n_steps = np.zeros(len(runs), dtype=np.int64)
+    log, steps = [], []  # per step, then per chunk: (lead, set, lam, r after, deficit after)
     done = np.zeros(len(runs), dtype=bool)
     min_cap, block_end = min(cap.tolist(), default=0), 0  # block_end: the step the block ends at
     t = 0
@@ -753,19 +746,20 @@ def _run_batch(eng, runs):
         if t >= min_cap or np.count_nonzero(done):
             stop = done | (cap <= t)
             for row in np.flatnonzero(stop):
-                finals[ids[row]] = eng.w[row].copy()
-            met[ids[stop]] = done[stop]
+                finals[ids[row]] = eng.w[0 if shared else row].copy()
+            met[ids[stop]], n_steps[ids[stop]] = done[stop], t
             go = ~stop
-            eng.select(go)
             ids, tol, cap = ids[go], tol[go], cap[go]
             if not ids.size:
                 break
-            min_cap = int(cap.min())
-            if t % _DRAW_CHUNK:
-                picks = picks[go]
+            if not shared:
+                eng.select(go)
+                if t % _DRAW_CHUNK:
+                    picks = picks[go]
+            lead, min_cap = ids[:len(eng.w)], int(cap.min())
         j = t % _DRAW_CHUNK
         if j == 0:
-            drawn = [picks_of[i](t, _DRAW_CHUNK) for i in ids]
+            drawn = [picks_of[i](t, _DRAW_CHUNK) for i in lead]
             picks = np.array([ks for ks, _ in drawn])
             left = drawn[0][1].tolist()  # the same for every run
         if t < block_end:
@@ -773,8 +767,8 @@ def _run_batch(eng, runs):
         else:
             lam, size = eng.begin(picks[:, j:j + left[j]])
             block_end = t + size
-        deficit = eng.deficit()
-        log.append((ids, picks[:, j], lam, eng.r, deficit))
+        deficit = eng.deficit()  # (1,) on a shared row, against every live run's tolerance
+        log.append((lead, picks[:, j], lam, eng.r, deficit))
         t += 1
         if t % _DRAW_CHUNK == 0:
             steps.append([np.concatenate(col) for col in zip(*log)])
@@ -787,13 +781,13 @@ def _run_batch(eng, runs):
         # drop the chunks once sorted: kept, they would add to the peak while the lists are built
         ids, *columns = zip(*steps)
         del steps
-        ids = np.concatenate(ids)
-        order = np.argsort(ids, kind="stable")
+        # a shared row's lead only moves on to later runs, so its log stays in step order
+        order = np.argsort(np.concatenate(ids), kind="stable")
         sets, lam, r_after, deficit = (np.concatenate(col)[order] for col in columns)
         units = eng.unit.take(sets)
         del columns
-        ends = np.cumsum(np.bincount(ids, minlength=len(runs))).tolist()
-        for (*_, trace), s, e in zip(runs, [0] + ends[:-1], ends):
+        ends = n_steps if shared else np.cumsum(n_steps)
+        for (*_, trace), s, e in zip(runs, (ends - n_steps).tolist(), ends.tolist()):
             trace.units, trace.lambdas = units[s:e].tolist(), lam[s:e].tolist()
             trace.r_series, trace.deficit_series = r_after[s:e].tolist(), deficit[s:e].tolist()
     return finals, met.tolist()
@@ -804,9 +798,10 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
 
     Runs that balance the same unit sets (the disjoint subsets of a
     ``layer_tied`` partition, else the single units) in the same way (all
-    stochastic, or all on one cycle) form one batch: one engine holds one
-    weight row per run and advances every unfinished run by one step at a
-    time, in lockstep; each run starts and stops on its own sets' deficit.
+    stochastic, or all on one cycle) form one batch on one engine.  It holds
+    one weight row per stochastic run, and one row for all the runs on a
+    cycle, each of which is a prefix of that row's stepping; each run starts
+    and stops on its own sets' deficit.
     """
     schedules = list(schedules)
     check_structure(net)
@@ -852,15 +847,16 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
         key = sets, None if cycle is None else tuple(cycle)
         families.setdefault(key, []).append((i, tol_abs))
 
-    spare = {singles: eng}  # an engine serves one batch: ``select`` rewrites its state
+    spare = {singles: eng}  # an engine serves one batch: its steps rewrite its weights
     for (sets, cycle), runs in families.items():
         batch = spare.pop(sets) if sets in spare else _Engine(net, cost, sets)
         gap = _finite_start(batch, [traces[i] for i, _ in runs])
         if gap is None:
             continue
         runs = [(i, tol_abs) for i, tol_abs in runs if gap > tol_abs]
-        batch.select(np.zeros(len(runs), dtype=np.int64))
         cyclic = None if cycle is None else _cyclic_picks(batch, cycle)
+        if cyclic is None:  # one row per stochastic run; runs on one cycle share one
+            batch.select(np.zeros(len(runs), dtype=np.int64))
         specs = [
             (cyclic or _stochastic_picks(schedules[i].seed, len(sets)), tol_abs,
              schedules[i].max_steps, traces[i])

@@ -200,6 +200,21 @@ def cmd_verify_uniqueness(args) -> int:
 # -- train -------------------------------------------------------------------
 
 
+_NEEDED = object()  # the default of a key that must be given
+
+
+def _typed(value, kind, what):
+    """``value`` if it is a ``kind``, else a ValueError naming ``what`` and the type it got.
+
+    A JSON bool is not an int or a float, and an int is a float.
+    """
+    if not isinstance(value, (int, float) if kind is float else kind) or (
+        isinstance(value, bool) and kind in (int, float)
+    ):
+        raise ValueError(f"{what} must be {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
 class _Spec(dict):
     """A JSON object of a train config: a missing key is a ValueError that names it."""
 
@@ -212,59 +227,74 @@ class _Spec(dict):
     def __missing__(self, key):
         raise ValueError(f"{self.where} needs {key!r}")
 
+    def get(self, key, type, default=_NEEDED):
+        """The value of ``key``, checked to be a ``type`` (see ``_typed``); ``[t]`` is a list of t.
+
+        A missing key reads as ``default``, and a key without one must be
+        given; a null reads as None where that is the default.
+        """
+        if key not in self and default is not _NEEDED:
+            return default
+        value, what = self[key], f"{self.where} field {key!r}"
+        if value is None and default is None:
+            return None
+        if isinstance(type, list):
+            return [_typed(v, type[0], f"{what} entry") for v in _typed(value, list, what)]
+        return _typed(value, type, what)
+
 
 def _build_net(spec: dict, seed: int):
     if "path" in spec:
-        return load(spec["path"])
+        return load(spec.get("path", str))
     if "layers" not in spec:
         raise ValueError("net config needs either 'path' or 'layers'")
     return make_layered(
-        spec["layers"],
-        hidden_activation=_activation(spec.get("hidden_activation", "relu")),
-        output_activation=_activation(spec.get("output_activation", "identity")),
-        bias=bool(spec.get("bias", True)),
-        seed=int(spec.get("init_seed", seed)),
-        bias_init=spec.get("bias_init", "zeros"),
+        spec.get("layers", [int]),
+        hidden_activation=_activation(spec.get("hidden_activation", object, "relu")),
+        output_activation=_activation(spec.get("output_activation", object, "identity")),
+        bias=spec.get("bias", bool, True),
+        seed=spec.get("init_seed", int, seed),
+        bias_init=spec.get("bias_init", str, "zeros"),
     )
 
 
 def _build_data(spec: dict):
-    kind = spec.get("kind")
+    kind = spec.get("kind", str, None)
     if kind == "circles":
         data = make_concentric_circles(
-            int(spec.get("n", 500)), float(spec.get("noise", 0.1)), int(spec.get("data_seed", 0))
+            spec.get("n", int, 500), spec.get("noise", float, 0.1), spec.get("data_seed", int, 0)
         )
-        frac = float(spec.get("test_fraction", 0.3))
+        frac = spec.get("test_fraction", float, 0.3)
         n_test = int(round(data.n_samples * frac))
         test = Dataset(data.inputs[:n_test], data.targets[:n_test], name="circles-test")
         train = Dataset(data.inputs[n_test:], data.targets[n_test:], name="circles-train")
         return train, test
     if kind == "csv":
-        label = spec.get("label_column", "label")
-        return load_csv(spec["train"], label), load_csv(spec["test"], label)
+        label = spec.get("label_column", str, "label")
+        return load_csv(spec.get("train", str), label), load_csv(spec.get("test", str), label)
     if kind == "idx":
         return (
-            load_idx(spec["train_images"], spec["train_labels"], name="train"),
-            load_idx(spec["test_images"], spec["test_labels"], name="test"),
+            load_idx(spec.get("train_images", str), spec.get("train_labels", str), name="train"),
+            load_idx(spec.get("test_images", str), spec.get("test_labels", str), name="test"),
         )
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
 def _train_config(spec: dict, balance_kind: str, seed: int) -> TrainConfig:
-    bal = _Spec(spec.get("balance", {}), "'balance'")
-    bal_cost = bal.get("cost")
+    bal = _Spec(spec.get("balance", dict, {}), "'balance'")
+    bal_cost = bal.get("cost", str, None)
     mode = BalanceMode(
         kind=balance_kind,
-        tol=float(bal.get("tol", 1e-8)),
+        tol=bal.get("tol", float, 1e-8),
         cost=parse_cost(bal_cost) if bal_cost else None,
-        allow_nonhomogeneous=bool(bal.get("allow_nonhomogeneous", False)),
+        allow_nonhomogeneous=bal.get("allow_nonhomogeneous", bool, False),
     )
-    cost = spec.get("cost")
+    cost = spec.get("cost", str, None)
     return TrainConfig(
-        learning_rate=float(spec["learning_rate"]),
-        batch_size=int(spec.get("batch_size", 16)),
-        epochs=int(spec.get("epochs", 10)),
-        loss=spec["loss"],
+        learning_rate=spec.get("learning_rate", float),
+        batch_size=spec.get("batch_size", int, 16),
+        epochs=spec.get("epochs", int, 10),
+        loss=spec.get("loss", str),
         cost=parse_cost(cost) if cost else None,
         balance=mode,
         seed=seed,
@@ -275,17 +305,17 @@ def cmd_train(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         config = _Spec(json.load(fh), "train config")
     train_spec = _Spec(config["train"], "'train'")
-    seeds = config.get("seeds", [0])
+    seeds = config.get("seeds", [int], [0])
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",")]
     env = os.environ.get("BALANCEKIT_SEED")
     if env:
         seeds = [int(env)]
-    if not isinstance(seeds, list) or not seeds:
+    if not seeds:
         raise ValueError(f"'seeds' must be a non-empty list, got {seeds!r}")
-    arms = config.get("arms")
+    arms = config.get("arms", [str], None)
     if not arms:
-        arms = [_Spec(train_spec.get("balance", {}), "'balance'").get("kind", "none")]
+        arms = [_Spec(train_spec.get("balance", dict, {}), "'balance'").get("kind", str, "none")]
     out = _out_dir(args.out)
     _manifest(out, "train", {"config": str(args.config), "seeds": seeds, "arms": arms})
 

@@ -477,8 +477,8 @@ def reference_run_batch(eng, runs):
     every (set, edge) entry, as the engine stepped before it balanced blocks.
     """
     finals, met = [], []
-    for row, (picks, tol, cap, trace) in enumerate(runs):
-        w = eng.w[row:row + 1].copy()
+    for picks, tol, cap, trace in runs:
+        w = eng.w[:1].copy()
         w = np.concatenate([w, np.zeros((1, 1))], axis=1)
         ec, q = balancing._edge_costs(eng.cost, w)
         done = False

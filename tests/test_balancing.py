@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from decimal import Decimal, localcontext
 from unittest import mock
 
@@ -1109,8 +1109,10 @@ _TOLS = [1e3, 0.0, 1e-12, 1e-16, 1e-30]
 
 def _block_batch(net, dead, recurrent, draw):
     """Schedules of every kind: orders that interleave layers and repeat units, layer
-    partitions that are whole, split or interleaved, and caps that cut blocks."""
+    partitions that are whole, split or interleaved, caps that cut blocks, and families
+    of runs on one cycle that differ only in their stop criteria."""
     hidden = list(net.hidden_ids)
+    steps = st.integers(1, 12) | st.integers(13, 400)
     layers = bk.netgraph.hidden_layers(net) if not recurrent else [hidden[::2], hidden[1::2]]
     schedules = []
     for _ in range(draw(st.integers(1, 8))):
@@ -1130,9 +1132,15 @@ def _block_batch(net, dead, recurrent, draw):
             order = draw(st.lists(st.sampled_from(hidden + [dead]), min_size=1, max_size=16))
         schedules.append(bk.Schedule(
             kind, seed=draw(st.integers(0, 99)), order=order, partition=partition,
-            deficit_tol=draw(st.sampled_from(_TOLS)),
-            max_steps=draw(st.integers(1, 12) | st.integers(13, 400)),
+            deficit_tol=draw(st.sampled_from(_TOLS)), max_steps=draw(steps),
         ))
+    cyclic = [s for s in schedules if s.kind != "stochastic"]
+    if cyclic and draw(st.booleans()):
+        family = draw(st.sampled_from(cyclic))
+        schedules += [
+            replace(family, deficit_tol=draw(st.sampled_from(_TOLS)), max_steps=draw(steps))
+            for _ in range(draw(st.integers(1, 4)))
+        ]
     return schedules
 
 
@@ -1196,6 +1204,44 @@ def test_runs_share_a_batch_only_when_they_share_sets_and_cycle(monkeypatch):
     assert sorted(sorted(position[id(trace)] for trace in batch) for batch in batches) == [
         [0, 1, 2], [3, 4], [5], [6],
     ]
+
+
+def test_runs_on_one_cycle_step_one_engine_row(monkeypatch):
+    net = _criterion4_net()
+    hidden = list(net.hidden_ids)
+    schedules = [bk.Schedule("stochastic", seed=seed, max_steps=steps)
+                 for seed, steps in [(0, 30), (1, 100_000), (2, 75)]]
+    schedules += [bk.Schedule("layer_independent", deficit_tol=tol, max_steps=steps)
+                  for tol, steps in [(0.0, 5), (1e-3, 100_000), (1e-9, 100_000), (1e-18, 40)]]
+    schedules += [bk.Schedule("sequential", order=hidden[::-1], deficit_tol=tol, max_steps=steps)
+                  for tol, steps in [(1e-6, 100_000), (0.0, 30)]]
+    schedules += [bk.Schedule("layer_tied", max_steps=50)]
+    batches, rows = [], []  # per batch: its runs' traces, and the rows of each block it begins
+    run_batch, begin = balancing._run_batch, balancing._Engine.begin
+
+    def spy_batch(eng, runs):
+        batches.append([trace for *_, trace in runs])
+        rows.append([])
+        return run_batch(eng, runs)
+
+    def spy_begin(eng, blocks):
+        rows[-1].append(blocks.shape[0])
+        return begin(eng, blocks)
+
+    monkeypatch.setattr(balancing, "_run_batch", spy_batch)
+    monkeypatch.setattr(balancing._Engine, "begin", spy_begin)
+    many = bk.run_balancing_many(net, schedules, bk.l2())
+    kind = {id(trace): s.kind for s, (_, trace) in zip(schedules, many)}
+    assert sorted(len(batch) for batch in batches) == [1, 2, 3, 4]
+    for batch, begun in zip(batches, rows):
+        if kind[id(batch[0])] == "stochastic":
+            # one row per live run: every stochastic step begins a block of one set
+            assert begun == [sum(len(trace.units) > t for trace in batch)
+                             for t in range(max(len(trace.units) for trace in batch))]
+        else:
+            assert set(begun) == {1}
+    monkeypatch.undo()
+    _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, bk.l2()))
 
 
 def test_replicas_that_leave_mid_block_keep_the_one_set_steps():

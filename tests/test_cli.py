@@ -188,6 +188,14 @@ def test_train_bad_cost_string_names_token(tmp_path, capsys):
     assert "l3" in capsys.readouterr().err
 
 
+def _set(section, key, value):
+    """The malform that sets ``key`` of ``section`` (None: the top level) to ``value``."""
+    def malform(cfg):
+        (cfg[section] if section else cfg)[key] = value
+        return cfg
+    return malform
+
+
 @pytest.mark.parametrize(
     "malform, names",
     [
@@ -195,8 +203,19 @@ def test_train_bad_cost_string_names_token(tmp_path, capsys):
         (lambda cfg: {k: v for k, v in cfg.items() if k != "train"}, "'train'"),
         (lambda cfg: [cfg], "train config"),
         (lambda cfg: {**cfg, "data": {"kind": "csv"}}, "'train'"),
+        (_set("train", "epochs", None), "'train' field 'epochs'"),
+        (_set("train", "learning_rate", None), "'train' field 'learning_rate'"),
+        (_set("data", "noise", [1]), "'data' field 'noise'"),
+        (_set("net", "bias", "false"), "'net' field 'bias'"),
+        (_set("train", "epochs", 2.7), "'train' field 'epochs'"),
+        (_set("train", "batch_size", "8"), "'train' field 'batch_size'"),
+        (_set("net", "layers", [2, 4.5, 1]), "'net' field 'layers'"),
+        (_set(None, "seeds", [1, "2"]), "train config field 'seeds'"),
+        (_set(None, "arms", [1]), "train config field 'arms'"),
     ],
-    ids=["empty seeds", "no train", "a list", "csv without paths"],
+    ids=["empty seeds", "no train", "a list", "csv without paths", "null epochs",
+         "null learning rate", "list noise", "string bias", "fractional epochs",
+         "string batch size", "fractional layer size", "string seed", "number arm"],
 )
 def test_train_malformed_config_exits_one_without_a_traceback(tmp_path, capsys, malform, names):
     cfg = _train_config(tmp_path)
@@ -204,6 +223,7 @@ def test_train_malformed_config_exits_one_without_a_traceback(tmp_path, capsys, 
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_train_reproducible_bytes(tmp_path):
