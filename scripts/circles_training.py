@@ -2,28 +2,26 @@
 """Training-improvement comparison on the concentric-circles task.
 
 Trains the toy 2-5-1 classifier under several balancing regimes over a seed
-sweep and writes per-epoch mean/std test accuracy per arm, plot-ready.
+sweep as one ``balancekit train`` run.  Besides that command's outputs
+(``config.json`` here, ``manifest.json``, ``aggregate.csv`` and per arm and
+seed ``metrics.csv``, ``network.json`` and ``manifest.json``) it writes
+``curves.csv``: per arm and epoch, the mean/std test accuracy and the mean
+deficit over the seeds, plot-ready.  Returns the exit code of ``train``.
 
     python scripts/circles_training.py --seeds 0,1,2,3,4,5,6,7 --out out/circles_training
 """
 
 import argparse
+import csv
+import json
 import sys
 from pathlib import Path
 
-import numpy as np
+from balancekit import cli
 
-import balancekit as bk
-
-
-def run_arm(arm, seed, train, test, epochs, lr):
-    net = bk.make_layered([2, 5, 1], hidden_activation=bk.RELU,
-                          output_activation=bk.LOGISTIC_UNIT, seed=seed,
-                          bias_init="uniform")
-    cfg = bk.TrainConfig(lr, 8, epochs, "binary_cross_entropy",
-                         balance=bk.BalanceMode(arm, tol=1e-12), seed=seed)
-    _, rows = bk.sgd_train(net, train, test, cfg)
-    return rows
+# the columns of aggregate.csv that curves.csv keeps, under its own header
+CURVES = ("arm", "epoch", "mean_test_accuracy", "std_test_accuracy", "mean_deficit")
+HEADER = "arm,epoch,mean_accuracy,std_accuracy,mean_deficit"
 
 
 def main(argv=None):
@@ -39,28 +37,27 @@ def main(argv=None):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    arms = args.arms.split(",")
-    data = bk.make_concentric_circles(args.n, args.noise, seed=100)
-    k = args.n // 4
-    test = bk.Dataset(data.inputs[:k], data.targets[:k], "test")
-    train = bk.Dataset(data.inputs[k:], data.targets[k:], "train")
+    config = {
+        "net": {"layers": [2, 5, 1], "output_activation": "logistic", "bias_init": "uniform"},
+        "data": {"kind": "circles", "n": args.n, "noise": args.noise, "data_seed": 100,
+                 "test_fraction": 0.25},
+        "train": {"learning_rate": args.lr, "batch_size": 8, "epochs": args.epochs,
+                  "loss": "binary_cross_entropy", "balance": {"tol": 1e-12}},
+        "arms": args.arms.split(","),
+        "seeds": [int(s) for s in args.seeds.split(",")],
+    }
+    (out / "config.json").write_text(json.dumps(config, indent=2) + "\n")
+    code = cli.main(["train", "--config", str(out / "config.json"), "--out", str(out)])
+    if code == 1:  # no aggregate.csv was written
+        return code
 
-    lines = ["arm,epoch,mean_accuracy,std_accuracy,mean_deficit"]
-    finals = {}
-    for arm in arms:
-        per_seed = [run_arm(arm, s, train, test, args.epochs, args.lr) for s in seeds]
-        for e in range(args.epochs + 1):
-            acc = np.array([rows[e].test_accuracy for rows in per_seed])
-            def_ = np.array([rows[e].network_deficit for rows in per_seed])
-            lines.append(
-                f"{arm},{e},{float(acc.mean())!r},{float(acc.std())!r},{float(def_.mean())!r}"
-            )
-        finals[arm] = float(np.mean([rows[-1].test_accuracy for rows in per_seed]))
-    (out / "curves.csv").write_text("\n".join(lines) + "\n")
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = [[row[c] for c in CURVES] for row in csv.DictReader(fh)]
+    (out / "curves.csv").write_text("\n".join([HEADER] + [",".join(r) for r in rows]) + "\n")
+    finals = {arm: acc for arm, _, acc, *_ in rows}  # each arm's last row
     for arm, acc in finals.items():
-        print(f"{arm}: final mean test accuracy {acc:.4f}")
-    return 0
+        print(f"{arm}: final mean test accuracy {float(acc):.4f}")
+    return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -33,7 +34,6 @@ from .activations import homogeneity_exponent
 from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers
 from .regularizer import CostSpec, network_cost  # noqa: F401  (bench/layers.py traces this name)
 
-_TINY = 1e-300
 _LOG_LIMIT = 700.0  # |log lam| beyond which lam**p overflows for any sensible p
 _LN2 = math.log(2.0)
 
@@ -106,7 +106,10 @@ class Schedule:
     deficit) falls below ``deficit_tol * r_initial**2`` (the deficit is
     quadratic in the cost, so normalizing by the squared initial cost makes
     the tolerance dimensionless) or after ``max_steps`` single balancing
-    operations.  ``seed`` and ``max_steps`` must be integers (NumPy ones
+    operations.  Where ``r_initial**2`` is not a positive normal float
+    (``r_initial`` outside about [1.49e-154, 1.34e154]) no tolerance is
+    sound: the run takes no step and comes back not converged, with a note.
+    ``seed`` and ``max_steps`` must be integers (NumPy ones
     included); anything else is a ``ValueError`` naming the field.
     """
 
@@ -651,6 +654,13 @@ def _order_cycle(order, index, notes):
     return [index[u] for u in order if u in index]
 
 
+def _take_no_step(traces, why):
+    """Mark each of ``traces`` unconverged, with a note saying why its run takes no step."""
+    for trace in traces:
+        trace.converged = False
+        trace.notes.append(f"no step taken: {why}")
+
+
 def _finite_start(eng, traces):
     """The engine's starting deficit, or None when it is not finite.
 
@@ -661,9 +671,7 @@ def _finite_start(eng, traces):
     gap = float(eng.deficit()[0])
     if math.isfinite(gap):
         return gap
-    for trace in traces:
-        trace.converged = False
-        trace.notes.append(f"no step taken: the starting deficit is {gap!r}, not finite")
+    _take_no_step(traces, f"the starting deficit is {gap!r}, not finite")
     return None
 
 
@@ -816,11 +824,17 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
             trace.notes.append("nothing to balance")
         return results
     start = float(eng.deficit()[0])
+    r_sq = r_init * r_init  # inf, where ** would raise, past the float range
+    if math.isfinite(start) and not sys.float_info.min <= r_sq < math.inf:
+        # the tolerances scale with r_sq: out of range they read 0 or inf, and a
+        # run would stop on a deficit that underflows or on none at all
+        _take_no_step(traces, f"the squared starting cost {r_sq!r} is not a positive normal float")
+        return results
     index = {u: k for k, u in enumerate(eligible)}
     # (unit sets, cycle or None if drawn) -> runs on them: (schedule index, tol_abs)
     families = {}
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
-        tol_abs = schedule.deficit_tol * max(r_init, _TINY) ** 2
+        tol_abs = schedule.deficit_tol * r_sq
         sets, cycle = singles, None
         if schedule.kind != "layer_tied" and math.isfinite(start) and start <= tol_abs:
             continue  # before the order is read, so a converged run adds no note

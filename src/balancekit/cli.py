@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import platform
 import sys
@@ -265,7 +266,10 @@ def _build_data(spec: dict):
             spec.get("n", int, 500), spec.get("noise", float, 0.1), spec.get("data_seed", int, 0)
         )
         frac = spec.get("test_fraction", float, 0.3)
-        n_test = int(round(data.n_samples * frac))
+        n_test = round(data.n_samples * frac) if math.isfinite(frac) else 0
+        if not 1 <= n_test < data.n_samples:
+            raise ValueError(f"{spec.where} field 'test_fraction' must leave one of the "
+                             f"{data.n_samples} rows to test on and one to train on, got {frac!r}")
         test = Dataset(data.inputs[:n_test], data.targets[:n_test], name="circles-test")
         train = Dataset(data.inputs[n_test:], data.targets[n_test:], name="circles-train")
         return train, test

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import BIAS, HIDDEN, INPUT, OUTPUT, Network, reachable
+from .netgraph import Network, off_path, reachable
 from .regularizer import CostSpec
 
 _GRAD_TOL = 1e-10  # Newton stops at this gradient sup-norm of the normalized objective
@@ -180,10 +180,7 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
     m = _Manifold(net)
     free = m.free
     # the paper's path statement of the manifold needs a path through every hidden unit
-    roles = net.structure.role_ids
-    on_path = reachable(m.n, m.src, m.dst, roles[INPUT] + roles[BIAS])
-    on_path &= reachable(m.n, m.dst, m.src, roles[OUTPUT])
-    dead = [h for h in roles[HIDDEN] if not on_path[h]]
+    dead = off_path(net.structure.role_ids, m.n, m.src, m.dst)
     if dead:
         raise ValueError(f"hidden unit {dead[0]} lies on no input->output path of nonzero edges")
 

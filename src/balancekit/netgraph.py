@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -79,6 +80,16 @@ def reachable(n_units: int, src, dst, start) -> np.ndarray:
         frontier = step & ~seen
         seen |= frontier
     return seen
+
+
+def off_path(role_ids: dict, n_units: int, src, dst) -> list:
+    """The hidden units on no path src[k] -> dst[k] from an input or the bias source to an output.
+
+    ``role_ids`` maps each role to its unit ids, as ``Structure.role_ids`` does.
+    """
+    on_path = reachable(n_units, src, dst, role_ids[INPUT] + role_ids[BIAS])
+    on_path &= reachable(n_units, dst, src, role_ids[OUTPUT])
+    return [h for h in role_ids[HIDDEN] if not on_path[h]]
 
 
 class Structure:
@@ -166,13 +177,8 @@ class Structure:
             if cyc := self._cycle_units():
                 found.append((True, f"non-recurrent network contains a cycle through units {cyc}"))
             else:
-                from_input = reachable(n, src, dst, self.role_ids[INPUT])
-                to_output = reachable(n, dst, src, self.role_ids[OUTPUT])
-                found += [
-                    (False, f"hidden unit {h} lies on no input->output path")
-                    for h in self.role_ids[HIDDEN]
-                    if not (from_input[h] and to_output[h])
-                ]
+                found += [(False, f"hidden unit {h} lies on no input->output path")
+                          for h in off_path(self.role_ids, n, src, dst)]
         return found
 
     def check(self) -> None:
@@ -729,9 +735,15 @@ def make_layered(
 
     Weights between consecutive layers are drawn uniformly from [-r, r] with
     r = sqrt(6 / (fan_in + fan_out)); bias edges start at zero unless
-    ``bias_init="uniform"``.
+    ``bias_init="uniform"``.  Each size must be an integer (NumPy ones
+    included); anything else is a ``ValueError`` naming it.
     """
-    sizes = [int(s) for s in sizes]
+    sizes = list(sizes)
+    for k, size in enumerate(sizes):
+        try:
+            sizes[k] = operator.index(size)
+        except TypeError:
+            raise ValueError(f"layer sizes must be integers, got {size!r}") from None
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("need at least two layers with positive sizes")
     rng = np.random.default_rng(seed)

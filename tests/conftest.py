@@ -389,7 +389,7 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
     index = {u: k for k, u in enumerate(eligible)}
     unit_runs, tied_runs = [], []
     for i, (schedule, trace) in enumerate(zip(schedules, traces)):
-        tol_abs = schedule.deficit_tol * max(r_init, balancing._TINY) ** 2
+        tol_abs = schedule.deficit_tol * max(r_init, 1e-300) ** 2
         if start <= tol_abs:
             continue
         if schedule.kind == "stochastic":

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import astuple, replace
 from decimal import Decimal, localcontext
@@ -5,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, target
+from hypothesis import HealthCheck, assume, example, given, settings, target
 from hypothesis import strategies as st
 
 import balancekit as bk
@@ -615,6 +616,42 @@ def test_an_infinite_starting_deficit_is_not_within_an_infinite_tolerance():
     assert trace.r_initial == math.inf and not trace.converged and trace.units == []
     assert trace.notes == ["no step taken: the starting deficit is inf, not finite"]
     assert out.w.tobytes() == net.w.tobytes()
+
+
+_POW2_NET = bk.make_layered([3, 6, 6, 2], seed=0)
+_POW2_SCHEDULE = bk.Schedule("sequential", deficit_tol=1e-12, max_steps=2_000)
+
+
+@functools.cache
+def _unscaled_run(cost):
+    final, trace = bk.run_balancing(_POW2_NET, _POW2_SCHEDULE, bk.parse_cost(cost))
+    assert trace.converged
+    return final.w, len(trace.units)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(k=st.integers(-1060, 1019), cost=st.sampled_from(["l1", "l2", "lp:3"]))
+@example(k=-399, cost="l2")  # about x1e-120: the squared cost underflows to 0
+@example(k=332, cost="l2")  # about x1e100: the starting deficit overflows
+@example(k=-200, cost="lp:3")  # the cubed costs sum to about 2**-600, whose square underflows
+def test_a_power_of_two_weight_scale_balances_the_same_run_or_takes_no_step(k, cost):
+    # a one-term cost takes the same lambda* on 2**k * W, so a run either follows
+    # the unscaled one, bit for bit, or takes no step and says why
+    w0 = _POW2_NET.w
+    with np.errstate(over="ignore", under="ignore"):
+        w = np.ldexp(w0, k)
+    assume(np.isfinite(w).all() and np.array_equal(np.ldexp(w, -k), w0))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        final, trace = bk.run_balancing(_POW2_NET.replace_weights(w), _POW2_SCHEDULE,
+                                        bk.parse_cost(cost))
+    if trace.converged:
+        want, steps = _unscaled_run(cost)
+        assert len(trace.units) == steps
+        assert final.w.tobytes() == np.ldexp(want, k).tobytes()
+    else:
+        assert trace.units == [] and len(trace.notes) == 1
+        assert trace.notes[0].startswith("no step taken: ")
+        assert final.w.tobytes() == w.tobytes()
 
 
 def test_mixed_cost_lambda_at_extreme_scales():

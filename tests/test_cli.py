@@ -405,14 +405,69 @@ def test_every_manifest_records_the_python_and_numpy_versions(tmp_path, chain_ne
             assert {k: manifest.get(k) for k in versions} == versions, (command, path)
 
 
+def _extreme_net(tmp_path, scale=1.0, edge=None):
+    """The 3-6-6-2 net (seed 0) with every weight scaled, plus an optional extra edge (src, dst, w)."""
+    net = bk.make_layered([3, 6, 6, 2], seed=0)
+    doc = json.loads(bk.serialize(net.replace_weights(net.weights() * scale)))
+    if edge:
+        doc["edges"].append(dict(zip(("from", "to", "weight"), edge)))
+    p = tmp_path / "extreme.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+def _no_step_taken(out, note):
+    summary = _load(out / "summary.json")
+    assert summary["converged"] is False and summary["steps"] == 0
+    assert summary["notes"] == [f"no step taken: {note}"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_balance_huge_weights_exit_without_a_traceback(tmp_path, capsys):
     # a cost of about 1e200 overflows the squared-cost tolerance of the engine
-    net = bk.make_layered([3, 6, 6, 2], seed=0)
-    p = tmp_path / "huge.json"
-    bk.netgraph.save(net.replace_weights(net.weights() * 1e100), p)
-    code = main(["balance", "--net", str(p), "--out", str(tmp_path / "o")])
-    assert code in (0, 1, 2)
+    p = _extreme_net(tmp_path, 1e100)
+    out = tmp_path / "o"
+    code = main(["balance", "--net", str(p), "--out", str(out)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    _no_step_taken(out, "the starting deficit is inf, not finite")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale, edge, squared", [
+    (1e-120, None, "0.0"),  # the squared cost underflows to 0, and so does the deficit
+    (1.0, (0, 15, 1e160), "inf"),  # an input->output edge: the cost is inf, the deficit finite
+])
+def test_balance_whose_squared_cost_is_out_of_range_exits_two(tmp_path, capsys, scale, edge, squared):
+    p = _extreme_net(tmp_path, scale, edge)
+    out = tmp_path / "o"
+    code = main(["balance", "--net", str(p), "--schedule", "sequential", "--tol", "1e-12",
+                 "--out", str(out)])
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    _no_step_taken(out, f"the squared starting cost {squared} is not a positive normal float")
+
+
+def test_balance_tiny_weights_under_the_readme_cost_still_converge(tmp_path):
+    # the l1 term keeps the squared cost in range at x1e-120
+    p = _extreme_net(tmp_path, 1e-120)
+    out = tmp_path / "o"
+    code = main(["balance", "--net", str(p), "--cost", "0.015*l1+1.0*l2",
+                 "--schedule", "sequential", "--tol", "1e-12", "--out", str(out)])
+    assert code == 0
+    summary = _load(out / "summary.json")
+    assert summary["converged"] is True and summary["steps"] == 101
+    assert summary["final_deficit"] <= 1e-12 * summary["r_before"] ** 2
+
+
+@pytest.mark.parametrize("fraction", [2.0, 1.0, 0.99, 0.0, -0.5])
+def test_train_refuses_a_test_fraction_that_leaves_a_part_empty(tmp_path, capsys, fraction):
+    p = _train_config(tmp_path, epochs=1)
+    cfg = json.loads(p.read_text())
+    cfg["data"].update(n=40, test_fraction=fraction)
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "t"
+    assert main(["train", "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "Traceback" not in err
-    if code == 1:
-        assert err.startswith("error: ")
+    assert err.startswith("error: ") and "'data' field 'test_fraction'" in err
+    assert not (out / "aggregate.csv").exists()

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -138,6 +139,51 @@ def test_validate_and_runs_agree_on_a_unit_fed_only_by_its_self_loop():
     assert bk.validate(net) == ["hidden unit 1 has no nonzero incoming weight"]
     _, trace = bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
     assert trace.notes[0] == "unit 1 skipped: all-zero incoming or outgoing side"
+
+
+def _input_hidden_hidden_output_bias(edges):
+    """Input 0, ReLU hidden units 1 and 2, output 3 and bias source 4, with ``edges`` (src, dst, w)."""
+    units = [
+        bk.Unit(0, bk.INPUT, bk.IDENTITY),
+        bk.Unit(1, bk.HIDDEN, bk.RELU),
+        bk.Unit(2, bk.HIDDEN, bk.RELU),
+        bk.Unit(3, bk.OUTPUT, bk.IDENTITY),
+        bk.Unit(4, bk.BIAS, bk.IDENTITY),
+    ]
+    return bk.Network(units, [bk.Edge(*e) for e in edges])
+
+
+def test_a_hidden_unit_fed_by_the_bias_alone_lies_on_a_path():
+    # the structural check and the oracle both start their walks at the inputs and the bias
+    net = _input_hidden_hidden_output_bias(
+        [(0, 1, 1.5), (1, 3, 0.5), (4, 2, 2.0), (2, 3, 0.25), (4, 1, 0.3)]
+    )
+    assert bk.validate(net) == []
+    solution = bk.solve_convex(net, bk.l2())
+    final, trace = bk.run_balancing(net, bk.Schedule("sequential", deficit_tol=1e-20), bk.l2())
+    assert trace.converged and trace.units
+    oracle = bk.apply_multipliers(net, solution.multipliers).weights()
+    assert np.max(np.abs(final.weights() - oracle)) <= 1e-9
+    x = np.linspace(-2.0, 2.0, 9)[:, None]
+    assert np.max(np.abs(bk.forward(final, x) - bk.forward(net, x))) <= 1e-12
+
+
+def test_a_hidden_unit_with_no_path_to_an_output_is_flagged():
+    net = _input_hidden_hidden_output_bias(
+        [(0, 1, 1.5), (1, 3, 0.5), (4, 2, 2.0), (0, 2, 1.0), (4, 1, 0.3)]
+    )
+    problem = "hidden unit 2 lies on no input->output path"
+    assert problem in bk.validate(net)  # and "no nonzero outgoing weight"
+    with pytest.raises(ValueError, match=problem):
+        bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
+
+
+@pytest.mark.parametrize("bad", [4.5, "4", None, np.float64(4.0)])
+def test_make_layered_refuses_a_layer_size_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match=re.escape(f"layer sizes must be integers, got {bad!r}")):
+        bk.make_layered([2, bad, 1])
+    # NumPy integers are integers
+    assert len(bk.make_layered([np.int64(2), np.int32(4), 1]).hidden_ids) == 4
 
 
 def test_validate_flags_cycle_in_feedforward():

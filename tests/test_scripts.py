@@ -56,3 +56,35 @@ def test_circles_training(tmp_path):
     assert [(r["arm"], int(r["epoch"])) for r in rows] == [
         (arm, e) for arm in ("none", "full_at_start", "partial_each_epoch") for e in range(4)
     ]
+    # the script is a `balancekit train` run: its outputs are there, and curves.csv
+    # projects aggregate.csv
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "train" and {"python", "numpy"} <= set(manifest)
+    for arm in ("none", "full_at_start", "partial_each_epoch"):
+        for seed in (0, 1):
+            run = out / arm / f"seed_{seed}"
+            with open(run / "metrics.csv", newline="") as fh:
+                assert len(list(csv.DictReader(fh))) == 3 + 1
+            assert (run / "network.json").exists() and (run / "manifest.json").exists()
+    with open(out / "aggregate.csv", newline="") as fh:
+        aggregate = list(csv.DictReader(fh))
+    assert [list(r.values()) for r in rows] == [
+        [a[c] for c in ("arm", "epoch", "mean_test_accuracy", "std_test_accuracy", "mean_deficit")]
+        for a in aggregate
+    ]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_circles_training_divergence_exits_two_with_the_first_rows(tmp_path):
+    out = tmp_path / "ct"
+    code = _script("circles_training").main(
+        ["--seeds", "0,1", "--epochs", "3", "--n", "80", "--lr", "1e300", "--out", str(out)]
+    )
+    assert code == 2
+    with open(out / "curves.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["arm"], r["epoch"]) for r in rows] == [
+        (arm, "0") for arm in ("none", "full_at_start", "partial_each_epoch")
+    ]
+    run = json.loads((out / "none" / "seed_0" / "manifest.json").read_text())
+    assert run["note"] == "non-finite weights at epoch 1"
