@@ -2,9 +2,9 @@
 """Desk-scale schedule-independence experiment.
 
 Balances one fixed random layered network under many stochastic schedules,
-plus the convex oracle, and writes a CSV of per-run outcomes together with a
-summary of the pairwise weight discrepancies.  The runs go through
-``run_balancing_many`` as one batch.
+and against the convex oracle, as one ``balancekit verify-uniqueness`` run
+(``net.json``, ``manifest.json``, ``runs.csv``, ``report.json``, ``oracle.json``),
+and projects its report into ``summary.json``.  Returns the command's exit code.
 
     python scripts/schedule_independence.py --runs 1000 --out out/schedule_independence
 """
@@ -14,9 +14,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
+from balancekit import cli, netgraph
 
-import balancekit as bk
+KEPT = ("r_initial", "r_star", "pairwise_frobenius_bound", "max_vs_oracle")  # under the report's names
 
 
 def main(argv=None):
@@ -32,37 +32,23 @@ def main(argv=None):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for stale in ("report.json", "summary.json"):  # a run that stops early writes neither
+        (out / stale).unlink(missing_ok=True)
     sizes = [int(s) for s in args.sizes.split(",")]
-    net = bk.make_layered(sizes, seed=args.net_seed, bias_init="uniform")
-    cost = bk.parse_cost(args.cost)
-    r0 = bk.network_cost(net, cost)
-
-    schedules = [
-        bk.Schedule("stochastic", seed=seed, deficit_tol=args.tol, max_steps=args.max_steps)
-        for seed in range(args.runs)
-    ]
-    runs = bk.run_balancing_many(net, schedules, cost)
-    rows = ["seed,steps,r_final,converged"]
-    for seed, (_, trace) in enumerate(runs):
-        r_final = trace.r_series[-1] if trace.r_series else r0
-        rows.append(f"{seed},{len(trace.units)},{r_final!r},{int(trace.converged)}")
-    (out / "runs.csv").write_text("\n".join(rows) + "\n")
-
-    stack = np.stack([final.weights() for final, _ in runs])
-    spread_vec = stack.max(axis=0) - stack.min(axis=0)
-    sol = bk.solve_convex(net, cost)
-    oracle = bk.apply_multipliers(net, sol.multipliers).weights()
-    summary = {
-        "runs": args.runs,
-        "r_initial": r0,
-        "r_star": sol.r_star,
-        "max_elementwise_spread": float(spread_vec.max()),
-        "pairwise_frobenius_bound": float(np.linalg.norm(spread_vec)),
-        "max_vs_oracle": float(np.max(np.abs(stack - oracle[None, :]))),
-    }
+    netgraph.save(netgraph.make_layered(sizes, seed=args.net_seed, bias_init="uniform"), out / "net.json")
+    code = cli.main([
+        "verify-uniqueness", "--net", str(out / "net.json"), "--cost", args.cost,
+        "--n-schedules", str(args.runs), "--tol", repr(args.tol),
+        "--max-steps", str(args.max_steps), "--out", str(out),
+    ])
+    report = json.loads((out / "report.json").read_text()) if (out / "report.json").exists() else {}
+    if not report or "note" in report:  # refused, not converged, or nothing to balance
+        return code
+    summary = {"runs": report["n_schedules"], "max_elementwise_spread": report["max_pairwise"],
+               **{key: report[key] for key in KEPT}}
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True))
-    return 0
+    return code
 
 
 if __name__ == "__main__":

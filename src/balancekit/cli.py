@@ -32,7 +32,7 @@ from .activations import (
     max_slice_jump,
 )
 from .balancing import Schedule, network_deficit, run_balancing, run_balancing_many, trace_to_csv
-from .manifold import apply_multipliers, fit_multipliers_many, solve_convex
+from .manifold import ConvexSolverError, apply_multipliers, fit_multipliers_many, solve_convex
 from .netgraph import forward, load, make_layered, save
 from .regularizer import network_cost, parse_cost
 from .training import (
@@ -156,6 +156,12 @@ def cmd_verify_uniqueness(args) -> int:
         "net": str(args.net), "cost": args.cost, "n_schedules": args.n_schedules,
         "tol": args.tol, "max_steps": args.max_steps, "seed": seed,
     })
+    r_initial = network_cost(net, cost)
+    rows = ["seed,steps,r_final,converged"]
+    for k, (_, trace) in enumerate(runs):
+        r_final = trace.r_series[-1] if trace.r_series else r_initial
+        rows.append(f"{seed + k},{len(trace.units)},{r_final!r},{int(trace.converged)}")
+    (out / "runs.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     if "nothing to balance" in runs[0][1].notes:
         _write_json(out / "report.json", {"note": "nothing to balance", "n_schedules": 0})
@@ -166,12 +172,17 @@ def cmd_verify_uniqueness(args) -> int:
             print(f"schedule with seed {seed + k} did not converge", file=sys.stderr)
             return 2
     stack = np.stack([final.weights() for final, _ in runs])
-    max_pairwise = float(np.max(stack.max(axis=0) - stack.min(axis=0)))
+    spread = stack.max(axis=0) - stack.min(axis=0)
+    max_pairwise = float(spread.max())
     # how far any run strayed from a pure rescaling of the input
     fits = fit_multipliers_many([final for final, _ in runs], net)
     max_run_residual = float(max(np.max(np.abs(residual), initial=0.0) for _, residual in fits))
 
-    solution = solve_convex(net, cost)
+    try:
+        solution = solve_convex(net, cost)
+    except ConvexSolverError as exc:
+        print(f"convex oracle failed: {exc}", file=sys.stderr)
+        return 2
     oracle = apply_multipliers(net, solution.multipliers).weights()
     max_vs_oracle = float(np.max(np.abs(stack - oracle[None, :])))
     _write_json(out / "oracle.json", {
@@ -183,7 +194,9 @@ def cmd_verify_uniqueness(args) -> int:
     })
     report = {
         "n_schedules": args.n_schedules,
+        "r_initial": r_initial,
         "max_pairwise": max_pairwise,
+        "pairwise_frobenius_bound": float(np.linalg.norm(spread)),
         "max_vs_oracle": max_vs_oracle,
         "r_star": solution.r_star,
         "oracle_grad_norm": solution.grad_norm,
@@ -320,32 +333,33 @@ def cmd_train(args) -> int:
     arms = config.get("arms", [str], None)
     if not arms:
         arms = [_Spec(train_spec.get("balance", dict, {}), "'balance'").get("kind", str, "none")]
+    # the data, every run's net and config are read and checked before --out is created
+    train_data, test_data = _build_data(_Spec(config["data"], "'data'"))
+    net_spec = _Spec(config["net"], "'net'")
+    jobs = [(arm, seed, _build_net(net_spec, seed), _train_config(train_spec, arm, seed))
+            for arm in arms for seed in seeds]
     out = _out_dir(args.out)
     _manifest(out, "train", {"config": str(args.config), "seeds": seeds, "arms": arms})
 
-    train_data, test_data = _build_data(_Spec(config["data"], "'data'"))
     diverged = False
     per_arm_rows = {}
-    for arm in arms:
-        for seed in seeds:
-            run_dir = _out_dir(out / arm / f"seed_{seed}")
-            net = _build_net(_Spec(config["net"], "'net'"), seed)
-            cfg = _train_config(train_spec, arm, seed)
-            note = ""
-            try:
-                final, rows = sgd_train(net, train_data, test_data, cfg)
-            except TrainingDiverged as exc:
-                rows = exc.metrics
-                final = exc.network
-                note = str(exc)
-                diverged = True
-            (run_dir / "metrics.csv").write_text(metrics_to_csv(rows), encoding="utf-8")
-            save(final, run_dir / "network.json")
-            _write_json(run_dir / "manifest.json", {
-                "arm": arm, "seed": seed, "epochs_completed": rows[-1].epoch if rows else 0,
-                "note": note, **_VERSIONS,
-            })
-            per_arm_rows.setdefault(arm, []).append(rows)
+    for arm, seed, net, cfg in jobs:
+        run_dir = _out_dir(out / arm / f"seed_{seed}")
+        note = ""
+        try:
+            final, rows = sgd_train(net, train_data, test_data, cfg)
+        except TrainingDiverged as exc:
+            rows = exc.metrics
+            final = exc.network
+            note = str(exc)
+            diverged = True
+        (run_dir / "metrics.csv").write_text(metrics_to_csv(rows), encoding="utf-8")
+        save(final, run_dir / "network.json")
+        _write_json(run_dir / "manifest.json", {
+            "arm": arm, "seed": seed, "epochs_completed": rows[-1].epoch if rows else 0,
+            "note": note, **_VERSIONS,
+        })
+        per_arm_rows.setdefault(arm, []).append(rows)
 
     lines = [
         "arm,epoch,mean_train_loss,std_train_loss,mean_test_accuracy,std_test_accuracy,"
@@ -389,6 +403,8 @@ def _read_samples(path):
 
 
 def cmd_approx(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     samples = _read_samples(args.samples)
     if args.n is not None and len(samples) != args.n + 1:
         raise ValueError(f"expected N+1={args.n + 1} samples, file has {len(samples)}")

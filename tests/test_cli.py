@@ -90,6 +90,21 @@ def test_verify_uniqueness_small(tmp_path, layered_net_path):
     assert len(oracle["constraint_residuals"]) == len(net.edges)
     assert report["max_constraint_residual"] <= 1e-9
     assert report["max_run_manifold_residual"] <= 1e-9
+    assert report["r_initial"] == bk.network_cost(net, bk.l2())
+    # the L2 norm of the per-edge spread lies between its maximum and sqrt(E) times that
+    assert report["max_pairwise"] <= report["pairwise_frobenius_bound"]
+    assert report["pairwise_frobenius_bound"] <= len(net.edges) ** 0.5 * report["max_pairwise"]
+    rows = _runs(out)
+    assert [r["seed"] for r in rows] == ["0", "1", "2"]
+    assert all(r["converged"] == "1" and int(r["steps"]) > 0 for r in rows)
+    assert all(abs(float(r["r_final"]) - report["r_star"]) <= 1e-9 * report["r_star"] for r in rows)
+
+
+def _runs(out):
+    """The rows of a verify-uniqueness runs.csv, after checking its header."""
+    lines = (out / "runs.csv").read_text().splitlines()
+    assert lines[0] == "seed,steps,r_final,converged"
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
 
 
 def test_verify_uniqueness_visible_only_net(tmp_path):
@@ -112,6 +127,27 @@ def test_verify_uniqueness_names_the_lowest_nonconverging_seed(tmp_path, layered
     assert code == 2
     assert capsys.readouterr().err.strip() == "schedule with seed 7 did not converge"
     assert not (out / "report.json").exists()
+    # the per-run rows are written before the convergence gate
+    assert [(r["seed"], r["steps"], r["converged"]) for r in _runs(out)] == [
+        (str(s), "5", "0") for s in (7, 8, 9)
+    ]
+
+
+def test_verify_uniqueness_oracle_failure_exits_two_without_a_traceback(tmp_path, capsys):
+    # weights spread over hundreds of e-folds: both runs converge, the oracle's line search fails
+    net = bk.make_layered([3, 6, 6, 2], seed=11, bias_init="uniform")
+    rng = np.random.default_rng(11)
+    lo = -rng.uniform(50, 300)
+    p = tmp_path / "scaled.json"
+    bk.netgraph.save(net.replace_weights(net.weights() * np.exp(rng.uniform(lo, 150, size=len(net.edges)))), p)
+    out = tmp_path / "u"
+    code = main(["verify-uniqueness", "--net", str(p), "--n-schedules", "2", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("convex oracle failed: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert [r["converged"] for r in _runs(out)] == ["1", "1"]
+    assert (out / "manifest.json").exists()
+    assert not (out / "report.json").exists() and not (out / "oracle.json").exists()
 
 
 def test_verify_uniqueness_invalid_net_exits_one_before_writing(tmp_path, capsys):
@@ -470,4 +506,59 @@ def test_train_refuses_a_test_fraction_that_leaves_a_part_empty(tmp_path, capsys
     assert main(["train", "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'data' field 'test_fraction'" in err
-    assert not (out / "aggregate.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("malform, names", [
+    (_set("train", "epochs", -1), "epochs must be >= 0"),
+    (_set(None, "arms", ["none", "bogus"]), "unknown balance mode 'bogus'"),
+    (_set("data", "kind", "csv"), "missing.csv"),
+], ids=["negative epochs", "unknown second arm", "missing csv"])
+def test_train_refuses_before_writing_anything(tmp_path, capsys, malform, names):
+    p = _train_config(tmp_path, epochs=1)
+    cfg = malform(json.loads(p.read_text()))
+    cfg["data"].update(n=40, train=str(tmp_path / "missing.csv"), test=str(tmp_path / "missing.csv"))
+    p.write_text(json.dumps(cfg))
+    out = tmp_path / "t"
+    assert main(["train", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_approx_refuses_a_grid_below_one_before_writing(tmp_path, capsys):
+    p = tmp_path / "line.csv"
+    _write_samples(p, lambda x: x, 2)
+    for grid in ("0", "-3"):
+        out = tmp_path / f"a{grid}"
+        assert main(["approx", "--samples", str(p), "--epsilon", "0.5", f"--grid={grid}",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--grid" in err
+        assert not out.exists()
+    out = tmp_path / "a1"
+    assert main(["approx", "--samples", str(p), "--epsilon", "0.5", "--grid", "1",
+                 "--out", str(out)]) == 0
+    assert _load(out / "report.json")["grid_points"] == 1
+
+
+@pytest.mark.parametrize("command, args", [
+    ("balance", ["--schedule", "bogus"]),
+    ("verify-uniqueness", ["--n-schedules", "1"]),
+    ("train", []),
+    ("approx", ["--grid", "0"]),
+], ids=["balance", "verify-uniqueness", "train", "approx"])
+def test_a_refused_command_leaves_no_output_directory(tmp_path, capsys, chain_net_path, command, args):
+    samples = tmp_path / "line.csv"
+    _write_samples(samples, lambda x: x, 2)
+    cfg = _train_config(tmp_path, epochs=-1)
+    inputs = {
+        "balance": ["--net", str(chain_net_path)],
+        "verify-uniqueness": ["--net", str(chain_net_path)],
+        "train": ["--config", str(cfg)],
+        "approx": ["--samples", str(samples), "--epsilon", "0.5"],
+    }
+    out = tmp_path / "o"
+    assert main([command, *inputs[command], *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
