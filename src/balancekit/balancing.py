@@ -32,7 +32,8 @@ import numpy as np
 
 from .activations import homogeneity_exponent
 from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers
-from .regularizer import CostSpec, network_cost  # noqa: F401  (bench/layers.py traces this name)
+from .regularizer import CostSpec, edge_costs, term_costs
+from .regularizer import network_cost  # noqa: F401  (bench/layers.py traces this name)
 
 _LOG_LIMIT = 700.0  # |log lam| beyond which lam**p overflows for any sensible p
 _LN2 = math.log(2.0)
@@ -66,7 +67,7 @@ class BalanceTrace:
     summed afresh from the weights after it, so the columns are those of
     balancing one set at a time, one run alone.  ``r_initial`` is the
     cost before the first step.  The costs are the engine's (NumPy powers,
-    pairwise row sums; see ``_edge_costs``), so ``network_cost`` of the
+    pairwise row sums; see ``regularizer.edge_costs``), so ``network_cost`` of the
     result can differ from ``r_series[-1]`` in the last bits.  ``steps``
     builds one ``BalanceReport`` per step from the columns on every read.
     ``notes`` collects skipped units and other annotations; ``converged``
@@ -173,20 +174,6 @@ def _set_edges(src, dst, sets, n_units):
 def _exponents(c):
     """Exponent of lam per side code, [dst in S] - c [src in S]: into, out of, inside S, padding."""
     return (1.0, -c, 1.0 - c, 0.0)
-
-
-def _edge_costs(cost, w):
-    """Per-edge cost, and the same with term t weighted by p_t / max p.
-
-    The weighted sums are the ones that vanish at a set's optimum,
-    sum_t p_t (in_t - c out_t) = 0; for a one-term cost they equal the cost.
-    """
-    a = np.abs(w)
-    terms = [(p, a**p if beta == 1.0 else beta * a**p) for p, beta in cost.terms]
-    if len(terms) == 1:
-        return terms[0][1], terms[0][1]
-    p_max = max(p for p, _ in terms)
-    return sum(t for _, t in terms), sum((p / p_max) * t for p, t in terms)
 
 
 def _scaled_sum(terms, t):
@@ -304,7 +291,7 @@ class _Engine:
     stochastic picks are blocks of one set, solved and written at once.
 
     The gap term of an entry is the edge's p-weighted cost (see
-    ``_edge_costs``) times the set's exponent of lam on it (1 into the set,
+    ``regularizer.edge_costs``) times the set's exponent of lam on it (1 into the set,
     -c out of it, 1 - c inside); a write refreshes the entries of its edges
     in the sets at both ends.  ``deficit()`` is, per replica, the sum over
     sets of their squared gap sum_{u in set} in_u - c out_u, still reduced
@@ -320,7 +307,7 @@ class _Engine:
         n_edges = self.src.size
         w = np.zeros((1, n_edges + 1))
         w[0, :n_edges] = net.w
-        ec, q = _edge_costs(cost, w)
+        ec, q = edge_costs(cost, w)
         self.r = self.r_init = ec[:, :n_edges].sum(axis=1)
 
         k, edge, side = _set_edges(self.src, self.dst, sets, len(net.structure.units))
@@ -411,8 +398,7 @@ class _Engine:
         n = len(w)
         if self._root is not None:
             return np.bincount(codes, self._state.take(cost_at).ravel(), 4 * n).reshape(n, 1, 4)
-        a = np.abs(w).ravel()
-        sums = [np.bincount(codes, beta * a**p, 4 * n).reshape(n, 4) for p, beta in self.cost.terms]
+        sums = [np.bincount(codes, t.ravel(), 4 * n).reshape(n, 4) for t in term_costs(self.cost, w)]
         return np.stack(sums, axis=1)
 
     def _lambda(self, ks, sums):
@@ -454,7 +440,7 @@ class _Engine:
         lam = self._lambda(ks, self._side_sums(self._codes(ks), rest_at[:, :w.shape[1]], w))
         factors = factors.take(ks, axis=0)  # 1, then the exponents of lam in the two sets
         w = w * lam[:, None] ** factors[:, 1]
-        ec, q = _edge_costs(self.cost, w)
+        ec, q = edge_costs(self.cost, w)
         rest = q[:, None] * factors
         if ec is not q:
             rest[:, 0] = ec
@@ -613,7 +599,7 @@ def neuron_deficit(net, i, cost: CostSpec) -> float:
 
     Zero exactly when the unit satisfies its balance equation.  Self-loop
     edges appear in both sums, so for exponent 1 they cancel identically.
-    Term t of a multi-term cost is weighted by p_t / max p (see ``_edge_costs``).
+    Term t of a multi-term cost is weighted by p_t / max p (see ``regularizer.edge_costs``).
     """
     unit = net.unit(i)
     if unit.role != HIDDEN:
@@ -622,10 +608,11 @@ def neuron_deficit(net, i, cost: CostSpec) -> float:
 
 
 def network_deficit(net, cost: CostSpec) -> float:
-    """Sum of deficits over all hidden units with a homogeneity exponent."""
+    """Sum of deficits over the units a run balances (hidden, with a homogeneity exponent and
+    a nonzero weight on each side); no run can balance a unit with a dead side."""
     net.structure.check()
-    sets = [(h,) for h in np.flatnonzero(net.structure.free).tolist()]
-    return float(_Engine(net, cost, sets).deficit()[0])
+    eligible, _ = _balanceable(net, False)
+    return float(_Engine(net, cost, [(h,) for h in eligible]).deficit()[0])
 
 
 # -- passes and runs -------------------------------------------------------------

@@ -40,6 +40,7 @@ from .training import (
     Dataset,
     TrainConfig,
     TrainingDiverged,
+    check_trainable,
     load_csv,
     load_idx,
     make_concentric_circles,
@@ -56,13 +57,16 @@ _ACTIVATIONS = {
 }
 
 
-def _activation(spec) -> ActivationSpec:
+def _activation(spec, where: str) -> ActivationSpec:
     if isinstance(spec, str):
         try:
             return _ACTIVATIONS[spec]
         except KeyError:
             raise ValueError(f"unknown activation name {spec!r}") from None
-    return activation_from_json(spec)
+    spec = _Spec(spec, where)
+    activation = activation_from_json(spec)
+    spec.refuse_unread()
+    return activation
 
 
 def _env_seed(default):
@@ -152,6 +156,8 @@ def cmd_verify_uniqueness(args) -> int:
     ]
     runs = run_balancing_many(net, schedules, cost)  # checks the structure first
     out = _out_dir(args.out)
+    for name in ("report.json", "oracle.json"):  # each exists only if this run wrote it
+        (out / name).unlink(missing_ok=True)
     _manifest(out, "verify-uniqueness", {
         "net": str(args.net), "cost": args.cost, "n_schedules": args.n_schedules,
         "tol": args.tol, "max_steps": args.max_steps, "seed": seed,
@@ -230,16 +236,32 @@ def _typed(value, kind, what):
 
 
 class _Spec(dict):
-    """A JSON object of a train config: a missing key is a ValueError that names it."""
+    """A JSON object of a train config: a missing key is a ValueError that names it.
+
+    It records the keys its readers read, so that a key no reader took
+    (misspelt, or of no effect where it stands) can be refused.
+    """
 
     def __init__(self, value, where: str):
         if not isinstance(value, dict):
             raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
         super().__init__(value)
         self.where = where
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
 
     def __missing__(self, key):
         raise ValueError(f"{self.where} needs {key!r}")
+
+    def refuse_unread(self):
+        """Raise a ValueError naming the first key that no reader read."""
+        unread = [key for key in self if key not in self.read]
+        if unread:
+            raise ValueError(f"{self.where} key {unread[0]!r} is not read: "
+                             "misspelt, or of no effect here")
 
     def get(self, key, type, default=_NEEDED):
         """The value of ``key``, checked to be a ``type`` (see ``_typed``); ``[t]`` is a list of t.
@@ -264,8 +286,10 @@ def _build_net(spec: dict, seed: int):
         raise ValueError("net config needs either 'path' or 'layers'")
     return make_layered(
         spec.get("layers", [int]),
-        hidden_activation=_activation(spec.get("hidden_activation", object, "relu")),
-        output_activation=_activation(spec.get("output_activation", object, "identity")),
+        hidden_activation=_activation(spec.get("hidden_activation", object, "relu"),
+                                      "'net' field 'hidden_activation'"),
+        output_activation=_activation(spec.get("output_activation", object, "identity"),
+                                      "'net' field 'output_activation'"),
         bias=spec.get("bias", bool, True),
         seed=spec.get("init_seed", int, seed),
         bias_init=spec.get("bias_init", str, "zeros"),
@@ -297,8 +321,7 @@ def _build_data(spec: dict):
     raise ValueError(f"unknown dataset kind {kind!r}")
 
 
-def _train_config(spec: dict, balance_kind: str, seed: int) -> TrainConfig:
-    bal = _Spec(spec.get("balance", dict, {}), "'balance'")
+def _train_config(spec: dict, bal: dict, balance_kind: str, seed: int) -> TrainConfig:
     bal_cost = bal.get("cost", str, None)
     mode = BalanceMode(
         kind=balance_kind,
@@ -330,14 +353,20 @@ def cmd_train(args) -> int:
         seeds = [int(env)]
     if not seeds:
         raise ValueError(f"'seeds' must be a non-empty list, got {seeds!r}")
-    arms = config.get("arms", [str], None)
-    if not arms:
-        arms = [_Spec(train_spec.get("balance", dict, {}), "'balance'").get("kind", str, "none")]
-    # the data, every run's net and config are read and checked before --out is created
-    train_data, test_data = _build_data(_Spec(config["data"], "'data'"))
-    net_spec = _Spec(config["net"], "'net'")
-    jobs = [(arm, seed, _build_net(net_spec, seed), _train_config(train_spec, arm, seed))
-            for arm in arms for seed in seeds]
+    bal_spec = _Spec(train_spec.get("balance", dict, {}), "'balance'")
+    arms = config.get("arms", [str], None) or [bal_spec.get("kind", str, "none")]
+    # the data, every run's net and config are read and checked before --out is created,
+    # with every refusal sgd_train makes before its first epoch
+    data_spec, net_spec = _Spec(config["data"], "'data'"), _Spec(config["net"], "'net'")
+    train_data, test_data = _build_data(data_spec)
+    jobs = []
+    for arm in arms:
+        for seed in seeds:
+            net, cfg = _build_net(net_spec, seed), _train_config(train_spec, bal_spec, arm, seed)
+            check_trainable(net, train_data, cfg.loss)
+            jobs.append((arm, seed, net, cfg))
+    for spec in (config, train_spec, bal_spec, data_spec, net_spec):
+        spec.refuse_unread()
     out = _out_dir(args.out)
     _manifest(out, "train", {"config": str(args.config), "seeds": seeds, "arms": arms})
 

@@ -42,8 +42,10 @@ ROLES = (INPUT, OUTPUT, HIDDEN, BIAS)
 DOCUMENT_VERSION = 1
 
 # Rows per evaluation block of a batched ``forward``: bounds its working set,
-# so a long batch costs memory in proportion to its outputs only.
-ROW_BLOCK = 256
+# so a long batch costs memory in proportion to its outputs only.  At 128 rows
+# a block's arrays on a 67-unit net stay under glibc's 128 KiB mmap threshold,
+# so a long process does not map and fault them afresh for every block.
+ROW_BLOCK = 128
 
 
 class NetworkFormatError(ValueError):

@@ -52,13 +52,28 @@ def weight_cost(spec: CostSpec, w: float) -> float:
     return sum(beta * a**p for p, beta in spec.terms)
 
 
-def cost_array(spec: CostSpec, w) -> np.ndarray:
-    """Vectorized weight_cost over an array of weights."""
-    a = np.abs(np.asarray(w, dtype=float))
-    total = np.zeros_like(a)
-    for p, beta in spec.terms:
-        total += beta * a**p
-    return total
+def term_costs(spec: CostSpec, w) -> list:
+    """beta * |w|**p of each term, one array per term, over an array of weights.
+
+    A float array takes NumPy's powers.  An object array of Python floats takes
+    Python's, which are ``weight_cost``'s bits and raise OverflowError past the
+    float range.
+    """
+    a = np.abs(w)
+    return [a**p if beta == 1.0 else beta * a**p for p, beta in spec.terms]
+
+
+def edge_costs(spec: CostSpec, w):
+    """Per-edge cost, and the same with term t weighted by p_t / max p.
+
+    The weighted sums are the ones that vanish at a set's optimum,
+    sum_t p_t (in_t - c out_t) = 0; for a one-term cost they are the cost itself.
+    """
+    terms = term_costs(spec, w)
+    if len(terms) == 1:
+        return terms[0], terms[0]
+    p_max = max(p for p, _ in spec.terms)
+    return sum(terms), sum((p / p_max) * t for (p, _), t in zip(spec.terms, terms))
 
 
 def network_cost(net, spec: CostSpec) -> float:
@@ -68,12 +83,11 @@ def network_cost(net, spec: CostSpec) -> float:
     Python floats (an object array), as NumPy's own power can differ in the last bit.
     A power beyond the float range makes the cost inf.
     """
-    a = np.abs(net.w).astype(object)
     try:
-        costs = sum((beta * a**p for p, beta in spec.terms), 0)
+        costs = sum(term_costs(spec, net.w.astype(object)), 0)
     except OverflowError:  # Python float powers raise where NumPy's give inf
         return math.inf
-    return float(np.cumsum(costs.astype(float))[-1]) if a.size else 0.0
+    return float(np.cumsum(costs.astype(float))[-1]) if net.w.size else 0.0
 
 
 def cost_derivative(spec: CostSpec, w: float) -> float:

@@ -119,15 +119,17 @@ class MetricsRow:
 # -- compiled batch evaluation ----------------------------------------------
 
 
+def _check_bipu(net: Network):
+    for u in net.units:
+        act = u.activation
+        if act.kind == BIPU and act.c < 1.0:
+            raise ValueError(f"unit {u.id}: bipu exponent {act.c} < 1 cannot be gradient-trained")
+
+
 class _Compiled:
     def __init__(self, net: Network):
         self.net = net
-        for u in net.units:
-            act = u.activation
-            if act.kind == BIPU and act.c < 1.0:
-                raise ValueError(
-                    f"unit {u.id}: bipu exponent {act.c} < 1 cannot be gradient-trained"
-                )
+        _check_bipu(net)
         self.plan = netgraph.evaluation_plan(net)
         self.w = net.weights()
         self.outputs = net.output_ids
@@ -262,6 +264,15 @@ def gradients(net: Network, batch, loss: str, cost: CostSpec | None = None) -> d
     return {(a, b): gk for a, b, gk in zip(s.src.tolist(), s.dst.tolist(), g.tolist())}
 
 
+def check_trainable(net: Network, train: Dataset, loss: str) -> np.ndarray:
+    """``train``'s targets as ``sgd_train`` fits them, after every check it makes before its
+    first epoch: a ValueError on a structural problem (``netgraph.check_structure``), a BiPU
+    exponent below 1, or targets that do not fit the output layer."""
+    netgraph.check_structure(net)
+    _check_bipu(net)
+    return _prepare_targets(loss, train.targets, len(net.output_ids))
+
+
 def _accuracy(comp, loss, X, targets_raw):
     acts, _, _ = comp.forward(X)
     Y = acts[:, comp.outputs]
@@ -288,10 +299,9 @@ def sgd_train(net: Network, train: Dataset, test: Dataset, config: TrainConfig):
     full-at-start balancing) and after every epoch; the deficit column always
     measures the L2 balance deficit.  Raises TrainingDiverged, carrying the
     collected metrics, as soon as the loss or a weight stops being finite.
-    A network with structural problems (``netgraph.structural_problems``)
-    raises ValueError before any work.
+    What ``check_trainable`` refuses raises ValueError before any work.
     """
-    netgraph.check_structure(net)
+    t_train = check_trainable(net, train, config.loss)
     mode = config.balance
     bal_cost = mode.cost if mode.cost is not None else l2()
 
@@ -308,7 +318,6 @@ def sgd_train(net: Network, train: Dataset, test: Dataset, config: TrainConfig):
         net = rebalance(net)
 
     comp = _Compiled(net)
-    t_train = _prepare_targets(config.loss, train.targets, len(comp.outputs))
     rng = np.random.default_rng(config.seed)
     metrics = []
 

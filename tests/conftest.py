@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import balancekit as bk
-from balancekit import balancing
+from balancekit import balancing, regularizer
 from balancekit.activations import activate, activation_from_json, activation_to_json
 from balancekit.netgraph import NetworkFormatError, check_structure, hidden_layers, topological_order
 from balancekit.regularizer import weight_cost
@@ -456,7 +456,7 @@ def _reference_step(eng, k, w, ec, q):
     lam = eng._lambda(np.array([k]), sums)
     wk *= lam[:, None] ** eng._power[k:k + 1]
     w.ravel()[edges] = wk
-    ek, qk = balancing._edge_costs(eng.cost, wk)
+    ek, qk = regularizer.edge_costs(eng.cost, wk)
     ec.ravel()[edges] = ek
     if q is not ec:
         q.ravel()[edges] = qk
@@ -480,7 +480,7 @@ def reference_run_batch(eng, runs):
     for picks, tol, cap, trace in runs:
         w = eng.w[:1].copy()
         w = np.concatenate([w, np.zeros((1, 1))], axis=1)
-        ec, q = balancing._edge_costs(eng.cost, w)
+        ec, q = regularizer.edge_costs(eng.cost, w)
         done = False
         for t in range(cap):
             k = int(picks(t, 1)[0][0])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import balancekit as bk
-from balancekit.regularizer import cost_array, weight_cost
+from balancekit.regularizer import edge_costs, weight_cost
 from balancekit.training import _Compiled, _prepare_targets
 from conftest import golden_lambda, min_norm_hull_point, random_layered, star_neuron
 
@@ -252,7 +252,7 @@ def test_criterion_6a_regularized_descent_reaches_small_gradient():
         best = min(best, gn)
         if gn < 1e-5:
             break
-        total = value + float(np.sum(cost_array(cost, comp.w)))
+        total = value + float(np.sum(edge_costs(cost, comp.w)[0]))
         if total > prev * (1 + 1e-9):
             bad += 1
             if bad >= 20 and lr > 1e-2:
@@ -400,10 +400,10 @@ def test_criterion_9_gradient_checks(rng):
         for k, e in enumerate(net.edges):
             comp.w = w0.copy()
             comp.w[k] += h
-            up = comp.loss_only("cross_entropy", X, t) + float(np.sum(cost_array(cost, comp.w)))
+            up = comp.loss_only("cross_entropy", X, t) + float(np.sum(edge_costs(cost, comp.w)[0]))
             comp.w = w0.copy()
             comp.w[k] -= h
-            dn = comp.loss_only("cross_entropy", X, t) + float(np.sum(cost_array(cost, comp.w)))
+            dn = comp.loss_only("cross_entropy", X, t) + float(np.sum(edge_costs(cost, comp.w)[0]))
             fd = (up - dn) / (2 * h)
             worst = max(worst, abs(fd - got[(e.src, e.dst)]) / max(1.0, abs(fd)))
     ok = checked == 20 and worst <= 1e-5

@@ -743,15 +743,20 @@ def test_newton_log_lambda_is_the_bisection(terms, c):
 
 
 def test_unit_schedule_trace_ends_at_the_network_deficit(rng):
+    # and on nets with a dead-sided unit: the network deficit leaves out what no run balances
+    seeds = iter(range(100))
     for kind in ("stochastic", "sequential", "layer_independent"):
         for cost in (bk.l2(), bk.lp(1.5), MIXED):
-            net = random_layered(rng)
-            sched = bk.Schedule(kind, seed=3, deficit_tol=1e-12, max_steps=20_000)
-            out, trace = bk.run_balancing(net, sched, cost)
-            assert trace.converged, (kind, cost)
-            fresh = bk.network_deficit(out, cost)
-            assert abs(trace.deficit_series[-1] - fresh) <= 1e-12 * fresh
-            assert fresh <= 1e-12 * bk.network_cost(net, cost) ** 2
+            nets = [random_layered(rng), _net_with_dead_unit(next(seeds), False)[0]]
+            if kind != "layer_independent":  # a recurrent net has no layers
+                nets.append(_net_with_dead_unit(next(seeds), True)[0])
+            for net in nets:
+                sched = bk.Schedule(kind, seed=3, deficit_tol=1e-12, max_steps=20_000)
+                out, trace = bk.run_balancing(net, sched, cost)
+                assert trace.converged, (kind, cost)
+                fresh = bk.network_deficit(out, cost)
+                assert abs(trace.deficit_series[-1] - fresh) <= 1e-12 * fresh
+                assert fresh <= 1e-12 * bk.network_cost(net, cost) ** 2
 
 
 def test_layer_tied_trace_ends_at_the_aggregate_gap(rng):

@@ -133,6 +133,17 @@ def test_verify_uniqueness_names_the_lowest_nonconverging_seed(tmp_path, layered
     ]
 
 
+def test_verify_uniqueness_removes_an_earlier_runs_report(tmp_path, layered_net_path):
+    out = tmp_path / "u"
+    args = ["verify-uniqueness", "--net", str(layered_net_path), "--out", str(out)]
+    assert main([*args, "--tol", "1e-18"]) == 0
+    assert (out / "report.json").exists() and (out / "oracle.json").exists()
+    assert main([*args, "--tol", "1e-20", "--max-steps", "5"]) == 2
+    # a passing report beside the rows of a failed run would misreport it
+    assert not (out / "report.json").exists() and not (out / "oracle.json").exists()
+    assert [(r["steps"], r["converged"]) for r in _runs(out)] == [("5", "0")] * 10
+
+
 def test_verify_uniqueness_oracle_failure_exits_two_without_a_traceback(tmp_path, capsys):
     # weights spread over hundreds of e-folds: both runs converge, the oracle's line search fails
     net = bk.make_layered([3, 6, 6, 2], seed=11, bias_init="uniform")
@@ -169,12 +180,13 @@ def _train_config(tmp_path, epochs=2, arms=None, cost="0.01*l2"):
         "data": {"kind": "circles", "n": 80, "noise": 0.05,
                  "test_fraction": 0.25, "data_seed": 0},
         "train": {"learning_rate": 0.05, "batch_size": 8, "epochs": epochs,
-                  "loss": "binary_cross_entropy", "cost": cost,
-                  "balance": {"kind": "none"}},
+                  "loss": "binary_cross_entropy", "cost": cost},
         "seeds": [1, 2],
     }
     if arms:
         cfg["arms"] = arms
+    else:  # next to arms, a balance kind has no effect and is refused
+        cfg["train"]["balance"] = {"kind": "none"}
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(cfg))
     return p
@@ -484,6 +496,21 @@ def test_balance_whose_squared_cost_is_out_of_range_exits_two(tmp_path, capsys, 
     _no_step_taken(out, f"the squared starting cost {squared} is not a positive normal float")
 
 
+def test_balance_deficit_leaves_out_a_dead_sided_unit(tmp_path, capsys):
+    net = bk.make_layered([3, 4, 2], seed=3, bias_init="uniform")
+    w = net.weights()
+    w[net.structure.dst == 3] = 0.0  # every incoming weight of hidden unit 3
+    p = tmp_path / "dead.json"
+    bk.netgraph.save(net.replace_weights(w), p)
+    out = tmp_path / "o"
+    assert main(["balance", "--net", str(p), "--schedule", "sequential", "--tol", "1e-12",
+                 "--out", str(out)]) == 0
+    summary = _load(out / "summary.json")
+    assert summary["notes"] == ["unit 3 skipped: all-zero incoming or outgoing side"]
+    assert summary["converged"] is True
+    assert summary["final_deficit"] <= 1e-12 * summary["r_before"] ** 2
+
+
 def test_balance_tiny_weights_under_the_readme_cost_still_converge(tmp_path):
     # the l1 term keeps the squared cost in range at x1e-120
     p = _extreme_net(tmp_path, 1e-120)
@@ -513,7 +540,10 @@ def test_train_refuses_a_test_fraction_that_leaves_a_part_empty(tmp_path, capsys
     (_set("train", "epochs", -1), "epochs must be >= 0"),
     (_set(None, "arms", ["none", "bogus"]), "unknown balance mode 'bogus'"),
     (_set("data", "kind", "csv"), "missing.csv"),
-], ids=["negative epochs", "unknown second arm", "missing csv"])
+    (_set("net", "layers", [2, 4, 3]), "target width does not match the output layer"),
+    (_set("net", "hidden_activation", {"kind": "bipu", "C": 1.0, "D": 0.0, "c": 0.5}),
+     "bipu exponent 0.5 < 1 cannot be gradient-trained"),
+], ids=["negative epochs", "unknown second arm", "missing csv", "target width", "bipu below one"])
 def test_train_refuses_before_writing_anything(tmp_path, capsys, malform, names):
     p = _train_config(tmp_path, epochs=1)
     cfg = malform(json.loads(p.read_text()))
@@ -523,6 +553,28 @@ def test_train_refuses_before_writing_anything(tmp_path, capsys, malform, names)
     assert main(["train", "--config", str(p), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and names in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("malform, names", [
+    (_set(None, "arm", ["none"]), "train config key 'arm'"),
+    (_set("train", "bach_size", 4), "'train' key 'bach_size'"),
+    (_set("data", "noize", 0.1), "'data' key 'noize'"),
+    (_set("net", "bias_int", "uniform"), "'net' key 'bias_int'"),
+    (lambda cfg: {**cfg, "arms": ["none"]}, "'balance' key 'kind'"),
+    (_set("train", "balance", {"kind": "none", "tole": 1e-9}), "'balance' key 'tole'"),
+    (_set("net", "hidden_activation", {"kind": "bilu", "a": 1.0, "b": 0.5, "c": 2.0}),
+     "'net' field 'hidden_activation' key 'c'"),
+    (_set("data", "train", "train.csv"), "'data' key 'train'"),
+], ids=["top level", "train", "data", "net", "balance kind next to arms", "balance",
+        "activation", "key of another data kind"])
+def test_train_refuses_a_key_it_does_not_read(tmp_path, capsys, malform, names):
+    p = _train_config(tmp_path, epochs=1)
+    p.write_text(json.dumps(malform(json.loads(p.read_text()))))
+    out = tmp_path / "t"
+    assert main(["train", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{names} is not read" in err and err.count("\n") == 1
     assert not out.exists()
 
 

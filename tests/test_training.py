@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import balancekit as bk
-from balancekit.regularizer import cost_array
+from balancekit.regularizer import edge_costs
 from balancekit.training import (
     _Compiled,
     _prepare_targets,
@@ -14,7 +14,7 @@ from conftest import chain, random_layered
 def _total_loss(comp, loss, X, t, cost):
     value = comp.loss_only(loss, X, t)
     if cost is not None:
-        value += float(np.sum(cost_array(cost, comp.w)))
+        value += float(np.sum(edge_costs(cost, comp.w)[0]))
     return value
 
 
