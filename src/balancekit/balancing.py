@@ -31,6 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .activations import homogeneity_exponent
+from .manifold import MultiplierAssignment, apply_multipliers
 from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers
 from .regularizer import CostSpec, edge_costs, term_costs
 from .regularizer import network_cost  # noqa: F401  (bench/layers.py traces this name)
@@ -98,10 +99,10 @@ class Schedule:
 
     kind is one of "stochastic" (uniform draws with replacement from numpy's
     seeded PCG64 generator), "sequential" (cycle ``order``, by default the
-    layers of "layer_independent"; a recurrent net's units by id),
-    "layer_independent" (cycle the layer partition, balancing each unit on
-    its own) and "layer_tied" (cycle the partition, one shared factor per
-    subset; the subsets must be disjoint).
+    hidden layers; a recurrent net's units by id), "layer_independent"
+    (rewritten here to the "sequential" cycle over the partition's units)
+    and "layer_tied" (cycle the partition, by default the hidden layers, one
+    shared factor per subset; the subsets must be disjoint).
     The run stops, or takes no step, when the summed deficit of the sets it
     balances (the per-subset gap for "layer_tied", else the single-unit
     deficit) falls below ``deficit_tol * r_initial**2`` (the deficit is
@@ -141,6 +142,10 @@ class Schedule:
             object.__setattr__(
                 self, "partition", tuple(tuple(int(u) for u in part) for part in self.partition)
             )
+        if self.kind == "layer_independent":
+            order = None if self.partition is None else tuple(chain.from_iterable(self.partition))
+            for name, value in (("kind", "sequential"), ("order", order), ("partition", None)):
+                object.__setattr__(self, name, value)
 
 
 # -- the rescaling rule --------------------------------------------------------
@@ -554,15 +559,13 @@ def _balance_set(net, units, cost):
 
 
 def scale_neuron(net, i, lam, allow_nonhomogeneous=False) -> Network:
-    """Multiply unit i's incoming weights by lam and its outgoing by lam**-c."""
+    """Multiply unit i's incoming weights by lam and its outgoing by lam**-c: the one-unit
+    ``apply_multipliers``, as scalings commute."""
     lam = float(lam)
     if not lam > 0.0:
         raise ValueError(f"scaling factor must be > 0, got {lam}")
-    c = _unit_exponent(net, i, allow_nonhomogeneous)
-    _, edge, side = _set_edges(net.structure.src, net.structure.dst, [(i,)], len(net.units))
-    w = net.weights()
-    w[edge] *= np.array([lam**e for e in _exponents(c)])[side]
-    return net.replace_weights(w)
+    _unit_exponent(net, i, allow_nonhomogeneous)
+    return apply_multipliers(net, MultiplierAssignment({i: lam}))
 
 
 def optimal_lambda(net, i, cost: CostSpec, allow_nonhomogeneous=False) -> float:
@@ -825,23 +828,18 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
         sets, cycle = singles, None
         if schedule.kind != "layer_tied" and math.isfinite(start) and start <= tol_abs:
             continue  # before the order is read, so a converged run adds no note
-        if schedule.kind == "sequential" and schedule.order is not None:
-            cycle = _order_cycle(schedule.order, index, trace.notes)
-        elif schedule.kind == "sequential":
-            cycle = _default_cycle(net, index)
-        elif schedule.kind != "stochastic":
+        if schedule.kind == "sequential":
+            order = schedule.order
+            cycle = _default_cycle(net, index) if order is None else _order_cycle(order, index, trace.notes)
+        elif schedule.kind == "layer_tied":
             partition = schedule.partition
             if partition is None:
                 partition = hidden_layers(net)
-            parts = [tuple(u for u in part if u in index) for part in partition]
-            parts = [part for part in parts if part]
-            if schedule.kind == "layer_independent":
-                cycle = [index[u] for part in parts for u in part]
-            else:
-                sets = tuple(tuple(sorted(part)) for part in parts)
-                for part in sets:
-                    _check_tied(net, part)
-                cycle = range(len(sets))
+            parts = [tuple(sorted(u for u in part if u in index)) for part in partition]
+            sets = tuple(part for part in parts if part)
+            for part in sets:
+                _check_tied(net, part)
+            cycle = range(len(sets))
         if cycle is not None and not cycle:
             trace.notes.append("nothing to balance")
             continue

@@ -104,8 +104,8 @@ def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedul
         if ":" in text:
             seed = int(text.split(":", 1)[1])
         return Schedule("stochastic", seed=seed, deficit_tol=tol, max_steps=max_steps)
-    # a partial pass's order is the default sequential cycle
-    kinds = {"sequential": "sequential", "layer": "layer_independent",
+    # the layer cycle and a partial pass's order are the default sequential cycle
+    kinds = {"sequential": "sequential", "layer": "sequential",
              "layer-tied": "layer_tied", "partial": "sequential"}
     if text in kinds:
         return Schedule(kinds[text], seed=seed, deficit_tol=tol, max_steps=max_steps)
@@ -191,6 +191,13 @@ def cmd_verify_uniqueness(args) -> int:
         return 2
     oracle = apply_multipliers(net, solution.multipliers).weights()
     max_vs_oracle = float(np.max(np.abs(stack - oracle[None, :])))
+    # the same comparisons relative to each weight's size: differences of log|w|, nonzero edges
+    live = net.w != 0.0
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(stack[:, live]))
+        log_oracle = np.log(np.abs(oracle[live]))
+    max_vs_oracle_rel = float(np.max(np.abs(logs - log_oracle), initial=0.0))
+    max_pairwise_rel = float(np.max(logs.max(axis=0) - logs.min(axis=0), initial=0.0))
     _write_json(out / "oracle.json", {
         "r_star": solution.r_star,
         "lambda_per_unit": {str(u): v for u, v in sorted(solution.multipliers.lambda_per_unit.items())},
@@ -204,6 +211,8 @@ def cmd_verify_uniqueness(args) -> int:
         "max_pairwise": max_pairwise,
         "pairwise_frobenius_bound": float(np.linalg.norm(spread)),
         "max_vs_oracle": max_vs_oracle,
+        "max_pairwise_rel": max_pairwise_rel,
+        "max_vs_oracle_rel": max_vs_oracle_rel,
         "r_star": solution.r_star,
         "oracle_grad_norm": solution.grad_norm,
         "oracle_iterations": solution.iterations,

@@ -71,6 +71,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer(value, must: str) -> int:
+    """``value`` as an int if it is an integer (NumPy ones included), else a ValueError
+    that says what it ``must`` be and what it got."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{must}, got {value!r}") from None
+
+
 def reachable(n_units: int, src, dst, start) -> np.ndarray:
     """Mask of the units reachable from the units ``start`` along the edges src[k] -> dst[k]."""
     seen = np.zeros(n_units, dtype=bool)
@@ -110,7 +119,7 @@ class Structure:
         self.src = _frozen(np.array(src, dtype=np.int64))
         self.dst = _frozen(np.array(dst, dtype=np.int64))
         self.recurrent = bool(recurrent)
-        self.unroll_steps = int(unroll_steps)
+        self.unroll_steps = _integer(unroll_steps, "unroll_steps must be an integer")
         self.by_id = {u.id: u for u in self.units}
         self.role_ids = {role: [] for role in ROLES}
         for u in self.units:
@@ -176,8 +185,9 @@ class Structure:
 
         # the graph walks below assume every edge ends at a known unit
         if not self.recurrent and known.all():
-            if cyc := self._cycle_units():
-                found.append((True, f"non-recurrent network contains a cycle through units {cyc}"))
+            if left := np.flatnonzero(self._rounds < 0).tolist():
+                found.append((True, f"non-recurrent network contains a cycle; units {left} "
+                                    "lie on or after one"))
             else:
                 found += [(False, f"hidden unit {h} lies on no input->output path")
                           for h in off_path(self.role_ids, n, src, dst)]
@@ -193,37 +203,33 @@ class Structure:
         if fatal:
             raise ValueError("invalid network: " + "; ".join(fatal))
 
-    def _cycle_units(self):
-        """Units left after peeling off, round by round, those with no edge in or no edge out.
+    @cached_property
+    def _rounds(self) -> np.ndarray:
+        """Per unit: the round in which peeling removes it, -1 for a unit never removed.
 
-        What is left is every unit on a cycle, and any unit between two cycles.
+        Each round removes every unit with no incoming edge from a unit still
+        present (Kahn), so a unit's round is its longest-path depth from the
+        units with no incoming edge.  The units never removed are every unit
+        on a cycle or downstream of one.
         """
         n = len(self.units)
-        alive = np.ones(n, dtype=bool)
-        while True:
-            live = alive[self.src] & alive[self.dst]
-            keep = np.bincount(self.dst[live], minlength=n) > 0
-            keep &= np.bincount(self.src[live], minlength=n) > 0
-            if np.array_equal(keep, alive):
-                return np.flatnonzero(alive).tolist()
-            alive = keep
+        rounds = np.full(n, -1, dtype=np.int64)
+        present = np.ones(n, dtype=bool)
+        for r in range(n):
+            fed = np.bincount(self.dst[present[self.src]], minlength=n) > 0
+            peel = present & ~fed
+            if not peel.any():
+                break
+            rounds[peel] = r
+            present &= fed
+        return _frozen(rounds)
 
     @cached_property
     def depth(self) -> np.ndarray:
-        """Longest-path depth of every unit from the units with no incoming edge.
-
-        Relaxes every edge at once until nothing changes: a DAG settles within
-        one pass per unit, a cycle never does.
-        """
-        n = len(self.units)
-        depth = np.zeros(n, dtype=np.int64)
-        for _ in range(n + 1):
-            nxt = np.zeros(n, dtype=np.int64)
-            np.maximum.at(nxt, self.dst, depth[self.src] + 1)
-            if np.array_equal(nxt, depth):
-                return _frozen(depth)
-            depth = nxt
-        raise ValueError("network contains a directed cycle; no topological order")
+        """Longest-path depth of every unit from the units with no incoming edge (``_rounds``)."""
+        if (self._rounds < 0).any():
+            raise ValueError("network contains a directed cycle; no topological order")
+        return self._rounds
 
     @cached_property
     def order(self) -> tuple:
@@ -738,16 +744,14 @@ def make_layered(
     Weights between consecutive layers are drawn uniformly from [-r, r] with
     r = sqrt(6 / (fan_in + fan_out)); bias edges start at zero unless
     ``bias_init="uniform"``.  Each size must be an integer (NumPy ones
-    included); anything else is a ``ValueError`` naming it.
+    included) and ``bias_init`` one of "zeros" and "uniform"; anything else
+    is a ``ValueError`` naming it.
     """
-    sizes = list(sizes)
-    for k, size in enumerate(sizes):
-        try:
-            sizes[k] = operator.index(size)
-        except TypeError:
-            raise ValueError(f"layer sizes must be integers, got {size!r}") from None
+    sizes = [_integer(size, "layer sizes must be integers") for size in sizes]
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError("need at least two layers with positive sizes")
+    if bias_init not in ("zeros", "uniform"):
+        raise ValueError(f"bias_init must be 'zeros' or 'uniform', got {bias_init!r}")
     rng = np.random.default_rng(seed)
     units, layers = [], []
     for li, size in enumerate(sizes):
@@ -795,7 +799,18 @@ def make_recurrent(
     unroll_steps: int = 3,
     seed: int = 0,
 ) -> Network:
-    """Fully connected recurrent block: inputs -> hidden <-> hidden -> outputs."""
+    """Fully connected recurrent block: inputs -> hidden <-> hidden -> outputs.
+
+    Each of the three sizes must be an integer (NumPy ones included) of at
+    least 1; anything else is a ``ValueError`` naming it.
+    """
+    names = ("n_inputs", "n_hidden", "n_outputs")
+    sizes = [_integer(size, f"{name} must be an integer")
+             for name, size in zip(names, (n_inputs, n_hidden, n_outputs))]
+    for name, size in zip(names, sizes):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
+    n_inputs, n_hidden, n_outputs = sizes
     rng = np.random.default_rng(seed)
     inputs = np.arange(n_inputs)
     hidden = np.arange(n_inputs, n_inputs + n_hidden)

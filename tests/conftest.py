@@ -198,6 +198,29 @@ def _reference_reach(adj, start):
     return seen
 
 
+def reference_depth(n_units, src, dst):
+    """Longest-path depth per unit from the units with no incoming edge, by relaxing every
+    edge until nothing changes; None when it still changes after n_units + 1 passes (a cycle)."""
+    depth = [0] * n_units
+    for _ in range(n_units + 1):
+        nxt = [0] * n_units
+        for s, d in zip(src, dst):
+            nxt[d] = max(nxt[d], depth[s] + 1)
+        if nxt == depth:
+            return depth
+        depth = nxt
+    return None
+
+
+def reference_after_cycles(n_units, src, dst):
+    """Sorted units that lie on a directed cycle or are reachable from one."""
+    adj = {u: [] for u in range(n_units)}
+    for s, d in zip(src, dst):
+        adj[s].append(d)
+    on_cycle = [u for u in adj if any(u in _reference_reach(adj, v) for v in adj[u])]
+    return sorted(set().union(*(_reference_reach(adj, u) for u in on_cycle)))
+
+
 def reference_constraints(net):
     """The paper's path/cycle statement of the rescaling manifold, as (kind, units) tuples.
 

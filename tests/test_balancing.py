@@ -104,6 +104,27 @@ def test_scaling_preserves_signs_and_zeros(rng):
     assert np.array_equal(out.weights() == 0.0, w == 0.0)
 
 
+@pytest.mark.parametrize("recurrent", [False, True])
+def test_scale_neuron_is_the_one_unit_multiplier_assignment(rng, recurrent):
+    if recurrent:  # ReLU, with self-loops
+        base = bk.make_recurrent(2, 5, 2, self_loops=True, seed=int(rng.integers(2**31)))
+        net = base.replace_weights(np.where(base.w == 0.0, 0.3, base.w))
+    else:
+        net = random_layered(rng, activation=bk.RELU)
+    s = net.structure
+    for h in net.hidden_ids:
+        for lam in np.exp(rng.uniform(-3.0, 3.0, size=4)).tolist():
+            got = bk.scale_neuron(net, h, lam).weights()
+            want = bk.apply_multipliers(net, bk.MultiplierAssignment({h: lam})).weights()
+            assert got.tobytes() == want.tobytes()
+            into, out = (s.dst == h) & (s.src != h), (s.src == h) & (s.dst != h)
+            assert np.array_equal(got[into], net.w[into] * lam)
+            # the edges that do not touch h, and a self-loop (lam**(1 - c) with c = 1), keep their bits
+            assert np.array_equal(got[~into & ~out], net.w[~into & ~out])
+            # w * (1 / lam) rounds twice, w / lam once: within three half-ulps (2**-53 each)
+            assert np.allclose(got[out], net.w[out] / lam, rtol=4e-16, atol=0.0)
+
+
 # -- optimal scaling factor ---------------------------------------------------
 
 
@@ -748,8 +769,7 @@ def test_unit_schedule_trace_ends_at_the_network_deficit(rng):
     for kind in ("stochastic", "sequential", "layer_independent"):
         for cost in (bk.l2(), bk.lp(1.5), MIXED):
             nets = [random_layered(rng), _net_with_dead_unit(next(seeds), False)[0]]
-            if kind != "layer_independent":  # a recurrent net has no layers
-                nets.append(_net_with_dead_unit(next(seeds), True)[0])
+            nets.append(_net_with_dead_unit(next(seeds), True)[0])
             for net in nets:
                 sched = bk.Schedule(kind, seed=3, deficit_tol=1e-12, max_steps=20_000)
                 out, trace = bk.run_balancing(net, sched, cost)
@@ -1325,6 +1345,25 @@ def test_criterion4_cyclic_step_counts():
         for kind in ("sequential", "layer_independent"):
             _, trace = bk.run_balancing(net, bk.Schedule(kind, deficit_tol=1e-18), cost)
             assert len(trace.units) == 154 and trace.converged, (cost, kind)
+
+
+def test_layer_independent_is_the_sequential_cycle_over_its_partition():
+    net = bk.make_recurrent(2, 6, 1, self_loops=True, seed=3)
+    net = net.replace_weights(np.where(net.w == 0.0, 0.2, net.w))
+    hidden = net.hidden_ids
+    # an input unit in the partition is noted as sequential notes a unit no run balances
+    split = ((0,) + tuple(hidden[::2]), tuple(hidden[1::2]))
+    for partition, order in ((None, None), (split, sum(split, ()))):
+        kw = dict(deficit_tol=1e-14, max_steps=5_000)
+        layer = bk.Schedule("layer_independent", partition=partition, **kw)
+        assert layer == bk.Schedule("sequential", order=order, **kw)
+        for cost in (bk.l2(), MIXED):
+            # a recurrent net has no layers: the default cycle takes its units by id
+            runs = [bk.run_balancing(net, layer, cost),
+                    bk.run_balancing(net, bk.Schedule("sequential", order=order, **kw), cost)]
+            _same_runs(runs[:1], runs[1:])
+            assert runs[0][1].converged
+            assert ("unit 0 skipped in order: not balanceable" in runs[0][1].notes) == (order is not None)
 
 
 def test_a_layer_sweep_solves_each_layer_once(monkeypatch):

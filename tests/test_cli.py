@@ -100,6 +100,29 @@ def test_verify_uniqueness_small(tmp_path, layered_net_path):
     assert all(abs(float(r["r_final"]) - report["r_star"]) <= 1e-9 * report["r_star"] for r in rows)
 
 
+def test_verify_uniqueness_relative_keys_do_not_see_a_power_of_two_scale(tmp_path):
+    # the criterion-4 net under L2: a run is equivariant under a power-of-two weight scale
+    net = bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform")
+    reports = {}
+    for k in (0, -60, -20, 20, 60):
+        p = tmp_path / f"net{k}.json"
+        bk.netgraph.save(net.replace_weights(net.w * 2.0**k), p)
+        code = main(["verify-uniqueness", "--net", str(p), "--n-schedules", "12",
+                     "--out", str(tmp_path / f"u{k}")])
+        report = reports[k] = _load(tmp_path / f"u{k}" / "report.json")
+        # the exit code still gates the absolute keys
+        assert code == (0 if max(report["max_pairwise"], report["max_vs_oracle"]) < 1e-6 else 2)
+    base = reports.pop(0)
+    assert 0.0 < base["max_pairwise_rel"] < 1e-6 and 0.0 < base["max_vs_oracle_rel"] < 1e-6
+    for k, report in reports.items():
+        for key in ("max_pairwise_rel", "max_vs_oracle_rel"):
+            assert abs(report[key] - base[key]) <= 1e-12, (k, key)
+        assert report["max_pairwise"] == base["max_pairwise"] * 2.0**k
+        # the oracle's normalization rounds differently at each scale: its weights move in
+        # their last bits, on weights of order 1
+        assert abs(report["max_vs_oracle"] - base["max_vs_oracle"] * 2.0**k) <= 1e-14 * 2.0**k
+
+
 def _runs(out):
     """The rows of a verify-uniqueness runs.csv, after checking its header."""
     lines = (out / "runs.csv").read_text().splitlines()
@@ -543,7 +566,9 @@ def test_train_refuses_a_test_fraction_that_leaves_a_part_empty(tmp_path, capsys
     (_set("net", "layers", [2, 4, 3]), "target width does not match the output layer"),
     (_set("net", "hidden_activation", {"kind": "bipu", "C": 1.0, "D": 0.0, "c": 0.5}),
      "bipu exponent 0.5 < 1 cannot be gradient-trained"),
-], ids=["negative epochs", "unknown second arm", "missing csv", "target width", "bipu below one"])
+    (_set("net", "bias_init", "unifrom"), "bias_init must be 'zeros' or 'uniform', got 'unifrom'"),
+], ids=["negative epochs", "unknown second arm", "missing csv", "target width", "bipu below one",
+        "misspelt bias_init"])
 def test_train_refuses_before_writing_anything(tmp_path, capsys, malform, names):
     p = _train_config(tmp_path, epochs=1)
     cfg = malform(json.loads(p.read_text()))

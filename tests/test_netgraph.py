@@ -15,6 +15,8 @@ from conftest import (
     chain,
     forward_gap,
     random_layered,
+    reference_after_cycles,
+    reference_depth,
     reference_deserialize,
     reference_forward,
     reference_serialize,
@@ -186,6 +188,36 @@ def test_make_layered_refuses_a_layer_size_that_is_not_an_integer(bad):
     assert len(bk.make_layered([np.int64(2), np.int32(4), 1]).hidden_ids) == 4
 
 
+@pytest.mark.parametrize("bias_init", ["unifrom", "Zeros", None])
+def test_make_layered_refuses_a_bias_init_it_would_ignore(bias_init):
+    with pytest.raises(ValueError, match=re.escape(f"bias_init must be 'zeros' or 'uniform', "
+                                                   f"got {bias_init!r}")):
+        bk.make_layered([2, 3, 1], bias_init=bias_init)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ((2, 4.5, 1), "n_hidden must be an integer, got 4.5"),
+    ((2, "3", 1), "n_hidden must be an integer, got '3'"),
+    ((2, -1, 1), "n_hidden must be at least 1, got -1"),
+    ((0, 3, 1), "n_inputs must be at least 1, got 0"),
+    ((2, 3, 1.0), "n_outputs must be an integer, got 1.0"),
+])
+def test_make_recurrent_refuses_a_size_that_is_not_a_positive_integer(sizes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bk.make_recurrent(*sizes)
+    # NumPy integers are integers
+    assert len(bk.make_recurrent(np.int64(2), np.int32(3), 1).hidden_ids) == 3
+
+
+def test_unroll_steps_must_be_an_integer():
+    with pytest.raises(ValueError, match=re.escape("unroll_steps must be an integer, got 2.7")):
+        bk.make_recurrent(2, 3, 1, unroll_steps=2.7)
+    net = bk.make_recurrent(2, 3, 1)
+    with pytest.raises(ValueError, match=re.escape("unroll_steps must be an integer, got 2.7")):
+        bk.Network(net.units, net.edges, True, 2.7)
+    assert bk.Network(net.units, net.edges, True, np.int64(2)).unroll_steps == 2
+
+
 def test_validate_flags_cycle_in_feedforward():
     units = [
         bk.Unit(0, bk.INPUT, bk.IDENTITY),
@@ -201,6 +233,33 @@ def test_validate_flags_cycle_in_feedforward():
     ]
     problems = bk.validate(bk.Network(units, edges))
     assert any("cycle" in p for p in problems)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 20), data=st.data())
+def test_depth_is_the_longest_path_and_a_cycle_finding_names_the_units_on_or_after_one(n, data):
+    # a DAG with skip edges in a random unit order, plus up to two edges that point back
+    # (or loop on one unit) and may close cycles
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    ahead = [(min(p), max(p)) for p in data.draw(st.lists(pair, max_size=3 * n)) if p[0] != p[1]]
+    back = [(max(p), min(p)) for p in data.draw(st.lists(pair, max_size=2))]
+    perm = data.draw(st.permutations(range(n)))
+    edges = sorted({(perm[a], perm[b]) for a, b in ahead + back})
+    src, dst = [a for a, _ in edges], [b for _, b in edges]
+    units = [bk.Unit(i, bk.HIDDEN, bk.RELU) for i in range(n)]
+    structure = bk.netgraph.Structure(units, src, dst)
+    net = bk.Network(units, [bk.Edge(a, b, 1.0) for a, b in edges])
+    found = [p for p in bk.validate(net) if "cycle" in p]
+    want = reference_depth(n, src, dst)
+    if want is None:
+        with pytest.raises(ValueError, match="directed cycle; no topological order"):
+            structure.depth
+        left = reference_after_cycles(n, src, dst)
+        assert found == [f"non-recurrent network contains a cycle; units {left} lie on or after one"]
+    else:
+        assert structure.depth.tolist() == want
+        assert list(structure.order) == sorted(range(n), key=lambda u: (want[u], u))
+        assert found == []
 
 
 def test_validate_flags_duplicates_and_bad_ids():
