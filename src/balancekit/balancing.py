@@ -5,7 +5,8 @@ weights by lam**-c (c the unit's homogeneity exponent), which leaves the
 network function unchanged.  Balancing picks the lam that minimizes the
 unit's contribution to an additive weight cost; iterating balancing over the
 units drives the whole network to the unique cost-minimizing weights in its
-rescaling equivalence class.
+rescaling equivalence class.  Every entry takes only a net ``check_structure``
+passes, and rescales only the units ``Structure.free`` marks.
 
 Every operation applies one rule to a unit set S, either a single unit or a
 tied subset sharing one factor and one exponent c: edge e is multiplied by
@@ -30,7 +31,6 @@ from itertools import chain
 
 import numpy as np
 
-from .activations import homogeneity_exponent
 from .manifold import MultiplierAssignment, apply_multipliers
 from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers
 from .regularizer import CostSpec, edge_costs, term_costs
@@ -112,7 +112,8 @@ class Schedule:
     (``r_initial`` outside about [1.49e-154, 1.34e154]) no tolerance is
     sound: the run takes no step and comes back not converged, with a note.
     ``seed`` and ``max_steps`` must be integers (NumPy ones
-    included); anything else is a ``ValueError`` naming the field.
+    included); anything else is a ``ValueError`` naming the field.  So is an
+    ``order`` or a ``partition`` given to a kind that does not read it.
     """
 
     kind: str = "stochastic"
@@ -142,6 +143,11 @@ class Schedule:
             object.__setattr__(
                 self, "partition", tuple(tuple(int(u) for u in part) for part in self.partition)
             )
+        for name, readers in (("order", ("sequential",)),
+                              ("partition", ("layer_tied", "layer_independent"))):
+            if getattr(self, name) is not None and self.kind not in readers:
+                raise ValueError(f"schedule kind {self.kind!r} does not read {name!r}, "
+                                 f"only {' and '.join(map(repr, readers))}")
         if self.kind == "layer_independent":
             order = None if self.partition is None else tuple(chain.from_iterable(self.partition))
             for name, value in (("kind", "sequential"), ("order", order), ("partition", None)):
@@ -521,18 +527,15 @@ class _Engine:
 # -- single-unit and single-set operations --------------------------------------
 
 
-def _unit_exponent(net, i, allow_nonhomogeneous):
-    unit = net.unit(i)
-    if unit.role != HIDDEN:
-        raise ValueError(f"unit {i} is {unit.role}; only hidden units can be scaled")
-    c = homogeneity_exponent(unit.activation)
-    if c is None:
-        if not allow_nonhomogeneous:
-            raise ValueError(
-                f"unit {i} has a non-homogeneous activation; pass allow_nonhomogeneous=True to force"
-            )
-        c = 1.0
-    return c
+def _check_free(net, units):
+    """Refuse a net a run refuses, and any of ``units`` that ``Structure.free`` does not mark."""
+    check_structure(net)
+    for i in units:
+        unit = net.unit(i)
+        if unit.role != HIDDEN:
+            raise ValueError(f"unit {i} is {unit.role}; only hidden units can be scaled")
+        if not net.structure.free[unit.id]:
+            raise ValueError(f"unit {i} has a non-homogeneous activation")
 
 
 def _check_tied(net, units):
@@ -558,29 +561,41 @@ def _balance_set(net, units, cost):
     return eng.to_network(), BalanceReport(units[0], lam, r_before, r_after, r_before - r_after)
 
 
-def scale_neuron(net, i, lam, allow_nonhomogeneous=False) -> Network:
+def scale_neuron(net, i, lam) -> Network:
     """Multiply unit i's incoming weights by lam and its outgoing by lam**-c: the one-unit
-    ``apply_multipliers``, as scalings commute."""
+    ``apply_multipliers``, as scalings commute.
+
+    lam must be finite and > 0, and every scaled weight finite; anything else
+    is a ``ValueError`` naming the unit and lam.
+    """
+    _check_free(net, (i,))
     lam = float(lam)
-    if not lam > 0.0:
-        raise ValueError(f"scaling factor must be > 0, got {lam}")
-    _unit_exponent(net, i, allow_nonhomogeneous)
-    return apply_multipliers(net, MultiplierAssignment({i: lam}))
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"unit {i}: scaling factor must be finite and > 0, got {lam!r}")
+    with np.errstate(all="ignore"):
+        try:
+            out = apply_multipliers(net, MultiplierAssignment({i: lam}))
+            finite = np.isfinite(out.w).all()
+        except OverflowError:  # lam**c past the float range
+            finite = False
+    if not finite:
+        raise ValueError(f"unit {i}: scaling factor {lam!r} makes a weight non-finite")
+    return out
 
 
-def optimal_lambda(net, i, cost: CostSpec, allow_nonhomogeneous=False) -> float:
+def optimal_lambda(net, i, cost: CostSpec) -> float:
     """The unique scaling factor of unit i that minimizes the weight cost."""
-    _unit_exponent(net, i, allow_nonhomogeneous)
+    _check_free(net, (i,))
     return float(_Engine(net, cost, [(i,)]).begin(np.zeros((1, 1), dtype=np.int64))[0][0])
 
 
-def balance_neuron(net, i, cost: CostSpec, allow_nonhomogeneous=False):
+def balance_neuron(net, i, cost: CostSpec):
     """Scale unit i by its optimal factor; returns (new network, report)."""
-    _unit_exponent(net, i, allow_nonhomogeneous)
+    _check_free(net, (i,))
     return _balance_set(net, (i,), cost)
 
 
-def balance_subset_tied(net, units, cost: CostSpec, allow_nonhomogeneous=False):
+def balance_subset_tied(net, units, cost: CostSpec):
     """Balance a set of units with one shared scaling factor.
 
     All units must share the same homogeneity exponent and there may be no
@@ -591,8 +606,7 @@ def balance_subset_tied(net, units, cost: CostSpec, allow_nonhomogeneous=False):
     units = tuple(sorted(set(int(u) for u in units)))
     if not units:
         raise ValueError("empty unit set")
-    for u in units:
-        _unit_exponent(net, u, allow_nonhomogeneous)
+    _check_free(net, units)
     _check_tied(net, units)
     return _balance_set(net, units, cost)
 
@@ -602,8 +616,10 @@ def neuron_deficit(net, i, cost: CostSpec) -> float:
 
     Zero exactly when the unit satisfies its balance equation.  Self-loop
     edges appear in both sums, so for exponent 1 they cancel identically.
-    Term t of a multi-term cost is weighted by p_t / max p (see ``regularizer.edge_costs``).
+    Term t of a multi-term cost is weighted by p_t / max p (see ``regularizer.edge_costs``);
+    c = 1 for a hidden unit whose activation has no exponent.
     """
+    check_structure(net)
     unit = net.unit(i)
     if unit.role != HIDDEN:
         raise ValueError(f"unit {i} is {unit.role}; deficit is defined for hidden units")
@@ -613,8 +629,8 @@ def neuron_deficit(net, i, cost: CostSpec) -> float:
 def network_deficit(net, cost: CostSpec) -> float:
     """Sum of deficits over the units a run balances (hidden, with a homogeneity exponent and
     a nonzero weight on each side); no run can balance a unit with a dead side."""
-    net.structure.check()
-    eligible, _ = _balanceable(net, False)
+    check_structure(net)
+    eligible, _ = _balanceable(net)
     return float(_Engine(net, cost, [(h,) for h in eligible]).deficit()[0])
 
 
@@ -623,9 +639,9 @@ def network_deficit(net, cost: CostSpec) -> float:
 _DRAW_CHUNK = 256  # picks drawn (stochastic) or tiled (cyclic) per engine row at a time
 
 
-def _balanceable(net, allow_nonhomogeneous):
-    """Hidden units a run may balance, plus notes on those skipped for a dead side."""
-    hidden = [h for h in net.hidden_ids if net.structure.free[h] or allow_nonhomogeneous]
+def _balanceable(net):
+    """Units a run balances (``Structure.free``), plus notes on those skipped for a dead side."""
+    hidden = np.flatnonzero(net.structure.free).tolist()
     dead = np.logical_or(*_dead_sides(net, hidden)).tolist()
     notes = [f"unit {h} skipped: all-zero incoming or outgoing side" for h, d in zip(hidden, dead) if d]
     return [h for h, d in zip(hidden, dead) if not d], notes
@@ -665,7 +681,7 @@ def _finite_start(eng, traces):
     return None
 
 
-def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
+def partial_balance_pass(net, cost, order=None):
     """Balance each unit exactly once, by default in the default "sequential" cycle's order.
 
     One pass lowers the total cost monotonically but generally leaves earlier
@@ -675,7 +691,7 @@ def partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
     returns ``net``, not converged, with a note.
     """
     check_structure(net)
-    eligible, notes = _balanceable(net, allow_nonhomogeneous)
+    eligible, notes = _balanceable(net)
     eng = _Engine(net, cost, [(u,) for u in eligible])
     trace = BalanceTrace(r_initial=float(eng.r_init[0]), notes=notes)
     if _finite_start(eng, [trace]) is None:
@@ -791,7 +807,7 @@ def _run_batch(eng, runs):
     return finals, met.tolist()
 
 
-def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=False):
+def run_balancing_many(net, schedules, cost: CostSpec):
     """Run every schedule on ``net``: ``[run_balancing(net, s, cost) for s in schedules]``.
 
     Runs that balance the same unit sets (the disjoint subsets of a
@@ -803,7 +819,7 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     """
     schedules = list(schedules)
     check_structure(net)
-    eligible, notes = _balanceable(net, allow_nonhomogeneous)
+    eligible, notes = _balanceable(net)
     singles = tuple((u,) for u in eligible)
     eng = _Engine(net, cost, singles)
     r_init = float(eng.r_init[0])
@@ -869,14 +885,14 @@ def run_balancing_many(net, schedules, cost: CostSpec, allow_nonhomogeneous=Fals
     return results
 
 
-def run_balancing(net, schedule: Schedule, cost: CostSpec, allow_nonhomogeneous=False):
+def run_balancing(net, schedule: Schedule, cost: CostSpec):
     """Iterate balancing per the schedule until the deficit tolerance or step cap.
 
     Returns the rebalanced network and a BalanceTrace; a run that exhausts
     ``max_steps`` comes back with ``trace.converged`` False instead of raising.
     This is the one-schedule case of ``run_balancing_many``.
     """
-    return run_balancing_many(net, [schedule], cost, allow_nonhomogeneous)[0]
+    return run_balancing_many(net, [schedule], cost)[0]
 
 
 def trace_to_csv(trace: BalanceTrace) -> str:

@@ -70,8 +70,14 @@ def _activation(spec, where: str) -> ActivationSpec:
 
 
 def _env_seed(default):
+    """The integer in BALANCEKIT_SEED when it is set and not empty, else ``default``."""
     env = os.environ.get("BALANCEKIT_SEED")
-    return int(env) if env else default
+    if not env:
+        return default
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"BALANCEKIT_SEED must be an integer, got {env!r}") from None
 
 
 def _out_dir(path) -> Path:
@@ -336,7 +342,6 @@ def _train_config(spec: dict, bal: dict, balance_kind: str, seed: int) -> TrainC
         kind=balance_kind,
         tol=bal.get("tol", float, 1e-8),
         cost=parse_cost(bal_cost) if bal_cost else None,
-        allow_nonhomogeneous=bal.get("allow_nonhomogeneous", bool, False),
     )
     cost = spec.get("cost", str, None)
     return TrainConfig(
@@ -357,9 +362,9 @@ def cmd_train(args) -> int:
     seeds = config.get("seeds", [int], [0])
     if args.seeds:
         seeds = [int(s) for s in args.seeds.split(",")]
-    env = os.environ.get("BALANCEKIT_SEED")
-    if env:
-        seeds = [int(env)]
+    env_seed = _env_seed(None)
+    if env_seed is not None:
+        seeds = [env_seed]
     if not seeds:
         raise ValueError(f"'seeds' must be a non-empty list, got {seeds!r}")
     bal_spec = _Spec(train_spec.get("balance", dict, {}), "'balance'")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import Network, off_path, reachable
+from .netgraph import Network, check_structure, off_path, reachable
 from .regularizer import CostSpec
 
 _GRAD_TOL = 1e-10  # Newton stops at this gradient sup-norm of the normalized objective
@@ -62,15 +62,15 @@ class _Manifold:
 
     ``src``, ``dst`` and ``csrc`` hold the ends and the source exponent of
     each nonzero edge (``live`` marks them in the edge list); ``free`` holds
-    the units whose log multiplier may move.  Raises
-    ``UnidentifiableUnitError`` when a free unit is connected to no pinned
+    the units whose log multiplier may move.  Raises what ``check_structure`` does,
+    and ``UnidentifiableUnitError`` when a free unit is connected to no pinned
     unit through nonzero edges (ignoring direction): its multiplier would be
     free to drift.
     """
 
     def __init__(self, net: Network):
+        check_structure(net)
         structure = net.structure
-        structure.check()
         self.n = n = len(structure.units)
         self.free = np.flatnonzero(structure.free)
         self.live = net.w != 0.0
@@ -133,7 +133,7 @@ def fit_multipliers_many(final_nets, initial_net: Network) -> list:
     one normal matrix and one solve.  Raises ``ValueError`` when the nets do
     not share one edge list, naming the first edge of the first run whose
     weight flips sign, vanishes or appears or whose ratio is not finite, and
-    ``UnidentifiableUnitError`` as ``solve_convex`` does.
+    raises on ``initial_net`` what ``solve_convex`` raises on a net.
     """
     final_nets = list(final_nets)
     s0 = initial_net.structure
@@ -174,8 +174,8 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
     ``ConvexSolverError`` after ``_MAX_ITER`` iterations without.  The
     ``constraint_residuals`` are the manifold fit's residual of the optimum's
     per-edge logs z, laid out as ``fit_multipliers`` lays out its residual.
-    Raises ``ValueError`` when a hidden unit lies on no input->output path of
-    nonzero edges.
+    Raises ``ValueError`` on a net a run refuses (``check_structure``), and
+    when a hidden unit lies on no input->output path of nonzero edges.
     """
     m = _Manifold(net)
     free = m.free

@@ -78,7 +78,6 @@ class BalanceMode:
     kind: str = "none"
     tol: float = 1e-8
     cost: CostSpec | None = None
-    allow_nonhomogeneous: bool = False
 
     def __post_init__(self):
         kinds = ("none", "full_at_start", "partial_each_epoch", "full_each_epoch")
@@ -308,11 +307,9 @@ def sgd_train(net: Network, train: Dataset, test: Dataset, config: TrainConfig):
     def rebalance(net, partial=False):
         """``net`` after one partial pass, or after a sequential run to the mode's tolerance."""
         if partial:
-            return balancing.partial_balance_pass(
-                net, bal_cost, allow_nonhomogeneous=mode.allow_nonhomogeneous
-            )[0]
+            return balancing.partial_balance_pass(net, bal_cost)[0]
         sched = balancing.Schedule("sequential", deficit_tol=mode.tol, max_steps=200_000)
-        return balancing.run_balancing(net, sched, bal_cost, mode.allow_nonhomogeneous)[0]
+        return balancing.run_balancing(net, sched, bal_cost)[0]
 
     if mode.kind in ("full_at_start", "full_each_epoch"):
         net = rebalance(net)

@@ -315,14 +315,14 @@ def reference_constraint_residual(net, constraint, log_ratios):
     return _reference_walk(c, log_ratios, units, start) - start
 
 
-def reference_partial_balance_pass(net, cost, order=None, allow_nonhomogeneous=False):
+def reference_partial_balance_pass(net, cost, order=None):
     """One pass stepped unit by unit on a one-row engine, with a ``BalanceReport`` built per step.
 
     Returns the network, the reports, the cost and deficit after each step,
     and the notes.
     """
     net.structure.check()
-    eligible, notes = balancing._balanceable(net, allow_nonhomogeneous)
+    eligible, notes = balancing._balanceable(net)
     eng = balancing._Engine(net, cost, [(u,) for u in eligible])
     index = {u: k for k, u in enumerate(eligible)}
     if order is None:
@@ -389,7 +389,7 @@ def reference_set_edges(src, dst, units):
     return sel, outof[sel].astype(np.int64) + (into[sel] & outof[sel])
 
 
-def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=False):
+def reference_run_balancing_many(net, schedules, cost):
     """Runs with every schedule skipped when the single-unit deficit starts within its
     tolerance, and each tied partition checked and balanced on an engine of its own.
 
@@ -398,7 +398,7 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
     """
     schedules = list(schedules)
     check_structure(net)
-    eligible, notes = balancing._balanceable(net, allow_nonhomogeneous)
+    eligible, notes = balancing._balanceable(net)
     units = [(u,) for u in eligible]
     eng = balancing._Engine(net, cost, units)
     r_init = float(eng.r_init[0])
@@ -428,9 +428,7 @@ def reference_run_balancing_many(net, schedules, cost, allow_nonhomogeneous=Fals
                 partition = hidden_layers(net)
             parts = [tuple(u for u in part if u in index) for part in partition]
             parts = [part for part in parts if part]
-            if schedule.kind == "layer_independent":
-                cycle = [index[u] for part in parts for u in part]
-            elif parts:
+            if parts:
                 parts = tuple(tuple(sorted(part)) for part in parts)
                 for part in parts:
                     balancing._check_tied(net, part)

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 from dataclasses import astuple, replace
 from decimal import Decimal, localcontext
 from unittest import mock
@@ -73,7 +74,62 @@ def test_scale_rejections():
     tanh_net = chain([1.0, 1.0], hidden_activation=bk.TANH_UNIT)
     with pytest.raises(ValueError):
         bk.scale_neuron(tanh_net, 1, 2.0)
-    assert bk.scale_neuron(tanh_net, 1, 2.0, allow_nonhomogeneous=True).edges[0].weight == 2.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("net, lam", [
+    (chain([2.0, 1.0]), math.inf),
+    (chain([2.0, 1.0]), math.nan),
+    (chain([1e200, 1.0]), 1e200),
+    (star_neuron([1.0], [1.0], activation=bk.bipu(1.0, 0.5, 2.0))[0], 1e200),
+], ids=["inf factor", "nan factor", "weight overflows", "factor power overflows"])
+def test_scale_neuron_refuses_a_factor_that_leaves_a_weight_non_finite(net, lam):
+    with pytest.raises(ValueError, match=f"unit 1: scaling factor.*{re.escape(repr(lam))}"):
+        bk.scale_neuron(net, 1, lam)
+
+
+def test_one_set_operations_refuse_a_non_homogeneous_unit():
+    net = chain([3.0, 1.0], hidden_activation=bk.TANH_UNIT)
+    for op in (lambda: bk.scale_neuron(net, 1, 2.0), lambda: bk.optimal_lambda(net, 1, bk.l2()),
+               lambda: bk.balance_neuron(net, 1, bk.l2()),
+               lambda: bk.balance_subset_tied(net, [1], bk.l2())):
+        with pytest.raises(ValueError, match="unit 1 has a non-homogeneous activation$"):
+            op()
+
+
+def _off_path_net():
+    """chain([1, 1]) with a hidden unit 3 fed by the input and feeding nothing: a
+    finding that is not fatal to the graph walks, but that a run refuses."""
+    base = chain([1.0, 1.0])
+    return bk.Network([*base.units, bk.Unit(3, bk.HIDDEN, bk.RELU)],
+                      [*base.edges, bk.Edge(0, 3, 1.0)])
+
+
+_GATED = {
+    "scale_neuron": lambda net: bk.scale_neuron(net, 1, 2.0),
+    "optimal_lambda": lambda net: bk.optimal_lambda(net, 1, bk.l2()),
+    "balance_neuron": lambda net: bk.balance_neuron(net, 1, bk.l2()),
+    "balance_subset_tied": lambda net: bk.balance_subset_tied(net, [1], bk.l2()),
+    "neuron_deficit": lambda net: bk.neuron_deficit(net, 1, bk.l2()),
+    "network_deficit": lambda net: bk.network_deficit(net, bk.l2()),
+    "partial_balance_pass": lambda net: bk.partial_balance_pass(net, bk.l2()),
+    "run_balancing": lambda net: bk.run_balancing(net, bk.Schedule("sequential"), bk.l2()),
+    "solve_convex": lambda net: bk.solve_convex(net, bk.l2()),
+    "fit_multipliers": lambda net: bk.fit_multipliers(net, net),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("entry", list(_GATED))
+@pytest.mark.parametrize("net, names", [
+    (chain([math.inf, 1.0]), "edge (0->1): non-finite weight inf"),
+    (chain([1.0, math.nan]), "edge (1->2): non-finite weight nan"),
+    (_off_path_net(), "hidden unit 3 lies on no input->output path"),
+], ids=["inf weight", "nan weight", "off-path unit"])
+def test_every_entry_refuses_the_nets_a_run_refuses(entry, net, names):
+    with pytest.raises(ValueError) as refused:
+        _GATED[entry](net)
+    assert str(refused.value) == "invalid network: " + names
 
 
 def test_scaling_commutes(rng):
@@ -467,15 +523,6 @@ def test_force_balancing_sigmoidal_units():
     same, trace = bk.run_balancing(net, bk.Schedule("sequential", max_steps=10), bk.l2())
     assert same == net
     assert any("nothing to balance" in n for n in trace.notes)
-    out, trace = bk.run_balancing(
-        net,
-        bk.Schedule("sequential", deficit_tol=1e-20, max_steps=1000),
-        bk.l2(),
-        allow_nonhomogeneous=True,
-    )
-    assert trace.converged
-    w = out.weights()
-    assert abs(abs(w[0]) - abs(w[1])) <= 1e-9
 
 
 # -- non-commutativity and order properties -----------------------------------
@@ -587,6 +634,18 @@ def test_schedule_rejects_bad_stop_criteria():
     assert bk.Schedule("sequential", deficit_tol=0.0, max_steps=0).max_steps == 0
     sched = bk.Schedule("stochastic", seed=np.int64(4), max_steps=np.int64(3))
     assert type(sched.max_steps) is int and sched.max_steps == 3 and type(sched.seed) is int
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("stochastic", "order", (99,)),
+    ("layer_tied", "order", (1,)),
+    ("layer_independent", "order", (1,)),
+    ("sequential", "partition", ((99,),)),
+    ("stochastic", "partition", ((1,),)),
+])
+def test_schedule_refuses_a_field_its_kind_does_not_read(kind, field, value):
+    with pytest.raises(ValueError, match=f"schedule kind '{kind}' does not read '{field}'"):
+        bk.Schedule(kind, **{field: value})
 
 
 def test_mixed_cost_runs_converge():
@@ -885,7 +944,8 @@ def _batch(net, dead, recurrent, kinds, seed):
                 kind, order = "sequential", (unit,)
             tol, max_steps = 0.0, 3
         elif k == 2:
-            kind, order = "sequential", tuple(reversed(hidden)) + (dead, net.input_ids[0])
+            kind, partition = "sequential", None
+            order = tuple(reversed(hidden)) + (dead, net.input_ids[0])
         schedules.append(bk.Schedule(kind, seed=seed + k, order=order, partition=partition,
                                      deficit_tol=tol, max_steps=max_steps))
     return schedules
@@ -940,7 +1000,7 @@ def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size
         assert many[0][1].steps == [] and many[0][1].converged
         # over a net's only balanceable unit a run can end on an exact zero gap: see
         # test_a_run_over_one_unit_can_end_on_an_exact_zero_gap
-        if len(balancing._balanceable(net, False)[0]) > 1:
+        if len(balancing._balanceable(net)[0]) > 1:
             assert len(many[1][1].steps) == 3 and not many[1][1].converged
     if size > 2:
         assert f"unit {dead} skipped in order: not balanceable" in many[2][1].notes
@@ -950,7 +1010,7 @@ def test_a_run_over_one_unit_can_end_on_an_exact_zero_gap():
     """Seed 27's net has one balanceable unit, so every schedule balances it alone;
     balanced twice under L2 it has a gap of exactly 0.0, a correct early stop."""
     net, dead = _net_with_dead_unit(27, False)
-    assert balancing._balanceable(net, False)[0] == [5] and dead == 4
+    assert balancing._balanceable(net)[0] == [5] and dead == 4
     for kind in _KINDS:
         _, trace = bk.run_balancing(net, bk.Schedule(kind, deficit_tol=0.0, max_steps=3), bk.l2())
         assert trace.units == [5, 5] and trace.converged and trace.deficit_series[-1] == 0.0

@@ -336,6 +336,18 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert not (out / "none" / "seed_1").exists()
 
 
+@pytest.mark.parametrize("command", ["balance", "train"])
+def test_a_seed_variable_that_is_not_an_integer_exits_one(tmp_path, capsys, monkeypatch,
+                                                           chain_net_path, command):
+    inputs = {"balance": ["--net", str(chain_net_path)],
+              "train": ["--config", str(_train_config(tmp_path, epochs=1))]}
+    monkeypatch.setenv("BALANCEKIT_SEED", "abc")
+    out = tmp_path / "o"
+    assert main([command, *inputs[command], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: BALANCEKIT_SEED must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
 def _write_samples(path, fn, n):
     with open(path, "w") as fh:
         fh.write("x,y\n")
@@ -591,8 +603,10 @@ def test_train_refuses_before_writing_anything(tmp_path, capsys, malform, names)
     (_set("net", "hidden_activation", {"kind": "bilu", "a": 1.0, "b": 0.5, "c": 2.0}),
      "'net' field 'hidden_activation' key 'c'"),
     (_set("data", "train", "train.csv"), "'data' key 'train'"),
+    (_set("train", "balance", {"kind": "none", "allow_nonhomogeneous": False}),
+     "'balance' key 'allow_nonhomogeneous'"),
 ], ids=["top level", "train", "data", "net", "balance kind next to arms", "balance",
-        "activation", "key of another data kind"])
+        "activation", "key of another data kind", "removed balance override"])
 def test_train_refuses_a_key_it_does_not_read(tmp_path, capsys, malform, names):
     p = _train_config(tmp_path, epochs=1)
     p.write_text(json.dumps(malform(json.loads(p.read_text()))))
