@@ -42,7 +42,7 @@ def main(argv=None):
         "--max-steps", str(args.max_steps), "--out", str(out),
     ])
     report = json.loads((out / "report.json").read_text()) if (out / "report.json").exists() else {}
-    if not report or "note" in report:  # refused, not converged, or nothing to balance
+    if not report:  # refused, not converged or the oracle failed
         return code
     summary = {"runs": report["n_schedules"], "max_elementwise_spread": report["max_pairwise"],
                **{key: report[key] for key in KEPT}}

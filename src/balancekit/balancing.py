@@ -32,7 +32,7 @@ from itertools import chain
 import numpy as np
 
 from .manifold import MultiplierAssignment, apply_multipliers
-from .netgraph import HIDDEN, Network, _dead_sides, check_structure, hidden_layers
+from .netgraph import HIDDEN, Network, check_structure, hidden_layers
 from .regularizer import CostSpec, edge_costs, term_costs
 from .regularizer import network_cost  # noqa: F401  (bench/layers.py traces this name)
 
@@ -565,8 +565,9 @@ def scale_neuron(net, i, lam) -> Network:
     """Multiply unit i's incoming weights by lam and its outgoing by lam**-c: the one-unit
     ``apply_multipliers``, as scalings commute.
 
-    lam must be finite and > 0, and every scaled weight finite; anything else
-    is a ``ValueError`` naming the unit and lam.
+    lam must be finite and > 0, every scaled weight finite, and every nonzero
+    weight still nonzero (a weight that vanishes would change which units
+    move); anything else is a ``ValueError`` naming the unit and lam.
     """
     _check_free(net, (i,))
     lam = float(lam)
@@ -580,6 +581,8 @@ def scale_neuron(net, i, lam) -> Network:
             finite = False
     if not finite:
         raise ValueError(f"unit {i}: scaling factor {lam!r} makes a weight non-finite")
+    if ((out.w == 0.0) & (net.w != 0.0)).any():
+        raise ValueError(f"unit {i}: scaling factor {lam!r} makes a nonzero weight vanish")
     return out
 
 
@@ -627,8 +630,8 @@ def neuron_deficit(net, i, cost: CostSpec) -> float:
 
 
 def network_deficit(net, cost: CostSpec) -> float:
-    """Sum of deficits over the units a run balances (hidden, with a homogeneity exponent and
-    a nonzero weight on each side); no run can balance a unit with a dead side."""
+    """Sum of deficits over the units a run balances (``Network.movable``); no run can
+    balance a unit with a dead side."""
     check_structure(net)
     eligible, _ = _balanceable(net)
     return float(_Engine(net, cost, [(h,) for h in eligible]).deficit()[0])
@@ -640,11 +643,11 @@ _DRAW_CHUNK = 256  # picks drawn (stochastic) or tiled (cyclic) per engine row a
 
 
 def _balanceable(net):
-    """Units a run balances (``Structure.free``), plus notes on those skipped for a dead side."""
-    hidden = np.flatnonzero(net.structure.free).tolist()
-    dead = np.logical_or(*_dead_sides(net, hidden)).tolist()
-    notes = [f"unit {h} skipped: all-zero incoming or outgoing side" for h, d in zip(hidden, dead) if d]
-    return [h for h, d in zip(hidden, dead) if not d], notes
+    """Units a run balances (``Network.movable``), plus notes on the ``Structure.free`` ones
+    skipped for a dead side."""
+    skipped = np.flatnonzero(net.structure.free & ~net.movable).tolist()
+    notes = [f"unit {h} skipped: all-zero incoming or outgoing side" for h in skipped]
+    return np.flatnonzero(net.movable).tolist(), notes
 
 
 def _default_cycle(net, index):

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage, I/O or arithmetic failure (weights beyond the
 float range, say), 2 non-convergence or divergence.
 All randomness flows from one per-run seed recorded in the manifest; the
-environment variable BALANCEKIT_SEED overrides it.
+environment variable BALANCEKIT_SEED overrides it (for ``balance``, over the
+N of ``stochastic:N`` too, which overrides ``--seed``).
 """
 
 from __future__ import annotations
@@ -106,16 +107,21 @@ def _manifest(out: Path, command: str, params: dict):
 
 
 def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedule:
-    if text == "stochastic" or text.startswith("stochastic:"):
-        if ":" in text:
-            seed = int(text.split(":", 1)[1])
-        return Schedule("stochastic", seed=seed, deficit_tol=tol, max_steps=max_steps)
+    """The schedule ``text`` names; its seed is BALANCEKIT_SEED, else the N of
+    ``stochastic:N``, else ``seed``."""
     # the layer cycle and a partial pass's order are the default sequential cycle
-    kinds = {"sequential": "sequential", "layer": "sequential",
+    kinds = {"stochastic": "stochastic", "sequential": "sequential", "layer": "sequential",
              "layer-tied": "layer_tied", "partial": "sequential"}
-    if text in kinds:
-        return Schedule(kinds[text], seed=seed, deficit_tol=tol, max_steps=max_steps)
-    raise ValueError(f"unknown schedule {text!r}")
+    kind, colon, given = text.partition(":")
+    if kind not in kinds or (colon and kind != "stochastic"):
+        raise ValueError(f"unknown schedule {text!r}")
+    if colon:
+        try:
+            seed = int(given)
+        except ValueError:
+            raise ValueError(f"schedule {text!r}: the seed after 'stochastic:' "
+                             "must be an integer") from None
+    return Schedule(kinds[kind], seed=_env_seed(seed), deficit_tol=tol, max_steps=max_steps)
 
 
 # -- balance -----------------------------------------------------------------
@@ -124,8 +130,7 @@ def _parse_schedule(text: str, seed: int, tol: float, max_steps: int) -> Schedul
 def cmd_balance(args) -> int:
     net = load(args.net)
     cost = parse_cost(args.cost)
-    seed = _env_seed(args.seed)
-    schedule = _parse_schedule(args.schedule, seed, args.tol, args.max_steps)
+    schedule = _parse_schedule(args.schedule, args.seed, args.tol, args.max_steps)
     r_before = network_cost(net, cost)
     final, trace = run_balancing(net, schedule, cost)  # checks the structure first
     out = _out_dir(args.out)
@@ -142,7 +147,7 @@ def cmd_balance(args) -> int:
     _write_json(out / "summary.json", summary)
     _manifest(out, "balance", {
         "net": str(args.net), "cost": args.cost, "schedule": args.schedule,
-        "tol": args.tol, "max_steps": args.max_steps, "seed": seed,
+        "tol": args.tol, "max_steps": args.max_steps, "seed": schedule.seed,
     })
     return 0 if trace.converged else 2
 
@@ -175,10 +180,6 @@ def cmd_verify_uniqueness(args) -> int:
         rows.append(f"{seed + k},{len(trace.units)},{r_final!r},{int(trace.converged)}")
     (out / "runs.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
-    if "nothing to balance" in runs[0][1].notes:
-        _write_json(out / "report.json", {"note": "nothing to balance", "n_schedules": 0})
-        print("nothing to balance; trivially unique")
-        return 0
     for k, (_, trace) in enumerate(runs):
         if not trace.converged:
             print(f"schedule with seed {seed + k} did not converge", file=sys.stderr)

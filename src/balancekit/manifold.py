@@ -5,8 +5,8 @@ A balancing run multiplies each unit i by some cumulative factor Lambda_i
 Lambda_dst / Lambda_src**c_src.  Working with per-edge logs
 L = log(Lambda_dst) - c_src * log(Lambda_src) turns the reachable set into a
 linear manifold: the range of the edge-unit incidence operator A, with
-A[e, dst] = 1 and A[e, src] = -c_src over the nonzero edges and the free
-(hidden homogeneous) units, every other unit pinned at log multiplier 0.  The
+A[e, dst] = 1 and A[e, src] = -c_src over the nonzero edges and the units a
+run moves (``Network.movable``), every other unit pinned at log multiplier 0.  The
 paper states the same manifold as weighted zero-sum constraints along
 input-to-output paths and directed cycles.  The total weight cost becomes a
 strictly convex sum of exponentials, and minimizing it over the manifold
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netgraph import Network, check_structure, off_path, reachable
+from .netgraph import Network, check_structure, reachable
 from .regularizer import CostSpec
 
 _GRAD_TOL = 1e-10  # Newton stops at this gradient sup-norm of the normalized objective
@@ -62,26 +62,25 @@ class _Manifold:
 
     ``src``, ``dst`` and ``csrc`` hold the ends and the source exponent of
     each nonzero edge (``live`` marks them in the edge list); ``free`` holds
-    the units whose log multiplier may move.  Raises what ``check_structure`` does,
-    and ``UnidentifiableUnitError`` when a free unit is connected to no pinned
-    unit through nonzero edges (ignoring direction): its multiplier would be
-    free to drift.
+    the ``Network.movable`` units, whose log multiplier may move.  Raises what
+    ``check_structure`` does, and ``UnidentifiableUnitError`` when a free unit
+    lies on no path of nonzero edges between pinned units.  Where each lies on
+    one, only d = 0 has (A d)_e <= 0 on every edge (walk in from both ends), so
+    the fit and the oracle's optimum are unique.
     """
 
     def __init__(self, net: Network):
         check_structure(net)
         structure = net.structure
         self.n = n = len(structure.units)
-        self.free = np.flatnonzero(structure.free)
+        self.free = np.flatnonzero(net.movable)
         self.live = net.w != 0.0
         self.src, self.dst = src, dst = structure.src[self.live], structure.dst[self.live]
-        pinned = np.flatnonzero(~structure.free)
-        anchored = reachable(n, np.concatenate((src, dst)), np.concatenate((dst, src)), pinned)
-        lost = np.flatnonzero(structure.free & ~anchored).tolist()
-        if lost:
-            raise UnidentifiableUnitError(
-                f"units {lost} are not connected to any visible unit by nonzero edges"
-            )
+        pinned = np.flatnonzero(~net.movable)
+        lost = np.flatnonzero(~(reachable(n, src, dst, pinned) & reachable(n, dst, src, pinned)))
+        if lost.size:
+            raise UnidentifiableUnitError(f"units {lost.tolist()} lie on no path of nonzero edges "
+                                          "between units that do not move")
         self.csrc = csrc = structure.exponent[src]
         # entries of edge e in A^T diag(h) A: (dst, dst) += h, (src, src) += c^2 h,
         # (dst, src) and (src, dst) -= c h, on the flattened n x n matrix
@@ -105,7 +104,7 @@ class _Manifold:
     def fit(self, L):
         """Least-squares fit of per-edge logs ``L`` (one row per run): log multipliers l, A l - L.
 
-        Solves the normal equations (A^T A) l = A^T L, which anchoring makes
+        Solves the normal equations (A^T A) l = A^T L, which the path test makes
         positive definite, for every row at once.  The residual is laid out
         over the whole edge list, 0.0 on the zero-weight edges.
         """
@@ -175,14 +174,10 @@ def solve_convex(net: Network, cost: CostSpec) -> ConvexSolution:
     ``constraint_residuals`` are the manifold fit's residual of the optimum's
     per-edge logs z, laid out as ``fit_multipliers`` lays out its residual.
     Raises ``ValueError`` on a net a run refuses (``check_structure``), and
-    when a hidden unit lies on no input->output path of nonzero edges.
+    ``UnidentifiableUnitError`` where ``fit_multipliers`` does (see ``_Manifold``).
     """
     m = _Manifold(net)
     free = m.free
-    # the paper's path statement of the manifold needs a path through every hidden unit
-    dead = off_path(net.structure.role_ids, m.n, m.src, m.dst)
-    if dead:
-        raise ValueError(f"hidden unit {dead[0]} lies on no input->output path of nonzero edges")
 
     # log c_te, one row per term, shifted by its logsumexp
     p = np.array([[pt] for pt, _ in cost.terms])

@@ -281,6 +281,13 @@ class Network:
         s = self.structure
         return tuple(map(Edge, s.src.tolist(), s.dst.tolist(), self.w.tolist()))
 
+    @cached_property
+    def movable(self) -> np.ndarray:
+        """Per unit: whether runs, deficits, fits and the oracle move it, a ``Structure.free``
+        unit with a nonzero weight on each side (see ``_dead_sides``)."""
+        dead_in, dead_out = _dead_sides(self, np.arange(len(self.units)))
+        return _frozen(self.structure.free & ~dead_in & ~dead_out)
+
     # -- basic queries -------------------------------------------------
 
     def unit(self, i: int) -> Unit:

@@ -596,6 +596,27 @@ def random_layered(rng, n_layers=None, widths=(2, 5), activation=None, bias=True
     return net.replace_weights(w)
 
 
+def net_with_dead_unit(seed, recurrent):
+    """A random layered net, or a recurrent one with self-loops and BiPU units,
+    with the outgoing side of one hidden unit zeroed so every run skips it."""
+    rng = np.random.default_rng(seed)
+    if recurrent:
+        base = bk.make_recurrent(2, int(rng.integers(3, 6)), 2, self_loops=True, seed=seed)
+        units = [
+            bk.Unit(u.id, u.role, bk.bipu(1.0, -0.5, float(rng.choice((0.5, 1.0, 1.5, 2.0)))))
+            if u.role == bk.HIDDEN
+            else u
+            for u in base.units
+        ]
+        net = bk.Network(units, base.edges, recurrent=True, unroll_steps=base.unroll_steps)
+    else:
+        net = random_layered(rng)
+    dead = int(rng.choice(net.hidden_ids))
+    w = net.weights()
+    w[[k for k, e in enumerate(net.edges) if e.src == dead and e.dst != dead]] = 0.0
+    return net.replace_weights(w), dead
+
+
 def recurrent_bipu(seed, n_hidden, exponents):
     """A 2-n_hidden-2 recurrent net with self-loops whose hidden unit with
     position k in the unit list gets a BiPU of exponent exponents[k % len]."""

@@ -19,6 +19,7 @@ from conftest import (
     chain,
     forward_gap,
     golden_lambda,
+    net_with_dead_unit,
     random_layered,
     recurrent_bipu,
     reference_bisect_log_lambda,
@@ -86,6 +87,17 @@ def test_scale_rejections():
 def test_scale_neuron_refuses_a_factor_that_leaves_a_weight_non_finite(net, lam):
     with pytest.raises(ValueError, match=f"unit 1: scaling factor.*{re.escape(repr(lam))}"):
         bk.scale_neuron(net, 1, lam)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("weights, lam", [([1e-200, 1.0], 1e-200), ([1.0, 1e-200], 1e200)],
+                         ids=["incoming side", "outgoing side"])
+def test_scale_neuron_refuses_a_factor_that_makes_a_weight_vanish(weights, lam):
+    # the result would leave the unit a dead side: a run would skip it, and the fit
+    # would not take the result as a rescaling of the net
+    with pytest.raises(ValueError, match=f"^unit 1: scaling factor {re.escape(repr(lam))} "
+                                         "makes a nonzero weight vanish$"):
+        bk.scale_neuron(chain(weights), 1, lam)
 
 
 def test_one_set_operations_refuse_a_non_homogeneous_unit():
@@ -827,8 +839,8 @@ def test_unit_schedule_trace_ends_at_the_network_deficit(rng):
     seeds = iter(range(100))
     for kind in ("stochastic", "sequential", "layer_independent"):
         for cost in (bk.l2(), bk.lp(1.5), MIXED):
-            nets = [random_layered(rng), _net_with_dead_unit(next(seeds), False)[0]]
-            nets.append(_net_with_dead_unit(next(seeds), True)[0])
+            nets = [random_layered(rng), net_with_dead_unit(next(seeds), False)[0]]
+            nets.append(net_with_dead_unit(next(seeds), True)[0])
             for net in nets:
                 sched = bk.Schedule(kind, seed=3, deficit_tol=1e-12, max_steps=20_000)
                 out, trace = bk.run_balancing(net, sched, cost)
@@ -895,27 +907,6 @@ def test_recurrent_self_loop_operations_preserve_function(seed, n_hidden, expone
 _KINDS = ("stochastic", "sequential", "layer_independent", "layer_tied")
 
 
-def _net_with_dead_unit(seed, recurrent):
-    """A random layered net, or a recurrent one with self-loops and BiPU units,
-    with the outgoing side of one hidden unit zeroed so every run skips it."""
-    rng = np.random.default_rng(seed)
-    if recurrent:
-        base = bk.make_recurrent(2, int(rng.integers(3, 6)), 2, self_loops=True, seed=seed)
-        units = [
-            bk.Unit(u.id, u.role, bk.bipu(1.0, -0.5, float(rng.choice(_EXPONENTS))))
-            if u.role == bk.HIDDEN
-            else u
-            for u in base.units
-        ]
-        net = bk.Network(units, base.edges, recurrent=True, unroll_steps=base.unroll_steps)
-    else:
-        net = random_layered(rng)
-    dead = int(rng.choice(net.hidden_ids))
-    w = net.weights()
-    w[[k for k, e in enumerate(net.edges) if e.src == dead and e.dst != dead]] = 0.0
-    return net.replace_weights(w), dead
-
-
 def _batch(net, dead, recurrent, kinds, seed):
     """Schedules of the given kinds; the first starts converged, the second stops
     at max_steps and the third names the dead unit and an input in its order.
@@ -976,7 +967,7 @@ _TIED_FOURTH = ["stochastic"] * 3 + ["layer_tied"] + ["stochastic"] * 9
 @example(seed=113, recurrent=False, cost=bk.l2(), size=4, kinds=_TIED_FOURTH)
 @example(seed=27, recurrent=False, cost=bk.l2(), size=4, kinds=_TIED_FOURTH)
 def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size, kinds):
-    net, dead = _net_with_dead_unit(seed, recurrent)
+    net, dead = net_with_dead_unit(seed, recurrent)
     schedules = _batch(net, dead, recurrent, kinds[:size], seed)
     many = bk.run_balancing_many(net, schedules, cost)
     assert len(many) == size
@@ -1009,7 +1000,7 @@ def test_run_balancing_many_is_the_one_schedule_runs(seed, recurrent, cost, size
 def test_a_run_over_one_unit_can_end_on_an_exact_zero_gap():
     """Seed 27's net has one balanceable unit, so every schedule balances it alone;
     balanced twice under L2 it has a gap of exactly 0.0, a correct early stop."""
-    net, dead = _net_with_dead_unit(27, False)
+    net, dead = net_with_dead_unit(27, False)
     assert balancing._balanceable(net)[0] == [5] and dead == 4
     for kind in _KINDS:
         _, trace = bk.run_balancing(net, bk.Schedule(kind, deficit_tol=0.0, max_steps=3), bk.l2())
@@ -1074,7 +1065,7 @@ def _mixed_batch(net, dead, recurrent, draw):
     data=st.data(),
 )
 def test_run_balancing_many_matches_the_per_kind_paths(seed, recurrent, cost, data):
-    net, dead = _net_with_dead_unit(seed, recurrent)
+    net, dead = net_with_dead_unit(seed, recurrent)
     schedules = _mixed_batch(net, dead, recurrent, data.draw)
     many = bk.run_balancing_many(net, schedules, cost)
     ref = reference_run_balancing_many(net, schedules, cost)
@@ -1091,7 +1082,7 @@ def test_run_balancing_many_matches_the_per_kind_paths(seed, recurrent, cost, da
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), recurrent=st.booleans(), data=st.data())
 def test_engine_tables_are_the_per_set_scans(seed, recurrent, data):
-    net, _ = _net_with_dead_unit(seed, recurrent)  # recurrent nets carry self-loops
+    net, _ = net_with_dead_unit(seed, recurrent)  # recurrent nets carry self-loops
     w = net.weights()
     w[data.draw(st.lists(st.integers(0, w.size - 1), max_size=4))] = 0.0
     net = net.replace_weights(w)
@@ -1167,7 +1158,7 @@ def test_tied_subsets_must_be_disjoint():
 @example(seed=0, recurrent=False, cost=MIXED, zeros=[], picks=None)
 @example(seed=1, recurrent=True, cost=bk.lp(1.5), zeros=[5], picks=[0, 1, 2, 3, 3])
 def test_partial_pass_is_the_unit_by_unit_loop(seed, recurrent, cost, zeros, picks):
-    net, dead = _net_with_dead_unit(seed, recurrent)
+    net, dead = net_with_dead_unit(seed, recurrent)
     w = net.weights()
     w[[k % w.size for k in zeros]] = 0.0
     net = net.replace_weights(w)
@@ -1292,7 +1283,7 @@ def _one_set_steps(run, *args):
     data=st.data(),
 )
 def test_block_steps_are_the_one_set_steps(seed, recurrent, cost, data):
-    net, dead = _net_with_dead_unit(seed, recurrent)
+    net, dead = net_with_dead_unit(seed, recurrent)
     schedules = _block_batch(net, dead, recurrent, data.draw)
     many = bk.run_balancing_many(net, schedules, cost)
     _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost))

@@ -130,17 +130,49 @@ def _runs(out):
     return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
 
 
-def test_verify_uniqueness_visible_only_net(tmp_path):
-    units = [bk.Unit(0, bk.INPUT, bk.IDENTITY), bk.Unit(1, bk.OUTPUT, bk.IDENTITY)]
-    net = bk.Network(units, [bk.Edge(0, 1, 2.0)])
+def _verify_nothing_to_balance(tmp_path, capsys, net):
+    """verify-uniqueness on a net no run moves takes the common path, with nothing to solve."""
     p = tmp_path / "trivial.json"
     bk.netgraph.save(net, p)
     out = tmp_path / "u"
+    assert not net.movable.any()
     code = main(["verify-uniqueness", "--net", str(p), "--n-schedules", "2",
                  "--out", str(out)])
     assert code == 0
     report = _load(out / "report.json")
-    assert "note" in report
+    assert report["n_schedules"] == 2 and report["oracle_iterations"] == 0
+    assert report["max_pairwise"] == report["max_vs_oracle"] == 0.0
+    assert _load(out / "oracle.json")["iterations"] == 0
+    assert capsys.readouterr().out == ("max pairwise discrepancy: 0.000e+00\n"
+                                       "max run-vs-oracle discrepancy: 0.000e+00\n")
+
+
+def test_verify_uniqueness_visible_only_net(tmp_path, capsys):
+    units = [bk.Unit(0, bk.INPUT, bk.IDENTITY), bk.Unit(1, bk.OUTPUT, bk.IDENTITY)]
+    _verify_nothing_to_balance(tmp_path, capsys, bk.Network(units, [bk.Edge(0, 1, 2.0)]))
+
+
+@pytest.mark.parametrize("which", ["all-tanh", "all-zero"])
+def test_verify_uniqueness_with_nothing_to_balance(tmp_path, capsys, which):
+    net = bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform",
+                          hidden_activation=bk.TANH_UNIT if which == "all-tanh" else bk.RELU)
+    if which == "all-zero":
+        net = net.replace_weights(np.zeros_like(net.w))
+    _verify_nothing_to_balance(tmp_path, capsys, net)
+
+
+def test_verify_uniqueness_certifies_a_net_with_a_dead_sided_unit(tmp_path):
+    # the criterion-4 net with unit 3's outgoing weights zeroed: every run skips the
+    # unit, and the oracle pins it at multiplier 1
+    net = bk.make_layered([3, 6, 6, 2], seed=424242, bias_init="uniform")
+    net = net.replace_weights(np.where(net.structure.src == 3, 0.0, net.w))
+    p = tmp_path / "dead.json"
+    bk.netgraph.save(net, p)
+    out = tmp_path / "u"
+    assert main(["verify-uniqueness", "--net", str(p), "--n-schedules", "4",
+                 "--out", str(out)]) == 0
+    assert _load(out / "oracle.json")["lambda_per_unit"]["3"] == 1.0
+    assert _load(out / "report.json")["max_vs_oracle"] < 1e-6
 
 
 def test_verify_uniqueness_names_the_lowest_nonconverging_seed(tmp_path, layered_net_path, capsys):
@@ -334,6 +366,31 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "none" / "seed_42").is_dir()
     assert not (out / "none" / "seed_1").exists()
+
+
+def test_balance_records_the_seed_its_run_used(tmp_path, monkeypatch, chain_net_path):
+    def balance(schedule, out, *extra):
+        assert main(["balance", "--net", str(chain_net_path), "--schedule", schedule,
+                     "--seed", "5", *extra, "--out", str(tmp_path / out)]) == 0
+        manifest = _load(tmp_path / out / "manifest.json")
+        return manifest["params"]["seed"], (tmp_path / out / "trace.csv").read_text()
+
+    # the variable wins over stochastic:N, which wins over --seed
+    seed_7, trace_7 = balance("stochastic:7", "a")
+    assert seed_7 == 7 and balance("stochastic", "b")[0] == 5
+    monkeypatch.setenv("BALANCEKIT_SEED", "3")
+    seed_3, trace_3 = balance("stochastic:7", "c")
+    monkeypatch.delenv("BALANCEKIT_SEED")
+    assert seed_3 == 3 and trace_3 == balance("stochastic:3", "d")[1] != trace_7
+
+
+def test_balance_refuses_a_stochastic_seed_that_is_not_an_integer(tmp_path, capsys, chain_net_path):
+    out = tmp_path / "o"
+    assert main(["balance", "--net", str(chain_net_path), "--schedule", "stochastic:abc",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("error: schedule 'stochastic:abc': the seed after "
+                                       "'stochastic:' must be an integer\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["balance", "train"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import sys
 
 import numpy as np
@@ -13,6 +14,7 @@ from balancekit.regularizer import CostSpec
 from conftest import (
     chain,
     golden_lambda,
+    net_with_dead_unit,
     random_layered,
     recurrent_bipu,
     reference_constraint_residual,
@@ -132,10 +134,13 @@ def test_uncovered_hidden_unit_is_rejected():
     net = chain([1.0, 0.0, 1.0])  # zero edge cuts unit 1 off the nonzero graph
     with pytest.raises(ValueError, match="unit 1"):
         reference_constraints(net)
-    # both hidden units are anchored, but neither lies on an input->output
-    # path, so the cost has no minimum for the oracle to certify
-    with pytest.raises(ValueError, match="hidden unit 1 lies on no input->output path"):
-        bk.solve_convex(net, bk.l2())
+    # each hidden unit has a dead side, so no run moves it and the oracle pins
+    # both: there is nothing to solve
+    assert not net.movable.any()
+    sol = bk.solve_convex(net, bk.l2())
+    assert sol.iterations == 0
+    assert list(sol.multipliers.lambda_per_unit.values()) == [1.0] * 4
+    assert "nothing to balance" in bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())[1].notes
 
 
 # -- fitting runs to the manifold ---------------------------------------------
@@ -469,6 +474,83 @@ def test_oracle_recurrent_with_cycles(rng):
 def test_oracle_requires_anchoring():
     with pytest.raises(UnidentifiableUnitError, match="2"):
         bk.solve_convex(_unanchored(), bk.l2())
+
+
+def _drift():
+    """A recurrent net whose cycle 1 <-> 2 is fed only through a zero edge from the input."""
+    units = [
+        bk.Unit(0, bk.INPUT, bk.IDENTITY),
+        bk.Unit(1, bk.HIDDEN, bk.RELU),
+        bk.Unit(2, bk.HIDDEN, bk.RELU),
+        bk.Unit(3, bk.OUTPUT, bk.IDENTITY),
+    ]
+    edges = [bk.Edge(0, 1, 0.0), bk.Edge(1, 2, 1.5), bk.Edge(2, 1, 0.5), bk.Edge(2, 3, 2.0)]
+    return bk.Network(units, edges, recurrent=True)
+
+
+def test_a_cycle_fed_only_through_zero_edges_has_one_refusal():
+    net = _drift()
+    # both units move, but scaling them together by lam < 1 lowers the cost without
+    # end: a run drifts, and the cost has no minimum to certify
+    out, trace = bk.run_balancing(net, bk.Schedule("sequential", max_steps=2000), bk.l2())
+    assert net.movable.tolist() == [False, True, True, False]
+    assert not trace.converged and abs(out.w[3]) < 0.1
+    message = "units [1, 2] lie on no path of nonzero edges between units that do not move"
+    for entry in (lambda: bk.solve_convex(net, bk.l2()), lambda: bk.fit_multipliers(net, net)):
+        with pytest.raises(UnidentifiableUnitError, match=f"^{re.escape(message)}$"):
+            entry()
+
+
+_PROBE_COSTS = (bk.l1(), bk.l2(), bk.lp(3.0), bk.parse_cost("0.015*l1+1.0*l2"))
+
+
+def _sparsified(seed):
+    """A random layered net with 20-60% of its weights zeroed."""
+    rng = np.random.default_rng(seed)
+    net = random_layered(rng)
+    w = net.weights()
+    w[rng.choice(w.size, round(rng.uniform(0.2, 0.6) * w.size), replace=False)] = 0.0
+    return net.replace_weights(w)
+
+
+def _certify(net, cost):
+    """The oracle certifies ``net``, pins what no run moves, and agrees with a converged run."""
+    sol = bk.solve_convex(net, cost)
+    assert sol.grad_norm <= 1e-10
+    lam = sol.multipliers.lambda_per_unit
+    assert all(lam[u] == 1.0 for u in np.flatnonzero(~net.movable).tolist())
+    sched = bk.Schedule("sequential", deficit_tol=1e-28, max_steps=100_000)
+    out, trace = bk.run_balancing(net, sched, cost)
+    assert trace.converged
+    live = net.w != 0.0
+    oracle = bk.apply_multipliers(net, sol.multipliers).w
+    assert np.max(np.abs(np.log(out.w[live] / oracle[live])), initial=0.0) <= 1e-6
+    assert np.max(np.abs(bk.fit_multipliers(out, net)[1])) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["dead layered", "dead recurrent", "sparsified"]),
+    cost=st.sampled_from(_PROBE_COSTS),
+)
+def test_the_oracle_certifies_the_nets_a_run_balances(seed, family, cost):
+    # a dead-sided unit, which every run skips, or a live unit off the nonzero
+    # input->output paths: the oracle moves exactly the units a run moves
+    if family == "sparsified":
+        net = _sparsified(seed)
+    else:
+        net = net_with_dead_unit(seed, family == "dead recurrent")[0]
+    _certify(net, cost)
+
+
+def test_the_oracle_certifies_every_dead_unit_net_of_the_engine_tests():
+    for seed in range(40):
+        for recurrent in (False, True):
+            net, dead = net_with_dead_unit(seed, recurrent)
+            assert not net.movable[dead]
+            for cost in _PROBE_COSTS:
+                _certify(net, cost)
 
 
 _COST_TERMS = st.tuples(st.sampled_from([0.5, 1.0, 2.0, 3.0]), st.floats(0.01, 10.0))

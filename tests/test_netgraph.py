@@ -143,6 +143,19 @@ def test_validate_and_runs_agree_on_a_unit_fed_only_by_its_self_loop():
     assert trace.notes[0] == "unit 1 skipped: all-zero incoming or outgoing side"
 
 
+def test_movable_is_the_free_units_with_a_nonzero_weight_on_each_side():
+    # unit 1 is fed by its self-loop alone, unit 2 is tanh, and unit 3 has two live sides
+    units = [bk.Unit(0, bk.INPUT, bk.IDENTITY), bk.Unit(1, bk.HIDDEN, bk.RELU),
+             bk.Unit(2, bk.HIDDEN, bk.TANH_UNIT), bk.Unit(3, bk.HIDDEN, bk.RELU),
+             bk.Unit(4, bk.OUTPUT, bk.IDENTITY)]
+    weights = {(0, 1): 0.0, (1, 1): 0.5, (1, 4): 1.0, (0, 2): 1.0, (2, 4): 1.0, (0, 3): 1.0,
+               (3, 4): 2.0}
+    net = bk.Network(units, [bk.Edge(a, b, w) for (a, b), w in weights.items()], recurrent=True)
+    assert net.movable.tolist() == [False, False, False, True, False]
+    assert net.movable is net.movable and not net.movable.flags.writeable
+    assert bk.balancing._balanceable(net)[0] == [3]
+
+
 def _input_hidden_hidden_output_bias(edges):
     """Input 0, ReLU hidden units 1 and 2, output 3 and bias source 4, with ``edges`` (src, dst, w)."""
     units = [
