@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -38,6 +39,7 @@ from .regularizer import network_cost  # noqa: F401  (bench/layers.py traces thi
 
 _LOG_LIMIT = 700.0  # |log lam| beyond which lam**p overflows for any sensible p
 _LN2 = math.log(2.0)
+_EPS = sys.float_info.epsilon
 
 
 class DegenerateUnitError(ValueError):
@@ -64,9 +66,13 @@ class BalanceTrace:
     the aggregate per-subset gap, the quantity those moves can actually drive
     to zero).  There is one row per step even where the engine solved a
     whole block of edge-disjoint sets at once, in the one row that all runs
-    on a cycle share: each step writes one set, and its cost and deficit are
-    summed afresh from the weights after it, so the columns are those of
-    balancing one set at a time, one run alone.  ``r_initial`` is the
+    on a cycle share.  The units, lambdas and weights are those of balancing
+    one set at a time, one run alone, and so are the cost and the deficit
+    on the last row of each block (every row of a stochastic run) and on
+    the run's last row, which are summed afresh from the weights.  Inside a
+    block they are the block's start plus the changes of its sets, within
+    a few rounding units of the cost of those sums (see ``_Engine._rows``);
+    a run's columns are the same in any batch.  ``r_initial`` is the
     cost before the first step.  The costs are the engine's (NumPy powers,
     pairwise row sums; see ``regularizer.edge_costs``), so ``network_cost`` of the
     result can differ from ``r_series[-1]`` in the last bits.  ``steps``
@@ -105,7 +111,7 @@ class Schedule:
     shared factor per subset; the subsets must be disjoint).
     The run stops, or takes no step, when the summed deficit of the sets it
     balances (the per-subset gap for "layer_tied", else the single-unit
-    deficit) falls below ``deficit_tol * r_initial**2`` (the deficit is
+    deficit) is at most ``deficit_tol * r_initial**2`` (the deficit is
     quadratic in the cost, so normalizing by the squared initial cost makes
     the tolerance dimensionless) or after ``max_steps`` single balancing
     operations.  Where ``r_initial**2`` is not a positive normal float
@@ -295,20 +301,24 @@ class _Engine:
     the current weights, with one gather, one ``bincount`` of side sums,
     lam* (the closed form for all rows at once, a Newton solve in log lam
     row by row where it does not apply) and one product, so each set gets
-    the factor it would get once the sets before it are written.  It writes
-    the first set of every row (one scatter of weights, one of edge costs
-    and gap terms).  A block of several sets comes only in one replica,
-    which keeps its later sets for ``advance`` to write one by one;
-    stochastic picks are blocks of one set, solved and written at once.
+    the factor it would get once the sets before it are written.  A block
+    of one set per replica (every stochastic pick) is written at once: one
+    scatter of weights, one of edge costs and gap terms, and the cost
+    summed afresh.  A block of several sets comes only in one replica: it
+    is kept, the cost and deficit after each of its sets are computed from
+    its start and the sets' increments (``_rows``), and ``write`` writes a
+    stretch of it, with the same two scatters, and reduces the deficit
+    afresh (and the cost, at the block's end).
 
     The gap term of an entry is the edge's p-weighted cost (see
     ``regularizer.edge_costs``) times the set's exponent of lam on it (1 into the set,
     -c out of it, 1 - c inside); a write refreshes the entries of its edges
     in the sets at both ends.  ``deficit()`` is, per replica, the sum over
-    sets of their squared gap sum_{u in set} in_u - c out_u, still reduced
+    sets of their squared gap sum_{u in set} in_u - c out_u, reduced
     afresh from the terms of the current weights, with one segment sum and
-    no gather.  The engine starts with one replica of ``net``;
-    ``select(rows)`` replicates it or drops the replicas that are done.
+    no gather; it keeps the gaps as the next block's start.  The engine
+    starts with one replica of ``net``; ``select(rows)`` replicates it or
+    drops the replicas that are done.
     """
 
     def __init__(self, net, cost, sets):
@@ -337,6 +347,7 @@ class _Engine:
         self._sel, self._sign, self._slot = edge, power[k, side], (k, slot)
         # each set's entries are contiguous; a set with no edge has no gap
         self._starts = starts[sizes > 0]
+        self._spread = 1.0 + float(np.abs(self.c).max(initial=0.0))  # bounds |exponent| on an edge
 
         single = cost.single_term
         # the closed form's exponent, and whether every set takes it whatever the weights
@@ -346,6 +357,7 @@ class _Engine:
         self._block = 2 * (n_edges + 1) + k.size + 1
         self._bins = np.zeros((1, 1), dtype=np.int64)  # bincount bin offset per solved row
         self._writes = None
+        self._gaps = None  # the gaps of the last fresh deficit, while no write has come after it
         self._hold(np.concatenate((w[0], ec[0], q[0].take(edge) * self._sign, [0.0])))
 
     def _hold(self, state):
@@ -360,11 +372,11 @@ class _Engine:
 
     def _tables(self):
         """Per slot, in replica 0's block: where a write puts the edge's cost and its gap
-        terms in the set itself and in the set at the edge's other end, the same after the
-        edge's own position, and the factors that turn the edge's p-weighted cost into the
-        three values (1 and the two exponents of lam on it).  Padding, and a missing second
-        entry, go to the dummy edge and the dummy slot.  Built on the first write (the
-        deficit needs none of them) and kept in ``_writes``.
+        terms in the set itself and in the set at the edge's other end, the factors that
+        turn the edge's p-weighted cost into the three values (1 and the two exponents of
+        lam on it), and the gaps the two terms add to.  Padding, and a missing second
+        entry, go to the dummy edge and the dummy slot, which holds 0.0 and adds to gap 0.
+        Built on the first write (the deficit needs none of them) and kept in ``_writes``.
         """
         n_sets, width = self._edge.shape
         n_edges, n = self.src.size, self._sel.size
@@ -384,7 +396,8 @@ class _Engine:
                 places[k[one], 2, slot[one]] = terms_at + other
                 factors[k[one], 2, slot[one]] = self._sign[other]
         places = places.reshape(n_sets, 3 * width)
-        self._writes = places, np.concatenate((self._edge, places), axis=1), factors
+        gap_of = np.append(np.searchsorted(self._starts, np.arange(n), side="right") - 1, 0)
+        self._writes = places, gap_of.take(places[:, width:] - terms_at), factors
         return self._writes
 
     @property
@@ -458,14 +471,16 @@ class _Engine:
         return lam, at, w, rest_at, rest.reshape(ks.size, -1)
 
     def begin(self, blocks):
-        """Solve the block ``blocks[r]`` of each replica r and write its first set; returns the
-        first sets' factors and how many sets of each block were solved.
+        """Solve the block ``blocks[r]`` of each replica r; returns the sets' factors and how
+        many sets of each block were solved.
 
         The sets of a block must share no edge, so a set's solution is the
-        one it would get once the sets before it are written; the sets after
-        the first are kept for ``advance``.  When some set has no optimum,
-        only the first set of each block is solved, so the error comes at
-        the step that reaches that set.
+        one it would get once the sets before it are written.  A block of one
+        set per replica is written at once, and the cost reduced afresh.  A
+        block of several sets comes only in one replica; it is kept, its rows
+        computed (``_rows``), and ``write`` writes it.  When some set has no
+        optimum, only the first set of each block is solved, so the error
+        comes at the step that reaches that set.
         """
         size = blocks.shape[1]
         try:
@@ -476,26 +491,115 @@ class _Engine:
             return self.begin(blocks[:, :1])
         lam, at, w, rest_at, rest = solved
         if size > 1:  # one replica
-            self._kept = np.concatenate((w[1:], rest[1:]), axis=1)
-            self._kept_lam, self._kept_sets, self._next = lam[1:], blocks[0, 1:], 0
-            lam, at, w, rest_at, rest = (a[:1] for a in solved)
+            self._kept = blocks[0], at, w, rest_at, rest
+            self._rows()
+            return lam, size
         self._state[at] = w
         self._state[rest_at] = rest
-        self.r = np.add.reduce(self._ec_real, axis=1)
+        self._gaps = None
+        self.fresh_cost()
         return lam, size
 
-    def advance(self):
-        """Write the next kept set of the one replica; returns its factor, shape (1,)."""
-        j = self._next
-        self._next = j + 1
-        self._state[self._writes[1][self._kept_sets[j]]] = self._kept[j]
+    def _rows(self):
+        """The cost and the deficit after each set of the kept block, as ``rows``: the
+        block's fresh start values plus the increments of the sets up to it.
+
+        A set's increments are its slots' new values minus their old ones:
+        its edges' costs (summed, the change in r) and its edges' gap terms
+        (one ``bincount`` into a (block, gaps) array for all sets).  With
+        eps = 2**-52, E edges, d the most slots of a set, b the block's
+        size, n the sets with an edge, c the largest |exponent| and r_0 the
+        fresh cost at the block's start, row i lies from the fresh values
+        r, D of the same weights within
+
+            |r_i - r| <= (ceil(log2 E) + d + b + 30) eps (r_0 + r)
+            |sqrt(D_i) - sqrt(D)| <= (3 d + b + 4) (1 + c) eps (r_0 + r) + (n + 1) eps sqrt(D).
+
+        The first sums the roundings on any path of NumPy's pairwise sum of
+        the costs (at most ceil(log2 E) + 25, twice: at the start and in the
+        fresh r), of a slot's difference, its set's sum and the ``cumsum``
+        over the rows, against the costs the slots held and hold (at most
+        r_0 + r).  The second does so for each gap, against the sizes of
+        its terms (segment sums of at most d terms, at the start and
+        fresh, and the ``bincount`` and ``cumsum``), summed over the gaps:
+        an edge has at most two gap terms, each at most (1 + c) times its
+        cost, so the sizes add up to at most 2 (1 + c) (r_0 + r).  The
+        last term is the relative rounding of the two sums of n squares.
+        The constants cover the second-order terms, and the gap between r
+        and r_i, which ``next_fresh`` reads in its place.
+        """
+        if self._gaps is None:
+            self.deficit()
+        self._start = r_0, start = float(self.r[0]), self._gaps[0]  # kept: writes replace both
+        ks, _, _, rest_at, rest = self._kept
+        size, width, n_gaps = ks.size, self._edge.shape[1], start.size
+        delta = rest - self._state.take(rest_at)
+        r = r_0 + np.cumsum(np.add.reduce(delta[:, :width], axis=1))
+        bins = self._writes[1].take(ks, axis=0)
+        bins += np.arange(0, size * n_gaps, n_gaps)[:, None]
+        steps = np.bincount(bins.ravel(), delta[:, width:].ravel(), size * n_gaps)
+        gaps = start + np.cumsum(steps.reshape(size, n_gaps), axis=0)
+        self.rows = r, np.einsum("ij,ij->i", gaps, gaps)
+        self._near = None, []
+
+    def next_fresh(self, start, tol):
+        """The first row from ``start`` of the kept block whose fresh deficit may be at
+        most ``tol``, else its last row.
+
+        By ``_rows``' bound, a fresh deficit D <= tol puts the row's sqrt(D_i)
+        within sqrt(tol) (1 + (n + 1) eps) plus the bound's first term; the
+        square of that, widened by the roundings of computing it, is the
+        first test.  It stays near tol for tol >> (eps r)**2, and covers tol
+        = 0.  The second: D also sums the squared start gaps of the sets
+        still to be written, exactly as they are, so a row whose later sets
+        add up to more than tol (widened by the roundings of the two sums)
+        cannot meet it, even where the first test cannot tell, as at a
+        rounding-level deficit with tol = 0.  The rows that pass are kept
+        for the next call with the same ``tol``.
+        """
+        r, deficit = self.rows
+        if self._near[0] != tol:
+            near = []
+            if tol >= 0.0:
+                (r_0, gaps), ks = self._start, self._kept[0]
+                n, size, width = gaps.size, ks.size, self._edge.shape[1]
+                reach = (3 * width + size + 4) * self._spread * _EPS * (r_0 + r)
+                reach += math.sqrt(tol) * (1.0 + (n + 1) * _EPS)
+                near = np.flatnonzero(deficit <= reach * reach * (1.0 + 16.0 * _EPS))
+                if near.size:
+                    # a set's own gap keeps its fresh start value until the set is
+                    # written (no other set of the block touches its edges; a set a run
+                    # balances has an edge, so its first slot's gap is its own)
+                    own = gaps.take(self._writes[1][ks, 0])
+                    later = np.append(np.cumsum((own * own)[:0:-1])[::-1], 0.0)
+                    near = near[later[near] <= tol * (1.0 + (n + size + 4) * _EPS)]
+                near = near.tolist()
+            self._near = tol, near
+        near = self._near[1]
+        k = bisect_left(near, start)
+        return near[k] if k < len(near) else len(r) - 1
+
+    def write(self, start, stop):
+        """Write the kept sets ``start`` .. ``stop - 1`` (one scatter of weights, one of
+        edge costs and gap terms); returns the deficit, reduced afresh.  Once the block
+        is written, the cost is too (``fresh_cost``), and the two make its last row."""
+        _, at, w, rest_at, rest = self._kept
+        self._state[at[start:stop]] = w[start:stop]
+        self._state[rest_at[start:stop]] = rest[start:stop]
+        deficit = self.deficit()
+        if stop == len(at):
+            self.rows[0][-1], self.rows[1][-1] = self.fresh_cost()[0], deficit[0]
+        return deficit
+
+    def fresh_cost(self):
+        """Per replica: the total cost, summed afresh from the current weights."""
         self.r = np.add.reduce(self._ec_real, axis=1)
-        return self._kept_lam[j:j + 1]
+        return self.r
 
     def deficit(self):
         """Per replica: the summed squared balance gap of the sets, from the current weights."""
-        gaps = np.add.reduceat(self._terms, self._starts, axis=1)
-        return np.einsum("ij,ij->i", gaps, gaps)
+        self._gaps = np.add.reduceat(self._terms, self._starts, axis=1)
+        return np.einsum("ij,ij->i", self._gaps, self._gaps)
 
     def blocks(self, cycle):
         """Steps left to the end of its block from each position of ``cycle``.
@@ -517,7 +621,7 @@ class _Engine:
 
     def select(self, rows):
         """Keep the replicas ``rows`` picks: a mask, or indices that may repeat a replica."""
-        self.r = self.r[rows]
+        self.r, self._gaps = self.r[rows], None
         self._hold(self._state.reshape(-1, self._block)[rows].ravel())
 
     def to_network(self):
@@ -689,18 +793,24 @@ def partial_balance_pass(net, cost, order=None):
 
     One pass lowers the total cost monotonically but generally leaves earlier
     units unbalanced again once their downstream neighbours move.  It is a
-    cyclic run capped at one step per listed unit that never stops early,
-    unless its starting deficit is not finite: then it takes no step and
+    cyclic run capped at one step per listed unit that never stops early:
+    with no unit to balance it notes "nothing to balance", as a run does,
+    and where its starting deficit is not finite it takes no step and
     returns ``net``, not converged, with a note.
     """
     check_structure(net)
     eligible, notes = _balanceable(net)
     eng = _Engine(net, cost, [(u,) for u in eligible])
     trace = BalanceTrace(r_initial=float(eng.r_init[0]), notes=notes)
+    index = {u: k for k, u in enumerate(eligible)}
+    cycle = []
+    if eligible:  # as in a run, no unit in an order is noted when none is balanceable
+        cycle = _default_cycle(net, index) if order is None else _order_cycle(order, index, notes)
+    if not cycle:
+        notes.append("nothing to balance")
+        return net, trace
     if _finite_start(eng, [trace]) is None:
         return net, trace
-    index = {u: k for k, u in enumerate(eligible)}
-    cycle = _default_cycle(net, index) if order is None else _order_cycle(order, index, notes)
     (w,), _ = _run_batch(eng, [(_cyclic_picks(eng, cycle), -math.inf, len(cycle), trace)])
     return net.replace_weights(w), trace
 
@@ -737,14 +847,23 @@ def _run_batch(eng, runs):
     step one engine row each, one set per step.  Runs on one cycle share its
     picks and one row, since a cycle is deterministic: a run stops at the
     first step where the row's deficit meets its tolerance, or at its cap,
-    with the row's weights then and its columns so far.  A block's first
-    step solves all of its sets from one gather and writes the first
-    (``_Engine.begin``), its later steps write the sets it kept
-    (``_Engine.advance``): each step writes the bits that solving its set
-    afresh would, and the deficit is reduced afresh after it, so the stop
-    test and the logged columns do not depend on the blocks.  Fills in the
-    step columns of each trace; returns the final weights of each run, and
-    whether each run met its tolerance.
+    with the row's weights then and its columns so far.
+
+    A block of one set is solved, written and reduced afresh in its step
+    (``_Engine.begin``).  A block of several sets is solved from one gather,
+    and its rows (cost and deficit after each step) come from its fresh
+    start and its increments (``_Engine._rows``).  It is written in one
+    pass (``_Engine.write``), or in several where a step's row must be
+    fresh: at the block's last step, at a live run's cap, and where
+    ``_Engine.next_fresh`` finds the row's deficit may be at most a live
+    run's tolerance.  The weights are those of stepping one set at a time; a run
+    stops only on a fresh deficit, and that row, fresh, is its last.  So
+    every block-end row and every run's last row is the one-set steps' bit
+    for bit, and the other rows lie within ``_Engine._rows``' bound of
+    theirs; they do not depend on which rows were reduced afresh, so a run
+    logs the same columns in any batch.  Fills in the step columns of each
+    trace; returns the final weights of each run, and whether each run met
+    its tolerance.
     """
     picks_of = [run[0] for run in runs]
     tol = np.array([run[1] for run in runs])
@@ -755,13 +874,19 @@ def _run_batch(eng, runs):
     finals = [None] * len(runs)
     met = np.zeros(len(runs), dtype=bool)
     n_steps = np.zeros(len(runs), dtype=np.int64)
-    log, steps = [], []  # per step, then per chunk: (lead, set, lam, r after, deficit after)
+    last = {}  # run -> its fresh last row, where it stops inside a block
+    top = float(tol.max(initial=-math.inf))  # the live runs' largest tolerance
+    log, steps = [], []  # per segment, then per chunk: (lead, set, lam, r after, deficit after)
     done = np.zeros(len(runs), dtype=bool)
-    min_cap, block_end = min(cap.tolist(), default=0), 0  # block_end: the step the block ends at
+    min_cap = min(cap.tolist(), default=0)
+    block_start = block_end = 0  # the steps the block being written starts and ends at
     t = 0
     while True:
         if t >= min_cap or np.count_nonzero(done):
             stop = done | (cap <= t)
+            if t < block_end:  # a stop inside a block: its row, fresh, is the run's last
+                fresh = float(eng.fresh_cost()[0]), float(deficit[0])
+                last.update((i, fresh) for i in ids[stop].tolist())
             for row in np.flatnonzero(stop):
                 finals[ids[row]] = eng.w[0 if shared else row].copy()
             met[ids[stop]], n_steps[ids[stop]] = done[stop], t
@@ -773,20 +898,26 @@ def _run_batch(eng, runs):
                 eng.select(go)
                 if t % _DRAW_CHUNK:
                     picks = picks[go]
-            lead, min_cap = ids[:len(eng.w)], int(cap.min())
+            lead, min_cap, top = ids[:len(eng.w)], int(cap.min()), float(tol.max())
         j = t % _DRAW_CHUNK
         if j == 0:
             drawn = [picks_of[i](t, _DRAW_CHUNK) for i in lead]
             picks = np.array([ks for ks, _ in drawn])
             left = drawn[0][1].tolist()  # the same for every run
-        if t < block_end:
-            lam = eng.advance()
-        else:
+        if t >= block_end:
             lam, size = eng.begin(picks[:, j:j + left[j]])
-            block_end = t + size
-        deficit = eng.deficit()  # (1,) on a shared row, against every live run's tolerance
-        log.append((lead, picks[:, j], lam, eng.r, deficit))
-        t += 1
+            block_start, block_end = t, t + size
+        if size == 1:
+            deficit = eng.deficit()  # (1,) on a shared row, against every live run's tolerance
+            log.append((lead, picks[:, j], lam, eng.r, deficit))
+            t += 1
+        else:  # one replica: write up to the next position whose row must be fresh
+            a = t - block_start
+            b = min(eng.next_fresh(a, top) + 1, min_cap - block_start)
+            deficit = eng.write(a, b)
+            r, d = eng.rows
+            log.append((np.repeat(lead, b - a), picks[0, j:j + b - a], lam[a:b], r[a:b], d[a:b]))
+            t = block_start + b
         if t % _DRAW_CHUNK == 0:
             steps.append([np.concatenate(col) for col in zip(*log)])
             log = []
@@ -807,6 +938,8 @@ def _run_batch(eng, runs):
         for (*_, trace), s, e in zip(runs, (ends - n_steps).tolist(), ends.tolist()):
             trace.units, trace.lambdas = units[s:e].tolist(), lam[s:e].tolist()
             trace.r_series, trace.deficit_series = r_after[s:e].tolist(), deficit[s:e].tolist()
+    for i, (r, d) in last.items():
+        runs[i][3].r_series[-1], runs[i][3].deficit_series[-1] = r, d
     return finals, met.tolist()
 
 

@@ -319,7 +319,8 @@ def reference_partial_balance_pass(net, cost, order=None):
     """One pass stepped unit by unit on a one-row engine, with a ``BalanceReport`` built per step.
 
     Returns the network, the reports, the cost and deficit after each step,
-    and the notes.
+    and the notes; a pass with no unit to balance notes "nothing to balance"
+    (and, with no balanceable unit, nothing about the order), as a run does.
     """
     net.structure.check()
     eligible, notes = balancing._balanceable(net)
@@ -327,6 +328,8 @@ def reference_partial_balance_pass(net, cost, order=None):
     index = {u: k for k, u in enumerate(eligible)}
     if order is None:
         order = eligible if net.recurrent else [u for u in topological_order(net) if u in index]
+    if not eligible:
+        order = []
     steps, r_series, deficit_series = [], [], []
     for u in [int(u) for u in order]:
         if u not in index:
@@ -338,6 +341,8 @@ def reference_partial_balance_pass(net, cost, order=None):
         steps.append(bk.BalanceReport(u, lam, r_before, r_after, r_before - r_after))
         r_series.append(r_after)
         deficit_series.append(float(eng.deficit()[0]))
+    if not steps:
+        notes.append("nothing to balance")
     return eng.to_network(), steps, r_series, deficit_series, notes
 
 
@@ -515,6 +520,75 @@ def reference_run_batch(eng, runs):
         finals.append(w[0, :-1].copy())
         met.append(done)
     return finals, met
+
+
+def reference_run_sets(net, schedule):
+    """The unit sets the engine of a run of ``schedule`` holds, and the run's cycle over
+    them as lists of units (None for drawn picks)."""
+    eligible, _ = balancing._balanceable(net)
+    index = set(eligible)
+    if schedule.kind == "layer_tied":
+        partition = hidden_layers(net) if schedule.partition is None else schedule.partition
+        sets = [tuple(sorted(u for u in part if u in index)) for part in partition]
+        sets = [part for part in sets if part]
+        return sets, sets
+    sets = [(u,) for u in eligible]
+    if schedule.kind == "stochastic":
+        return sets, None
+    if schedule.order is not None:
+        order = schedule.order
+    else:
+        order = eligible if net.recurrent else topological_order(net)
+    return sets, [(u,) for u in order if u in index]
+
+
+def reference_row_bounds(net, schedule, r_initial, r_series, deficit_series):
+    """Per step of a run of ``schedule`` whose one-set steps logged ``r_series`` and
+    ``deficit_series``: whether the engine's row must be those bits (the last step of a
+    block, or of the run), and else how far its r and its sqrt(deficit) may lie from them.
+
+    A block is a maximal run of consecutive sets of the cycle, from each pass's
+    start, that share no edge, cut where a chunk of picks ends; drawn picks are
+    blocks of one.  The bounds are ``_Engine._rows``': with eps = 2**-52, E
+    edges, d the most (set, edge) entries of one of the engine's sets, n those
+    sets with an edge, c their largest |exponent|, b the block's size and r_0
+    the row before the block,
+    (ceil(log2 E) + d + b + 30) eps (r_0 + r) on r, and
+    (3 d + b + 4) (1 + c) eps (r_0 + r) + (n + 1) eps sqrt(D) on sqrt(D).
+    """
+    if not r_series:
+        return []
+    sets, cycle = reference_run_sets(net, schedule)
+    s = net.structure
+    scans = [reference_set_edges(s.src, s.dst, list(units))[0] for units in sets]
+    d = max([sel.size for sel in scans], default=0)
+    n = sum(sel.size > 0 for sel in scans)
+    c = max([abs(float(s.exponent[u])) for units in sets for u in units], default=0.0)
+    log_e = math.ceil(math.log2(max(len(net.edges), 1)))
+    n_steps = len(r_series)
+    starts = list(range(n_steps + 1))
+    if cycle is not None:
+        edges = [set(reference_set_edges(s.src, s.dst, list(units))[0].tolist()) for units in cycle]
+        cuts, touched = {0}, set()
+        for p, on in enumerate(edges):
+            if touched & on:
+                cuts.add(p)
+                touched = set()
+            touched |= on
+        starts = [t for t in range(n_steps + len(cycle) + balancing._DRAW_CHUNK)
+                  if t % len(cycle) in cuts or t % balancing._DRAW_CHUNK == 0]
+    eps = np.finfo(float).eps
+    rows = []
+    for a, b in zip(starts, starts[1:]):
+        r_0 = r_initial if a == 0 else r_series[a - 1]
+        for t in range(a, min(b, n_steps)):
+            r, root = r_series[t], math.sqrt(deficit_series[t])
+            exact = t == b - 1 or t == n_steps - 1
+            rows.append((exact, (log_e + d + (b - a) + 30) * eps * (r_0 + r),
+                         (3 * d + (b - a) + 4) * (1.0 + c) * eps * (r_0 + r) + (n + 1) * eps * root))
+        if b >= n_steps:
+            break
+    return rows
 
 
 def reference_trace_to_csv(trace):

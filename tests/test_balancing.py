@@ -24,6 +24,7 @@ from conftest import (
     recurrent_bipu,
     reference_bisect_log_lambda,
     reference_partial_balance_pass,
+    reference_row_bounds,
     reference_run_balancing_many,
     reference_run_batch,
     reference_set_edges,
@@ -1170,9 +1171,11 @@ def test_partial_pass_is_the_unit_by_unit_loop(seed, recurrent, cost, zeros, pic
     out, trace = bk.partial_balance_pass(net, cost, order)
     ref, reports, r_series, deficit_series, notes = reference_partial_balance_pass(net, cost, order)
     assert out.weights().tobytes() == ref.weights().tobytes()
-    assert _bits(list(map(astuple, trace.steps))) == _bits(list(map(astuple, reports)))
-    assert _bits(trace.r_series) == _bits(r_series)
-    assert _bits(trace.deficit_series) == _bits(deficit_series)
+    assert trace.units == [rep.unit for rep in reports]
+    assert _bits(trace.lambdas) == _bits([rep.lambda_star for rep in reports])
+    if reports:
+        assert _bits([trace.r_initial]) == _bits([reports[0].r_before])
+    _same_rows(net, bk.Schedule("sequential", order=order), trace, r_series, deficit_series)
     assert trace.notes == [note.replace(" in pass:", " in order:") for note in notes]
     assert trace.converged
 
@@ -1257,15 +1260,36 @@ def _block_batch(net, dead, recurrent, draw):
     return schedules
 
 
-def _same_runs(runs, ref_runs):
-    for (out, trace), (ref_out, ref_trace) in zip(runs, ref_runs, strict=True):
+def _same_runs(runs, ref_runs, net=None, schedules=None):
+    """Every column bit for bit; given the runs' ``net`` and ``schedules``, the cost and
+    deficit columns as ``_same_rows`` holds them to the one-set steps'."""
+    for k, ((out, trace), (ref_out, ref_trace)) in enumerate(zip(runs, ref_runs, strict=True)):
         assert out.weights().tobytes() == ref_out.weights().tobytes()
         assert trace.units == ref_trace.units
-        for col in ("lambdas", "r_series", "deficit_series"):
-            assert _bits(getattr(trace, col)) == _bits(getattr(ref_trace, col)), col
+        assert _bits(trace.lambdas) == _bits(ref_trace.lambdas)
+        if schedules is None:
+            for col in ("r_series", "deficit_series"):
+                assert _bits(getattr(trace, col)) == _bits(getattr(ref_trace, col)), col
+        else:
+            _same_rows(net, schedules[k], trace, ref_trace.r_series, ref_trace.deficit_series)
         assert _bits([trace.r_initial]) == _bits([ref_trace.r_initial])
         assert trace.notes == ref_trace.notes
         assert trace.converged == ref_trace.converged
+
+
+def _same_rows(net, schedule, trace, r_series, deficit_series):
+    """The cost and deficit columns of a run of ``schedule`` against the one-set steps':
+    bit for bit on the last row of each block and of the run, and within
+    ``_Engine._rows``' bound on every other row."""
+    assert len(trace.r_series) == len(trace.deficit_series) == len(r_series)
+    bounds = reference_row_bounds(net, schedule, trace.r_initial, r_series, deficit_series)
+    for t, (exact, r_bound, root_bound) in enumerate(bounds):
+        row, ref = (trace.r_series[t], trace.deficit_series[t]), (r_series[t], deficit_series[t])
+        if exact:
+            assert _bits(row) == _bits(ref), t
+        else:
+            assert abs(row[0] - ref[0]) <= r_bound, t
+            assert abs(math.sqrt(row[1]) - math.sqrt(ref[1])) <= root_bound, t
 
 
 def _one_set_steps(run, *args):
@@ -1286,11 +1310,12 @@ def test_block_steps_are_the_one_set_steps(seed, recurrent, cost, data):
     net, dead = net_with_dead_unit(seed, recurrent)
     schedules = _block_batch(net, dead, recurrent, data.draw)
     many = bk.run_balancing_many(net, schedules, cost)
-    _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost))
+    _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost), net, schedules)
     pool = net.hidden_ids + net.input_ids
     order = data.draw(st.none() | st.lists(st.sampled_from(pool), max_size=16))
     passes = [bk.partial_balance_pass(net, cost, order)]
-    _same_runs(passes, [_one_set_steps(bk.partial_balance_pass, net, cost, order)])
+    _same_runs(passes, [_one_set_steps(bk.partial_balance_pass, net, cost, order)],
+               net, [bk.Schedule("sequential", order=order)])
 
 
 def test_runs_share_a_batch_only_when_they_share_sets_and_cycle(monkeypatch):
@@ -1354,7 +1379,7 @@ def test_runs_on_one_cycle_step_one_engine_row(monkeypatch):
         else:
             assert set(begun) == {1}
     monkeypatch.undo()
-    _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, bk.l2()))
+    _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, bk.l2()), net, schedules)
 
 
 def test_replicas_that_leave_mid_block_keep_the_one_set_steps():
@@ -1369,7 +1394,7 @@ def test_replicas_that_leave_mid_block_keep_the_one_set_steps():
     for cost in (bk.l2(), MIXED):
         many = bk.run_balancing_many(net, schedules, cost)
         assert [len(trace.units) for _, trace in many] == [1, 4, 7, 9, 17, 71, 154]
-        _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost))
+        _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost), net, schedules)
 
 
 _CERTIFY_STEPS = {
@@ -1387,7 +1412,7 @@ def test_certify_net_step_counts_and_bits():
         sched = bk.Schedule(kind, deficit_tol=1e-16, max_steps=100_000)
         run = bk.run_balancing(net, sched, bk.l2())
         assert len(run[1].units) == n_steps and run[1].converged, kind
-        _same_runs([run], [_one_set_steps(bk.run_balancing, net, sched, bk.l2())])
+        _same_runs([run], [_one_set_steps(bk.run_balancing, net, sched, bk.l2())], net, [sched])
 
 
 def test_criterion4_cyclic_step_counts():
@@ -1444,6 +1469,118 @@ def test_a_block_raises_only_at_the_step_that_reaches_a_degenerate_set():
     assert trace.units == [1] and trace.lambdas == [0.5] and not trace.converged
     with pytest.raises(balancing.DegenerateUnitError, match="all-zero incoming or outgoing side"):
         bk.run_balancing(net, bk.Schedule("layer_independent", max_steps=2), bk.l2())
+
+
+# -- a block's rows: its fresh start plus increments, fresh where a run may stop --
+
+_CONTRACT_COSTS = [bk.l1(), bk.l2(), bk.lp(3.0), MIXED]
+
+
+def _contract_net(shape, seed, sizes):
+    if shape == "layered":
+        return bk.make_layered(sizes, seed=seed, bias_init="uniform")
+    if shape == "recurrent":
+        return bk.make_recurrent(2, sizes[1], 1, self_loops=True, seed=seed)
+    return recurrent_bipu(seed, sizes[1], (0.5, 1.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shape=st.sampled_from(["layered", "recurrent", "recurrent_bipu"]),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 9), min_size=3, max_size=4),
+    cost=st.sampled_from(_CONTRACT_COSTS),
+    data=st.data(),
+)
+# one hidden layer, a block of two: a tol-0 run ends on an exact zero deficit at the
+# first step of the second pass, inside its block
+@example(shape="layered", seed=295, sizes=[1, 2, 1], cost=bk.l2(), data=None)
+@example(shape="layered", seed=142, sizes=[1, 2, 2], cost=bk.l1(), data=None)
+def test_block_rows_are_the_one_set_rows_within_the_bound(shape, seed, sizes, cost, data):
+    net = _contract_net(shape, seed, sizes)
+    hidden = list(net.hidden_ids)
+    if data is None:
+        family, runs = bk.Schedule("sequential", deficit_tol=0.0, max_steps=60), []
+    else:
+        kind = data.draw(st.sampled_from(["sequential", "order", "split", "layer_tied"]))
+        layers = hidden_layers(net) if shape == "layered" else [hidden[::2], hidden[1::2]]
+        split = tuple(tuple(half) for layer in layers for half in (layer[::2], layer[1::2]) if half)
+        if kind == "layer_tied" and shape != "layered":
+            kind = "split"  # self-loops rule out tied subsets
+        family = {
+            "sequential": bk.Schedule("sequential"),
+            "order": bk.Schedule("sequential", order=data.draw(
+                st.lists(st.sampled_from(hidden), min_size=1, max_size=20))),
+            "split": bk.Schedule("layer_independent", partition=split),
+            "layer_tied": bk.Schedule("layer_tied", partition=data.draw(st.sampled_from([None, split]))),
+        }[kind]
+        # caps that land inside blocks, and runs on one cycle that differ in their stops
+        caps = st.integers(1, 40) | st.integers(41, 600)
+        tols = st.sampled_from([0.0, 1e-18, 1e-12, 1e3])
+        runs = [(data.draw(tols), data.draw(caps)) for _ in range(data.draw(st.integers(1, 4)))]
+    schedules = [replace(family, deficit_tol=tol, max_steps=cap) for tol, cap in runs] or [family]
+    many = bk.run_balancing_many(net, schedules, cost)
+    _same_runs(many, _one_set_steps(bk.run_balancing_many, net, schedules, cost), net, schedules)
+    for schedule, run in zip(schedules, many):
+        _same_runs([run], [bk.run_balancing(net, schedule, cost)])
+    if data is None:
+        assert len(many[0][1].units) == 3 and many[0][1].converged
+
+
+def test_a_layer_sweep_reduces_afresh_once_per_block(monkeypatch):
+    fresh, stepping = [], []
+    run_batch, deficit = balancing._run_batch, balancing._Engine.deficit
+
+    def counted_batch(eng, runs):
+        stepping.append(True)
+        try:
+            return run_batch(eng, runs)
+        finally:
+            stepping.pop()
+
+    def counted(self):
+        fresh.extend(stepping)
+        return deficit(self)
+
+    monkeypatch.setattr(balancing, "_run_batch", counted_batch)
+    monkeypatch.setattr(balancing._Engine, "deficit", counted)
+    # layers of 64 and of 6 units; at tol 0 a run on its rounding plateau could stop on
+    # any row by the first test of next_fresh, but the later sets' gaps rule that out
+    for net, tol, cap, n_steps in ((_certify_net(), 1e-16, 100_000, 1454),
+                                   (_criterion4_net(), 1e-18, 100_000, 154),
+                                   (_criterion4_net(), 0.0, 2_000, 2_000)):
+        fresh.clear()
+        sched = bk.Schedule("layer_independent", deficit_tol=tol, max_steps=cap)
+        _, trace = bk.run_balancing(net, sched, bk.l2())
+        assert len(trace.units) == n_steps and trace.converged == (tol > 0.0)
+        # one fresh reduction at each block's end, and one at the run's last row, which
+        # finds its stop; stepping one set at a time reduces once per step
+        rows = reference_row_bounds(net, sched, trace.r_initial, trace.r_series, trace.deficit_series)
+        assert len(fresh) == sum(exact for exact, *_ in rows) < n_steps / 5
+
+
+def test_the_85k_edge_sweep_keeps_its_steps_and_bits():
+    net = bk.make_layered([64, 256, 256, 10], seed=0, bias_init="uniform")
+    sched = bk.Schedule("sequential", deficit_tol=1e-16, max_steps=100_000)
+    out, trace = bk.run_balancing(net, sched, bk.l2())
+    assert len(trace.units) == 5738 and trace.converged
+    ref, ref_trace = _one_set_steps(bk.run_balancing, net, sched, bk.l2())
+    assert out.weights().tobytes() == ref.weights().tobytes()
+    assert trace.units == ref_trace.units and _bits(trace.lambdas) == _bits(ref_trace.lambdas)
+    _same_rows(net, sched, trace, ref_trace.r_series, ref_trace.deficit_series)
+
+
+def test_a_pass_with_nothing_to_balance_notes_it_as_a_run_does():
+    shallow = bk.make_layered([2, 3, 1], seed=0)
+    w = shallow.weights()
+    w[[k for k, e in enumerate(shallow.edges) if e.src in shallow.hidden_ids]] = 0.0
+    dead = shallow.replace_weights(w)  # every hidden unit has a dead outgoing side
+    for net, order in ((_criterion4_net(), []), (bk.make_layered([2, 1], seed=0), None),
+                       (dead, None), (dead, dead.hidden_ids)):
+        out, trace = bk.partial_balance_pass(net, bk.l2(), order)
+        _, run = bk.run_balancing(net, bk.Schedule("sequential", order=order), bk.l2())
+        assert out is net and not trace.units and trace.converged
+        assert trace.notes == run.notes and trace.notes[-1] == "nothing to balance"
 
 
 # -- one input-to-output order: the default cycle is the layer cycle -------------
