@@ -8,7 +8,6 @@ from .activations import (
     LOGISTIC_UNIT,
     RELU,
     TANH_UNIT,
-    activate,
     bilu,
     bipu,
     construct_universal_approximator,
@@ -52,23 +51,19 @@ from .netgraph import (
     Unit,
     deserialize,
     forward,
-    in_edges,
     make_layered,
     make_recurrent,
-    out_edges,
     serialize,
     validate,
 )
 from .regularizer import (
     CostSpec,
-    cost_derivative,
     format_cost,
     l1,
     l2,
     lp,
     network_cost,
     parse_cost,
-    weight_cost,
 )
 from .training import (
     BalanceMode,

@@ -8,7 +8,6 @@ f(lam * x) = lam**c * f(x).  The scaling exponent returned by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 BILU = "bilu"
@@ -61,49 +60,8 @@ def leaky_relu(eps: float = 0.01) -> ActivationSpec:
     return bilu(eps, 1.0)
 
 
-def activate(spec: ActivationSpec, x: float) -> float:
-    """Evaluate the activation at a scalar point (exact piecewise formula)."""
-    x = float(x)
-    if spec.kind == BILU:
-        return spec.b * x if x >= 0.0 else spec.a * x
-    if spec.kind == BIPU:
-        if x >= 0.0:
-            return spec.C * x**spec.c
-        return spec.D * abs(x) ** spec.c
-    if spec.kind == TANH:
-        return math.tanh(x)
-    # logistic, numerically stable on both tails
-    if x >= 0.0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def activation_derivative(spec: ActivationSpec, x: float) -> float:
-    """df/dx at x; the BiLU kink at 0 uses the x >= 0 slope."""
-    x = float(x)
-    if spec.kind == BILU:
-        return spec.b if x >= 0.0 else spec.a
-    if spec.kind == BIPU:
-        c = spec.c
-        if x > 0.0:
-            return spec.C * c * x ** (c - 1.0)
-        if x < 0.0:
-            return -spec.D * c * abs(x) ** (c - 1.0)
-        if c > 1.0:
-            return 0.0
-        if c == 1.0:
-            return spec.C
-        raise ValueError("bipu derivative unbounded at 0 for c < 1")
-    if spec.kind == TANH:
-        t = math.tanh(x)
-        return 1.0 - t * t
-    s = activate(spec, x)
-    return s * (1.0 - s)
-
-
 def activate_array(spec: ActivationSpec, x):
-    """Vectorized ``activate`` over a numpy array."""
+    """The activation at every point of an array (exact piecewise formula)."""
     import numpy as np
 
     x = np.asarray(x, dtype=float)
@@ -119,7 +77,10 @@ def activate_array(spec: ActivationSpec, x):
 
 
 def derivative_array(spec: ActivationSpec, x):
-    """Vectorized ``activation_derivative``; BiPU requires c >= 1."""
+    """df/dx at every point of an array; the BiLU kink at 0 uses the x >= 0 slope.
+
+    BiPU requires c >= 1: below, the derivative is unbounded at 0.
+    """
     import numpy as np
 
     x = np.asarray(x, dtype=float)

@@ -73,10 +73,8 @@ class BalanceTrace:
     block they are the block's start plus the changes of its sets, within
     a few rounding units of the cost of those sums (see ``_Engine._rows``);
     a run's columns are the same in any batch.  ``r_initial`` is the
-    cost before the first step.  The costs are the engine's (NumPy powers,
-    pairwise row sums; see ``regularizer.edge_costs``), so ``network_cost`` of the
-    result can differ from ``r_series[-1]`` in the last bits.  ``steps``
-    builds one ``BalanceReport`` per step from the columns on every read.
+    cost before the first step.  ``steps`` builds one ``BalanceReport``
+    per step from the columns on every read.
     ``notes`` collects skipped units and other annotations; ``converged``
     reports whether the stop criterion was met within the step budget.
     """
@@ -328,8 +326,6 @@ class _Engine:
         n_edges = self.src.size
         w = np.zeros((1, n_edges + 1))
         w[0, :n_edges] = net.w
-        ec, q = edge_costs(cost, w)
-        self.r = self.r_init = ec[:, :n_edges].sum(axis=1)
 
         k, edge, side = _set_edges(self.src, self.dst, sets, len(net.structure.units))
         n_sets = len(sets)
@@ -358,7 +354,11 @@ class _Engine:
         self._bins = np.zeros((1, 1), dtype=np.int64)  # bincount bin offset per solved row
         self._writes = None
         self._gaps = None  # the gaps of the last fresh deficit, while no write has come after it
-        self._hold(np.concatenate((w[0], ec[0], q[0].take(edge) * self._sign, [0.0])))
+        # a cost past the float range is inf, and its gap term on a self-loop of c = 1 nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            ec, q = edge_costs(cost, w)
+            self._hold(np.concatenate((w[0], ec[0], q[0].take(edge) * self._sign, [0.0])))
+        self.r = self.r_init = ec[:, :n_edges].sum(axis=1)
 
     def _hold(self, state):
         """Take ``state``, one block per replica."""
@@ -730,7 +730,7 @@ def neuron_deficit(net, i, cost: CostSpec) -> float:
     unit = net.unit(i)
     if unit.role != HIDDEN:
         raise ValueError(f"unit {i} is {unit.role}; deficit is defined for hidden units")
-    return float(_Engine(net, cost, [(i,)]).deficit()[0])
+    return _start_deficit(_Engine(net, cost, [(i,)]))
 
 
 def network_deficit(net, cost: CostSpec) -> float:
@@ -738,7 +738,7 @@ def network_deficit(net, cost: CostSpec) -> float:
     balance a unit with a dead side."""
     check_structure(net)
     eligible, _ = _balanceable(net)
-    return float(_Engine(net, cost, [(h,) for h in eligible]).deficit()[0])
+    return _start_deficit(_Engine(net, cost, [(h,) for h in eligible]))
 
 
 # -- passes and runs -------------------------------------------------------------
@@ -774,18 +774,27 @@ def _take_no_step(traces, why):
         trace.notes.append(f"no step taken: {why}")
 
 
-def _finite_start(eng, traces):
-    """The engine's starting deficit, or None when it is not finite.
+def _start_deficit(eng):
+    """The engine's summed deficit before any step.
 
-    Then an edge cost overflows: no tolerance is met and no step is sound, so
-    each of ``traces`` is marked unconverged with a note, and its run takes
-    no step.
+    Where an edge cost overflows it is inf, or nan where a gap is inf - inf,
+    with no warning; a run then takes no step (``_finite_start``).
     """
-    gap = float(eng.deficit()[0])
+    with np.errstate(invalid="ignore"):
+        return float(eng.deficit()[0])
+
+
+def _finite_start(gap, traces):
+    """Whether the starting deficit ``gap`` is finite.
+
+    Where it is not, an edge cost overflows: no tolerance is met and no step
+    is sound, so each of ``traces`` is marked unconverged with a note, and
+    its run takes no step.
+    """
     if math.isfinite(gap):
-        return gap
+        return True
     _take_no_step(traces, f"the starting deficit is {gap!r}, not finite")
-    return None
+    return False
 
 
 def partial_balance_pass(net, cost, order=None):
@@ -809,7 +818,7 @@ def partial_balance_pass(net, cost, order=None):
     if not cycle:
         notes.append("nothing to balance")
         return net, trace
-    if _finite_start(eng, [trace]) is None:
+    if not _finite_start(_start_deficit(eng), [trace]):
         return net, trace
     (w,), _ = _run_batch(eng, [(_cyclic_picks(eng, cycle), -math.inf, len(cycle), trace)])
     return net.replace_weights(w), trace
@@ -965,7 +974,7 @@ def run_balancing_many(net, schedules, cost: CostSpec):
         for trace in traces:
             trace.notes.append("nothing to balance")
         return results
-    start = float(eng.deficit()[0])
+    start = _start_deficit(eng)
     r_sq = r_init * r_init  # inf, where ** would raise, past the float range
     if math.isfinite(start) and not sys.float_info.min <= r_sq < math.inf:
         # the tolerances scale with r_sq: out of range they read 0 or inf, and a
@@ -1000,9 +1009,12 @@ def run_balancing_many(net, schedules, cost: CostSpec):
 
     spare = {singles: eng}  # an engine serves one batch: its steps rewrite its weights
     for (sets, cycle), runs in families.items():
-        batch = spare.pop(sets) if sets in spare else _Engine(net, cost, sets)
-        gap = _finite_start(batch, [traces[i] for i, _ in runs])
-        if gap is None:
+        if sets in spare:  # its deficit is ``start``: no step has come since
+            batch, gap = spare.pop(sets), start
+        else:
+            batch = _Engine(net, cost, sets)
+            gap = _start_deficit(batch)
+        if not _finite_start(gap, [traces[i] for i, _ in runs]):
             continue
         runs = [(i, tol_abs) for i, tol_abs in runs if gap > tol_abs]
         cyclic = None if cycle is None else _cyclic_picks(batch, cycle)

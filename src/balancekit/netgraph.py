@@ -196,8 +196,8 @@ class Structure:
     def check(self) -> None:
         """Raise ValueError listing the fatal structural problems, if there are any.
 
-        Every graph walk (evaluation, layers, order, constraints, deficits)
-        runs this first.
+        Every graph walk (evaluation, layers, constraints, deficits) runs
+        this first.
         """
         fatal = [message for is_fatal, message in self._findings if is_fatal]
         if fatal:
@@ -233,7 +233,10 @@ class Structure:
 
     @cached_property
     def order(self) -> tuple:
-        """Unit ids from the inputs toward the outputs: by ``depth``, then by id."""
+        """Unit ids from the inputs toward the outputs: by ``depth``, then by id.
+
+        Raises ValueError on a directed cycle, as ``depth`` does.
+        """
         return tuple(np.argsort(self.depth, kind="stable").tolist())
 
     @cached_property
@@ -341,45 +344,19 @@ class Network:
         return f"Network({len(self.units)} units, {self.w.size} edges, {kind})"
 
 
-def _edges_at(net: Network, i: int, end, other):
-    """Edges whose ``end`` is unit i, ordered by their ``other`` end, ties in edge-list order."""
-    net.unit(i)
-    k = np.flatnonzero(end == i)
-    return [net.edges[j] for j in k[np.argsort(other[k], kind="stable")].tolist()]
-
-
-def in_edges(net: Network, i: int):
-    """Edges ending at unit i, ordered by source id."""
-    return _edges_at(net, i, net.structure.dst, net.structure.src)
-
-
-def out_edges(net: Network, i: int):
-    """Edges leaving unit i, ordered by target id."""
-    return _edges_at(net, i, net.structure.src, net.structure.dst)
-
-
-def topological_order(net: Network):
-    """Unit ids from the inputs toward the outputs: by longest-path depth, then by id."""
-    net.structure.check()
-    return list(net.structure.order)
-
-
 def validate(net: Network) -> list:
     """Return a list of invariant violations (empty iff the network is valid).
 
-    The structural problems of ``structural_problems`` come first, then the
-    hidden units with a dead incoming or outgoing side (see ``_dead_sides``),
-    which a run skips but a valid network should not have.
+    The structure's problems (ids, roles, edges, cycles, paths) come first,
+    then one entry per non-finite weight.  A hidden unit with a dead side is
+    no problem: runs skip it and the oracle pins it (see ``Network.movable``).
     """
-    problems = structural_problems(net)
-    hidden = net.hidden_ids
-    dead_in, dead_out = _dead_sides(net, hidden)
-    for h, no_in, no_out in zip(hidden, dead_in.tolist(), dead_out.tolist()):
-        if no_in:
-            problems.append(f"hidden unit {h} has no nonzero incoming weight")
-        if no_out:
-            problems.append(f"hidden unit {h} has no nonzero outgoing weight")
-    return problems
+    s = net.structure
+    bad = np.flatnonzero(~np.isfinite(net.w))
+    return [message for _, message in s._findings] + [
+        f"edge ({s.src[k]}->{s.dst[k]}): non-finite weight {w!r}"
+        for k, w in zip(bad.tolist(), net.w[bad].tolist())
+    ]
 
 
 def _dead_sides(net: Network, ids):
@@ -393,23 +370,10 @@ def _dead_sides(net: Network, ids):
 
 
 def check_structure(net: Network) -> None:
-    """Raise ValueError listing the network's structural problems, if it has any."""
-    problems = structural_problems(net)
+    """Raise ValueError listing the network's problems (``validate``), if it has any."""
+    problems = validate(net)
     if problems:
         raise ValueError("invalid network: " + "; ".join(problems))
-
-
-def structural_problems(net: Network) -> list:
-    """Violations that make a network unusable: ids, roles, edges, cycles, paths and weights.
-
-    The structure's problems come first, then one entry per non-finite weight.
-    """
-    s = net.structure
-    bad = np.flatnonzero(~np.isfinite(net.w))
-    return [message for _, message in s._findings] + [
-        f"edge ({s.src[k]}->{s.dst[k]}): non-finite weight {w!r}"
-        for k, w in zip(bad.tolist(), net.w[bad].tolist())
-    ]
 
 
 def activation_groups(specs):

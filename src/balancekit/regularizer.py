@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,18 +46,8 @@ L1 = l1()
 L2 = l2()
 
 
-def weight_cost(spec: CostSpec, w: float) -> float:
-    a = abs(float(w))
-    return sum(beta * a**p for p, beta in spec.terms)
-
-
 def term_costs(spec: CostSpec, w) -> list:
-    """beta * |w|**p of each term, one array per term, over an array of weights.
-
-    A float array takes NumPy's powers.  An object array of Python floats takes
-    Python's, which are ``weight_cost``'s bits and raise OverflowError past the
-    float range.
-    """
+    """beta * |w|**p of each term, one array per term, over an array of weights."""
     a = np.abs(w)
     return [a**p if beta == 1.0 else beta * a**p for p, beta in spec.terms]
 
@@ -77,33 +66,18 @@ def edge_costs(spec: CostSpec, w):
 
 
 def network_cost(net, spec: CostSpec) -> float:
-    """Sum of weight costs over all edges, accumulated in edge-list order.
+    """Sum of weight costs over all edges: the engine's per-edge costs and its pairwise sum.
 
-    Each edge's cost is ``weight_cost``'s bit for bit: the powers are taken on
-    Python floats (an object array), as NumPy's own power can differ in the last bit.
-    A power beyond the float range makes the cost inf.
+    So it is a run's ``r_initial`` bit for bit, and the last ``r_series`` row
+    of a run that took a step on the weights it returns.  A cost past the
+    float range is inf.
     """
-    try:
-        costs = sum(term_costs(spec, net.w.astype(object)), 0)
-    except OverflowError:  # Python float powers raise where NumPy's give inf
-        return math.inf
-    return float(np.cumsum(costs.astype(float))[-1]) if net.w.size else 0.0
-
-
-def cost_derivative(spec: CostSpec, w: float) -> float:
-    """d/dw of weight_cost; undefined at w = 0 when any term has p <= 1."""
-    w = float(w)
-    if w == 0.0:
-        if any(p <= 1.0 for p, _ in spec.terms):
-            raise ValueError("cost derivative undefined at w = 0 for p <= 1")
-        return 0.0
-    a = abs(w)
-    s = 1.0 if w > 0.0 else -1.0
-    return sum(beta * p * s * a ** (p - 1.0) for p, beta in spec.terms)
+    with np.errstate(over="ignore"):
+        return float(np.add.reduce(edge_costs(spec, net.w)[0]))
 
 
 def derivative_array(spec: CostSpec, w) -> np.ndarray:
-    """Vectorized cost_derivative; at w = 0 with p = 1 uses the 0 subgradient.
+    """d/dw of the cost of each weight; at w = 0 with p = 1 uses the 0 subgradient.
 
     Terms with p < 1 are rejected: their derivative is unbounded near zero and
     they have no place in a gradient path.

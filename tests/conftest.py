@@ -10,9 +10,14 @@ import pytest
 
 import balancekit as bk
 from balancekit import balancing, regularizer
-from balancekit.activations import activate, activation_from_json, activation_to_json
-from balancekit.netgraph import NetworkFormatError, check_structure, hidden_layers, topological_order
-from balancekit.regularizer import weight_cost
+from balancekit.activations import (
+    BILU,
+    BIPU,
+    TANH,
+    activation_from_json,
+    activation_to_json,
+)
+from balancekit.netgraph import NetworkFormatError, check_structure, hidden_layers
 
 
 def golden_min(f, lo, hi, iters=140):
@@ -40,6 +45,41 @@ def golden_lambda(objective, lo=1e-4, hi=1e4, iters=140):
     return math.exp(t)
 
 
+def weight_cost(spec, w):
+    """Cost of one weight on Python floats: beta * |w|**p summed over the terms."""
+    a = abs(float(w))
+    return sum(beta * a**p for p, beta in spec.terms)
+
+
+def activate(spec, x):
+    """The activation at a scalar point, on Python floats (exact piecewise formula)."""
+    x = float(x)
+    if spec.kind == BILU:
+        return spec.b * x if x >= 0.0 else spec.a * x
+    if spec.kind == BIPU:
+        if x >= 0.0:
+            return spec.C * x**spec.c
+        return spec.D * abs(x) ** spec.c
+    if spec.kind == TANH:
+        return math.tanh(x)
+    # logistic, numerically stable on both tails
+    if x >= 0.0:
+        return 1.0 / (1.0 + math.exp(-x))
+    e = math.exp(x)
+    return e / (1.0 + e)
+
+
+def side_weights(net, i):
+    """Unit i's incoming and outgoing weights, each ordered by the edge's other end (ties in
+    edge-list order); a self-loop is on neither side."""
+    s = net.structure
+    sides = []
+    for end, other in ((s.dst, s.src), (s.src, s.dst)):
+        k = np.flatnonzero((end == i) & (other != i))
+        sides.append(net.w[k[np.argsort(other[k], kind="stable")]].tolist())
+    return sides
+
+
 def reference_forward(net, x):
     """Hand-rolled memoized evaluator; sums incoming edges in edge-list order."""
     vals = {}
@@ -62,11 +102,9 @@ def reference_forward(net, x):
 
 
 def reference_network_cost(net, spec):
-    """Sum of ``weight_cost`` over ``net.edges``, one edge at a time in edge-list order."""
-    total = 0.0
-    for e in net.edges:
-        total += weight_cost(spec, e.weight)
-    return total
+    """beta * |w|**p over every edge and term on Python floats, summed exactly rounded
+    (``math.fsum``)."""
+    return math.fsum(beta * abs(w) ** p for w in net.w.tolist() for p, beta in spec.terms)
 
 
 def reference_serialize(net):
@@ -327,7 +365,7 @@ def reference_partial_balance_pass(net, cost, order=None):
     eng = balancing._Engine(net, cost, [(u,) for u in eligible])
     index = {u: k for k, u in enumerate(eligible)}
     if order is None:
-        order = eligible if net.recurrent else [u for u in topological_order(net) if u in index]
+        order = eligible if net.recurrent else [u for u in net.structure.order if u in index]
     if not eligible:
         order = []
     steps, r_series, deficit_series = [], [], []
@@ -538,7 +576,7 @@ def reference_run_sets(net, schedule):
     if schedule.order is not None:
         order = schedule.order
     else:
-        order = eligible if net.recurrent else topological_order(net)
+        order = eligible if net.recurrent else net.structure.order
     return sets, [(u,) for u in order if u in index]
 
 

@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 
 import balancekit as bk
-from balancekit.regularizer import edge_costs, weight_cost
+from balancekit.regularizer import edge_costs
 from balancekit.training import _Compiled, _prepare_targets
-from conftest import golden_lambda, min_norm_hull_point, random_layered, star_neuron
+from conftest import (
+    golden_lambda,
+    min_norm_hull_point,
+    random_layered,
+    side_weights,
+    star_neuron,
+    weight_cost,
+)
 
 
 def _report(name, ok, detail=""):
@@ -304,11 +311,11 @@ def test_criterion_7_second_order_balance_drift():
     )
 
     def side_gap(n):
-        return {
-            h: sum(e.weight**2 for e in bk.in_edges(n, h))
-            - sum(e.weight**2 for e in bk.out_edges(n, h))
-            for h in n.hidden_ids
-        }
+        gaps = {}
+        for h in n.hidden_ids:
+            w_in, w_out = side_weights(n, h)
+            gaps[h] = sum(w**2 for w in w_in) - sum(w**2 for w in w_out)
+        return gaps
 
     comp = _Compiled(balanced)
     t = _prepare_targets("binary_cross_entropy", data.targets, 1)
@@ -362,8 +369,7 @@ def test_criterion_8_training_benefit():
     out, _ = bk.sgd_train(net, train, test, cfg)
     worst_ratio = 0.0
     for h in out.hidden_ids:
-        cin = sum(e.weight**2 for e in bk.in_edges(out, h))
-        cout = sum(e.weight**2 for e in bk.out_edges(out, h))
+        cin, cout = (sum(w**2 for w in side) for side in side_weights(out, h))
         worst_ratio = max(worst_ratio, abs(math.sqrt(cin / cout) - 1.0))
     ok = ok_acc and worst_ratio < 0.05
     assert _report(

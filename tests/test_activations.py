@@ -7,29 +7,35 @@ from hypothesis import strategies as st
 
 import balancekit as bk
 from balancekit.activations import (
-    activate,
-    activation_derivative,
+    activate_array,
     activation_from_json,
     activation_to_json,
+    derivative_array,
     max_slice_jump,
 )
+from conftest import activate
+
+
+def _at(spec, x):
+    """``activate_array`` at one point."""
+    return float(activate_array(spec, np.array([x]))[0])
 
 
 def test_relu_negative_branch():
-    assert activate(bk.bilu(0, 1), -3.0) == 0.0
+    assert _at(bk.bilu(0, 1), -3.0) == 0.0
 
 
 def test_squared_rectifier():
-    assert activate(bk.bipu(1, 0, 2), 3.0) == 9.0
+    assert _at(bk.bipu(1, 0, 2), 3.0) == 9.0
 
 
 def test_bipu_negative_branch_uses_magnitude():
-    assert activate(bk.bipu(0.0, 2.0, 3.0), -2.0) == 16.0
+    assert _at(bk.bipu(0.0, 2.0, 3.0), -2.0) == 16.0
 
 
 def test_zero_maps_to_zero():
     for spec in (bk.bilu(0.3, 1.7), bk.bipu(1.0, -2.0, 0.5)):
-        assert activate(spec, 0.0) == 0.0
+        assert _at(spec, 0.0) == 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -39,8 +45,8 @@ def test_zero_maps_to_zero():
 )
 def test_bilu_positive_homogeneity(x, lam):
     spec = bk.bilu(0.1, 1.0)
-    left = activate(spec, lam * x)
-    right = lam * activate(spec, x)
+    left = _at(spec, lam * x)
+    right = lam * _at(spec, x)
     assert abs(left - right) <= 1e-12 * max(1.0, abs(right))
 
 
@@ -52,8 +58,8 @@ def test_bilu_positive_homogeneity(x, lam):
 )
 def test_bipu_power_homogeneity(x, lam, c):
     spec = bk.bipu(1.3, -0.4, c)
-    left = activate(spec, lam * x)
-    right = lam**c * activate(spec, x)
+    left = _at(spec, lam * x)
+    right = lam**c * _at(spec, x)
     assert abs(left - right) <= 1e-10 * max(1.0, abs(right))
 
 
@@ -65,13 +71,18 @@ def test_homogeneity_exponents():
 
 
 def test_derivatives_match_finite_differences(rng):
+    # central differences of the scalar reference against the array derivative
     specs = [bk.bilu(0.2, 1.4), bk.bipu(1.1, -0.6, 2.0), bk.TANH_UNIT, bk.LOGISTIC_UNIT]
     h = 1e-6
     for spec in specs:
-        for _ in range(20):
-            x = float(rng.uniform(0.2, 3.0)) * (1 if rng.random() < 0.5 else -1)
-            fd = (activate(spec, x + h) - activate(spec, x - h)) / (2 * h)
-            assert abs(fd - activation_derivative(spec, x)) <= 1e-6 * max(1.0, abs(fd))
+        x = rng.uniform(0.2, 3.0, 20) * np.where(rng.random(20) < 0.5, 1.0, -1.0)
+        fd = np.array([(activate(spec, v + h) - activate(spec, v - h)) / (2 * h) for v in x])
+        assert np.all(np.abs(fd - derivative_array(spec, x)) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
+    # and the scalar reference against the array activation, within a few rounding units
+    x = np.linspace(-3.0, 3.0, 61)
+    for spec in specs:
+        want = np.array([activate(spec, v) for v in x.tolist()])
+        assert np.all(np.abs(activate_array(spec, x) - want) <= 4 * np.spacing(np.abs(want)))
 
 
 def test_bipu_requires_positive_exponent():

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import balancekit as bk
 from balancekit import balancing
 from balancekit.balancing import trace_to_csv
-from balancekit.netgraph import hidden_layers, topological_order
-from balancekit.regularizer import CostSpec, weight_cost
+from balancekit.netgraph import hidden_layers
+from balancekit.regularizer import CostSpec
 from conftest import (
     chain,
     forward_gap,
@@ -29,14 +29,15 @@ from conftest import (
     reference_run_batch,
     reference_set_edges,
     reference_trace_to_csv,
+    side_weights,
     star_neuron,
+    weight_cost,
 )
 
 
 def _unit_objective(net, i, cost, c=1.0):
     """Independent 1-D objective in the scaling factor for golden search."""
-    w_in = [e.weight for e in bk.in_edges(net, i) if e.src != i]
-    w_out = [e.weight for e in bk.out_edges(net, i) if e.dst != i]
+    w_in, w_out = side_weights(net, i)
 
     def obj(lam):
         return sum(weight_cost(cost, lam * w) for w in w_in) + sum(
@@ -268,8 +269,7 @@ def test_balance_drop_matches_closed_form(rng):
     for p in (0.5, 1.0, 2.0, 3.0):
         cost = bk.lp(p)
         net, hid = star_neuron(rng.uniform(0.2, 2, 3), rng.uniform(0.2, 2, 2))
-        a = sum(weight_cost(cost, e.weight) for e in bk.in_edges(net, hid))
-        b = sum(weight_cost(cost, e.weight) for e in bk.out_edges(net, hid))
+        a, b = (sum(weight_cost(cost, w) for w in side) for side in side_weights(net, hid))
         _, rep = bk.balance_neuron(net, hid, cost)
         assert abs(rep.delta_r - (math.sqrt(a) - math.sqrt(b)) ** 2) <= 1e-10
 
@@ -284,8 +284,7 @@ def test_balance_is_idempotent(rng):
 def test_bipu_balance_equation(rng):
     net, hid = star_neuron([1.3, -0.4], [0.9, 2.0], activation=bk.bipu(1.0, 0.2, 3.0))
     out, _ = bk.balance_neuron(net, hid, bk.l2())
-    a = sum(e.weight**2 for e in bk.in_edges(out, hid))
-    b = sum(e.weight**2 for e in bk.out_edges(out, hid))
+    a, b = (sum(w**2 for w in side) for side in side_weights(out, hid))
     assert abs(a - 3.0 * b) <= 1e-9 * max(a, 1.0)
     assert forward_gap(net, out, rng, n_probes=20) <= 1e-9
 
@@ -683,8 +682,7 @@ def test_a_run_whose_starting_deficit_is_not_finite_takes_no_step(kind):
     net = bk.make_layered([3, 6, 6, 2], seed=0)
     big = net.replace_weights(net.w * 1e200)
     sched = bk.Schedule(kind, deficit_tol=1e-12, max_steps=2_000)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, trace = bk.run_balancing(big, sched, bk.l2())
+    out, trace = bk.run_balancing(big, sched, bk.l2())
     assert not trace.converged and trace.units == []
     assert trace.notes == ["no step taken: the starting deficit is nan, not finite"]
     assert out.w.tobytes() == big.w.tobytes()
@@ -693,8 +691,7 @@ def test_a_run_whose_starting_deficit_is_not_finite_takes_no_step(kind):
 def test_a_partial_pass_whose_starting_deficit_is_not_finite_takes_no_step():
     net = bk.make_layered([3, 6, 6, 2], seed=0)
     big = net.replace_weights(net.w * 1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, trace = bk.partial_balance_pass(big, bk.l2())
+    out, trace = bk.partial_balance_pass(big, bk.l2())
     assert not trace.converged and trace.units == []
     assert trace.notes == ["no step taken: the starting deficit is nan, not finite"]
     assert out.w.tobytes() == big.w.tobytes()
@@ -704,8 +701,7 @@ def test_an_infinite_starting_deficit_is_not_within_an_infinite_tolerance():
     # the hidden unit's incoming cost overflows, its outgoing one does not: the deficit
     # and r_initial**2 are both inf
     net = chain([1e200, 1.0])
-    with np.errstate(over="ignore"):
-        out, trace = bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
+    out, trace = bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
     assert trace.r_initial == math.inf and not trace.converged and trace.units == []
     assert trace.notes == ["no step taken: the starting deficit is inf, not finite"]
     assert out.w.tobytes() == net.w.tobytes()
@@ -734,9 +730,8 @@ def test_a_power_of_two_weight_scale_balances_the_same_run_or_takes_no_step(k, c
     with np.errstate(over="ignore", under="ignore"):
         w = np.ldexp(w0, k)
     assume(np.isfinite(w).all() and np.array_equal(np.ldexp(w, -k), w0))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        final, trace = bk.run_balancing(_POW2_NET.replace_weights(w), _POW2_SCHEDULE,
-                                        bk.parse_cost(cost))
+    final, trace = bk.run_balancing(_POW2_NET.replace_weights(w), _POW2_SCHEDULE,
+                                    bk.parse_cost(cost))
     if trace.converged:
         want, steps = _unscaled_run(cost)
         assert len(trace.units) == steps
@@ -1458,6 +1453,28 @@ def test_a_layer_sweep_solves_each_layer_once(monkeypatch):
     assert len(calls) <= 24 and sum(calls) < 1454 + 64
 
 
+@pytest.mark.parametrize("kind", ["stochastic", "sequential", "layer_tied"])
+def test_a_run_reduces_its_starting_deficit_once_per_engine(monkeypatch, kind):
+    engines, before = [], []
+    deficit, run_batch = balancing._Engine.deficit, balancing._run_batch
+
+    def counted(self):
+        engines.append(self)
+        return deficit(self)
+
+    def spied(eng, runs):
+        before.append(list(engines))
+        return run_batch(eng, runs)
+
+    monkeypatch.setattr(balancing._Engine, "deficit", counted)
+    monkeypatch.setattr(balancing, "_run_batch", spied)
+    sched = bk.Schedule(kind, deficit_tol=1e-12, max_steps=50)
+    _, trace = bk.run_balancing(bk.make_layered([3, 6, 6, 2], seed=0), sched, bk.l2())
+    assert trace.units and len(before) == 1
+    # the single-unit engine's start serves its own run; a tied run's engine reduces its own
+    assert len(before[0]) == len(set(map(id, before[0]))) == (2 if kind == "layer_tied" else 1)
+
+
 def test_a_block_raises_only_at_the_step_that_reaches_a_degenerate_set():
     # unit 2's incoming cost underflows to 0.0: it is balanceable, but has no optimum
     units = [bk.Unit(0, bk.INPUT, bk.IDENTITY), bk.Unit(1, bk.HIDDEN, bk.RELU),
@@ -1525,6 +1542,35 @@ def test_block_rows_are_the_one_set_rows_within_the_bound(shape, seed, sizes, co
         _same_runs([run], [bk.run_balancing(net, schedule, cost)])
     if data is None:
         assert len(many[0][1].units) == 3 and many[0][1].converged
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    shape=st.sampled_from(["layered", "recurrent", "recurrent_bipu"]),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 9), min_size=3, max_size=4),
+    cost=st.sampled_from(["l1", "l2", "lp:3", "lp:0.5", "0.015*l1+1.0*l2"]),
+    kind=st.sampled_from(["stochastic", "sequential", "layer_tied", "partial_balance_pass"]),
+    cap=st.integers(1, 400),
+)
+def test_network_cost_is_the_engines_cost_bit_for_bit(shape, seed, sizes, cost, kind, cap):
+    # one cost formula: network_cost of a run's input is its r_initial, and of the
+    # weights it returns its last r_series row, whenever it took a step
+    net = _contract_net(shape, seed, sizes)
+    cost = bk.parse_cost(cost)
+    if kind == "partial_balance_pass":
+        runs = [bk.partial_balance_pass(net, cost)]
+    else:
+        if kind == "layer_tied" and shape != "layered":
+            kind = "sequential"  # self-loops rule out tied subsets
+        seeds = range(seed % 1000, seed % 1000 + (12 if kind == "stochastic" else 1))
+        schedules = [bk.Schedule(kind, seed=s, deficit_tol=1e-12, max_steps=cap) for s in seeds]
+        runs = bk.run_balancing_many(net, schedules, cost)
+    r_initial = bk.network_cost(net, cost)
+    for final, trace in runs:
+        assert trace.r_initial.hex() == r_initial.hex()
+        if trace.units:
+            assert trace.r_series[-1].hex() == bk.network_cost(final, cost).hex()
 
 
 def test_a_layer_sweep_reduces_afresh_once_per_block(monkeypatch):
@@ -1614,7 +1660,7 @@ def _skip_dag(seed):
 @given(seed=st.integers(0, 2**32 - 1), cost=st.sampled_from([bk.l2(), bk.lp(1.5), MIXED]))
 def test_the_default_cycle_is_the_layer_cycle(seed, cost):
     net = _skip_dag(seed)
-    order = topological_order(net)
+    order = net.structure.order
     position = {u: k for k, u in enumerate(order)}
     assert sorted(order) == list(range(len(net.units)))
     assert all(position[e.src] < position[e.dst] for e in net.edges)
@@ -1638,7 +1684,7 @@ def test_the_default_cycle_takes_the_layers_in_order():
     edges = [bk.Edge(0, 1, 2.0), bk.Edge(1, 2, 0.5), bk.Edge(2, 4, 3.0),
              bk.Edge(0, 3, 0.25), bk.Edge(3, 4, 1.5)]
     net = bk.Network(units, edges)
-    assert topological_order(net) == [0, 1, 3, 2, 4]
+    assert net.structure.order == (0, 1, 3, 2, 4)
     assert hidden_layers(net) == [[1, 3], [2]]
     sched = bk.Schedule("sequential", deficit_tol=0.0, max_steps=6)
     assert bk.run_balancing(net, sched, bk.l2())[1].units == [1, 3, 2, 1, 3, 2]

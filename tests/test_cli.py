@@ -470,8 +470,7 @@ def test_balance_of_a_net_whose_costs_overflow_exits_two(tmp_path, capsys, cost)
     p = tmp_path / "big.json"
     bk.netgraph.save(net.replace_weights(net.w * 1e200), p)
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["balance", "--net", str(p), "--cost", cost, "--out", str(out)])
+    code = main(["balance", "--net", str(p), "--cost", cost, "--out", str(out)])
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
     summary = _load(out / "summary.json")
@@ -479,6 +478,23 @@ def test_balance_of_a_net_whose_costs_overflow_exits_two(tmp_path, capsys, cost)
     assert summary["r_before"] is None and summary["final_deficit"] is None
     _load(out / "manifest.json")
     assert summary["notes"] == ["no step taken: the starting deficit is nan, not finite"]
+
+
+@pytest.mark.parametrize("cost", ["l2", "0.015*l1+1.0*l2"])
+def test_verify_uniqueness_of_a_net_whose_costs_overflow_exits_two(tmp_path, capsys, cost):
+    # every warning is an error here: an overflowing cost must not surface as one
+    net = bk.make_layered([3, 6, 6, 2], seed=0)
+    p = tmp_path / "big.json"
+    bk.netgraph.save(net.replace_weights(net.w * 1e200), p)
+    out = tmp_path / "u"
+    code = main(["verify-uniqueness", "--net", str(p), "--cost", cost, "--n-schedules", "3",
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "did not converge" in err
+    rows = [row.split(",") for row in (out / "runs.csv").read_text().splitlines()[1:]]
+    assert [row[1:] for row in rows] == [["0", "inf", "0"]] * 3
+    assert not (out / "report.json").exists()
 
 
 def test_verify_uniqueness_mixed_cost_of_the_readme(tmp_path):

@@ -14,10 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import balancekit as bk
-from balancekit.activations import activate
 from balancekit.netgraph import ROW_BLOCK, evaluation_plan, hidden_layers
 from balancekit.training import _Compiled
-from conftest import reference_forward
+from conftest import activate, reference_forward
 
 ACTIVATIONS = [
     bk.RELU,

@@ -20,6 +20,7 @@ from conftest import (
     reference_constraint_residual,
     reference_constraints,
     reference_log_ratios,
+    side_weights,
     star_neuron,
 )
 
@@ -372,8 +373,7 @@ def test_oracle_optimum_is_balanced_and_optimal(rng):
     sol = bk.solve_convex(net, bk.lp(p))
     induced = bk.apply_multipliers(net, sol.multipliers)
     for h in net.hidden_ids:
-        a = sum(abs(e.weight) ** p for e in bk.in_edges(induced, h))
-        b = sum(abs(e.weight) ** p for e in bk.out_edges(induced, h))
+        a, b = (sum(abs(w) ** p for w in side) for side in side_weights(induced, h))
         assert abs(a - b) <= 1e-8 * max(1.0, a)
     # strict convexity: random unit-scale perturbations of the log multipliers lose
     free = sorted(net.hidden_ids)

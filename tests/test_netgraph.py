@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import balancekit as bk
-from balancekit.netgraph import evaluation_plan, hidden_layers, topological_order
+from balancekit.netgraph import evaluation_plan, hidden_layers
 from balancekit.training import _Compiled
 from conftest import (
     chain,
@@ -98,34 +98,17 @@ def test_input_dimension_checked():
         bk.forward(net, [1.0, 2.0])
 
 
-def test_in_out_edges_chain():
-    net = chain([2.0, 3.0])
-    assert [(e.src, e.dst) for e in bk.in_edges(net, 1)] == [(0, 1)]
-    assert [(e.src, e.dst) for e in bk.out_edges(net, 1)] == [(1, 2)]
-    assert bk.in_edges(net, 0) == []
-    with pytest.raises(KeyError):
-        bk.in_edges(net, 99)
-
-
-def test_in_out_edges_match_full_scan(rng):
-    net = random_layered(rng)
-    for u in [x.id for x in net.units]:
-        want_in = {(e.src, e.dst) for e in net.edges if e.dst == u}
-        want_out = {(e.src, e.dst) for e in net.edges if e.src == u}
-        assert {(e.src, e.dst) for e in bk.in_edges(net, u)} == want_in
-        assert {(e.src, e.dst) for e in bk.out_edges(net, u)} == want_out
-        srcs = [e.src for e in bk.in_edges(net, u)]
-        assert srcs == sorted(srcs)
-
-
 def test_validate_accepts_minimal_chain():
     assert bk.validate(chain([1.0, 1.0])) == []
 
 
-def test_validate_flags_dead_hidden_unit():
+def test_validate_accepts_a_dead_hidden_unit_that_runs_skip():
+    # unit 1's outgoing side is dead: no run moves it, and none refuses the net
     net = chain([1.0, 0.0])
-    problems = bk.validate(net)
-    assert any("unit 1" in p and "outgoing" in p for p in problems)
+    assert bk.validate(net) == []
+    assert net.movable.tolist() == [False, False, False]
+    _, trace = bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
+    assert trace.notes == ["unit 1 skipped: all-zero incoming or outgoing side", "nothing to balance"]
 
 
 def test_validate_and_runs_agree_on_a_unit_fed_only_by_its_self_loop():
@@ -138,7 +121,8 @@ def test_validate_and_runs_agree_on_a_unit_fed_only_by_its_self_loop():
     ]
     weights = {(0, 1): 0.0, (1, 1): 0.5, (0, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0, (2, 1): 0.0}
     net = bk.Network(units, [bk.Edge(a, b, w) for (a, b), w in weights.items()], recurrent=True)
-    assert bk.validate(net) == ["hidden unit 1 has no nonzero incoming weight"]
+    assert bk.validate(net) == []
+    assert net.movable.tolist() == [False, False, True, False]
     _, trace = bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
     assert trace.notes[0] == "unit 1 skipped: all-zero incoming or outgoing side"
 
@@ -188,7 +172,8 @@ def test_a_hidden_unit_with_no_path_to_an_output_is_flagged():
         [(0, 1, 1.5), (1, 3, 0.5), (4, 2, 2.0), (0, 2, 1.0), (4, 1, 0.3)]
     )
     problem = "hidden unit 2 lies on no input->output path"
-    assert problem in bk.validate(net)  # and "no nonzero outgoing weight"
+    assert bk.validate(net) == [problem]
+    assert not net.movable[2]  # its outgoing side is dead too
     with pytest.raises(ValueError, match=problem):
         bk.run_balancing(net, bk.Schedule("sequential"), bk.l2())
 
@@ -511,7 +496,8 @@ def test_validate_survives_an_edge_to_an_unknown_unit():
     net = bk.Network(net.units, net.edges + (bk.Edge(1, 7, 1.0),))
     problems = bk.validate(net)
     assert any("unknown unit" in p for p in problems)
-    assert bk.netgraph.structural_problems(net) == problems
+    with pytest.raises(ValueError, match=re.escape("invalid network: " + "; ".join(problems))):
+        bk.netgraph.check_structure(net)
 
 
 def test_recurrent_forward_matches_hand_rolled_updates():
@@ -544,12 +530,12 @@ def test_recurrent_forward_matches_hand_rolled_updates():
 
 def test_topological_order_and_layers():
     net = chain([1.0, 1.0, 1.0])
-    assert topological_order(net) == [0, 1, 2, 3]
+    assert net.structure.order == (0, 1, 2, 3)
     net = bk.make_layered([2, 3, 4, 1], seed=0)
     layers = hidden_layers(net)
     assert [len(l) for l in layers] == [3, 4]
     with pytest.raises(ValueError, match="directed cycle; no topological order"):
-        topological_order(bk.make_recurrent(1, 2, 1))
+        bk.make_recurrent(1, 2, 1).structure.order
 
 
 # -- malformed networks: every graph walk raises the documented ValueError ----
@@ -576,7 +562,6 @@ _ENTRY_POINTS = {
     "forward": lambda net: bk.forward(net, [0.5]),
     "hidden_layers": hidden_layers,
     "gradients": lambda net: bk.gradients(net, (np.ones((1, 1)), np.ones((1, 1))), "squared_error"),
-    "topological_order": topological_order,
     "solve_convex": lambda net: bk.solve_convex(net, bk.l2()),
     "fit_multipliers": lambda net: bk.fit_multipliers(net, net),
     "fit_multipliers_many": lambda net: bk.fit_multipliers_many([net], net),
@@ -589,8 +574,7 @@ _ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
 def test_graph_walks_reject_malformed_networks_with_value_error(entry, case):
     net = _malformed(case)
-    structural = bk.netgraph.structural_problems(net)
-    assert structural and bk.validate(net)[: len(structural)] == structural
+    assert bk.validate(net)
     with pytest.raises(ValueError, match="invalid network"):
         _ENTRY_POINTS[entry](net)
 
@@ -648,11 +632,6 @@ def test_views_match_the_edge_list_definitions(spec, data):
     net = bk.Network(units, edges, recurrent)
     assert net.edges == tuple(edges)
     assert [e.weight for e in net.edges] == [float(e.weight) for e in edges]
-    for u in units:
-        into = sorted((e for e in edges if e.dst == u.id), key=lambda e: e.src)
-        out_of = sorted((e for e in edges if e.src == u.id), key=lambda e: e.dst)
-        assert bk.in_edges(net, u.id) == into
-        assert bk.out_edges(net, u.id) == out_of
     text = bk.serialize(net)
     assert text == _old_serialize(units, edges, recurrent, 3)
 

@@ -8,7 +8,7 @@ from balancekit.training import (
     _prepare_targets,
     metrics_to_csv,
 )
-from conftest import chain, random_layered
+from conftest import chain, random_layered, side_weights
 
 
 def _total_loss(comp, loss, X, t, cost):
@@ -182,8 +182,7 @@ def test_partial_balancing_drives_ratios_to_one():
     )
     out, rows = bk.sgd_train(_toy_net(), train, test, cfg)
     for h in out.hidden_ids:
-        cin = sum(e.weight**2 for e in bk.in_edges(out, h))
-        cout = sum(e.weight**2 for e in bk.out_edges(out, h))
+        cin, cout = (sum(w**2 for w in side) for side in side_weights(out, h))
         assert abs((cin / cout) ** 0.5 - 1.0) < 0.05
 
 
@@ -207,8 +206,7 @@ def test_balancing_cost_may_differ_from_training_cost():
     )
     out, _ = bk.sgd_train(_toy_net(), train, test, cfg)
     for h in out.hidden_ids:
-        cin = sum(abs(e.weight) for e in bk.in_edges(out, h))
-        cout = sum(abs(e.weight) for e in bk.out_edges(out, h))
+        cin, cout = (sum(abs(w) for w in side) for side in side_weights(out, h))
         assert abs(cin - cout) <= 1e-9 * max(1.0, cin)
 
 
